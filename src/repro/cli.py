@@ -70,7 +70,7 @@ Commands
     The process-wide warm-worker execution pool behind
     ``transport="warm"`` (:mod:`repro.exec`): ``repro pool status``
     reports workers, health and lifetime counters (``--start`` spawns
-    and heartbeats the fleet first); ``repro pool stop`` shuts it down.
+    the fleet first); ``repro pool stop`` shuts it down.
 ``cache``
     The process-wide solve cache (:mod:`repro.api.cache`):
     ``repro cache stats`` prints size, totals and the per-backend
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp_status.add_argument(
         "--start", action="store_true",
-        help="start the pool's workers (and heartbeat them) before reporting",
+        help="start the pool's workers before reporting",
     )
     pp_status.add_argument(
         "--workers", type=int, default=None,
@@ -1186,8 +1186,8 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
     The pool is process-local state: a bare ``status`` in a fresh CLI
     process reports that no pool exists yet; ``--start`` spawns the
-    fleet, heartbeats it, and reports — the shape embedding callers
-    (and the CI smoke test) exercise.
+    fleet and reports how many workers are alive — the shape embedding
+    callers (and the CI smoke test) exercise.
     """
     from .exec import default_pool_or_none, get_default_pool, shutdown_default_pool
 
@@ -1209,9 +1209,9 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     pool = get_default_pool(max_workers=args.workers)
     if args.start:
         pool.start()
-        checked = pool.check_health()
-        healthy = sum(1 for ok in checked.values() if ok)
-        print(f"heartbeat: {healthy}/{len(checked)} worker(s) answered")
+        workers = pool.status().workers
+        alive = sum(1 for w in workers if w.alive)
+        print(f"{alive}/{len(workers)} worker(s) alive")
     print(pool.status().describe())
     return 0
 

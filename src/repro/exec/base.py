@@ -8,8 +8,8 @@ The contract is deliberately tiny so remote fabrics (the ROADMAP's
 distributed story) plug into the same seam:
 
 * :meth:`Transport.prepare` — one call per plan, handing the transport
-  the plan's unique scenarios (a pooled transport packs them into
-  shared memory here);
+  the plan's unique scenarios (a process transport starts its workers
+  here);
 * :meth:`Transport.submit_shard` — enqueue one :class:`Shard`;
 * :meth:`Transport.as_completed` — yield a :class:`ShardOutcome` per
   submitted shard **in completion order**, never raising for a shard

@@ -1,8 +1,7 @@
 """Per-call process-pool transport: today's ``processes=`` semantics.
 
-One fresh ``ProcessPoolExecutor`` per plan, fed through the zero-copy
-:class:`~repro.api.shm.ScenarioPack` handoff (pickled fallback when
-shared memory is unavailable).  Futures are harvested **as completed**:
+One fresh ``ProcessPoolExecutor`` per plan; each task pickles its
+shard's scenarios.  Futures are harvested **as completed**:
 a long first shard no longer delays the caching of later shards, and a
 crashed worker — which breaks the whole per-call pool — surfaces as
 error outcomes for the in-flight shards while every already-completed
@@ -19,7 +18,6 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
-from ..api.shm import ScenarioPack, solve_pack_shard
 from ..api.study import _solve_shard
 from .base import Shard, ShardOutcome, Transport
 
@@ -43,7 +41,6 @@ class PooledTransport(Transport):
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
         self._pool: ProcessPoolExecutor | None = None
-        self._pack: ScenarioPack | None = None
         self._scenarios: list["Scenario"] = []
         self._futures: dict[Future["list[Result]"], Shard] = {}
 
@@ -56,24 +53,16 @@ class PooledTransport(Transport):
     # ------------------------------------------------------------------
     def prepare(self, scenarios: Sequence["Scenario"]) -> None:
         self._scenarios = list(scenarios)
-        # Pack the unique scenarios once: each task then pickles only
-        # (block name, layout, row indices).  None -> pickled fallback.
-        self._pack = ScenarioPack.create(self._scenarios)
         self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         self._futures = {}
 
     def submit_shard(self, shard: Shard) -> None:
         assert self._pool is not None, "prepare() must run before submit_shard()"
-        if self._pack is not None:
-            future = self._pool.submit(
-                solve_pack_shard, *self._pack.task(shard.indices), shard.backend
-            )
-        else:
-            future = self._pool.submit(
-                _solve_shard,
-                [self._scenarios[u] for u in shard.indices],
-                shard.backend,
-            )
+        future = self._pool.submit(
+            _solve_shard,
+            [self._scenarios[u] for u in shard.indices],
+            shard.backend,
+        )
         self._futures[future] = shard
 
     def as_completed(self) -> Iterator[ShardOutcome]:
@@ -101,8 +90,5 @@ class PooledTransport(Transport):
             # must not block shutdown behind shards nobody will read.
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._pack is not None:
-            self._pack.dispose()
-            self._pack = None
         self._futures = {}
         self._scenarios = []

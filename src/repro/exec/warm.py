@@ -1,19 +1,21 @@
 """The persistent warm-worker pool transport.
 
-``PooledTransport`` pays a full process-pool spawn (and scenario-pack
-rebuild) on every plan — fine for one big grid, ruinous for the many
-small plans of an interactive session or a service loop.
-:class:`WarmWorkerPool` keeps a fleet of worker processes alive across
-plans and streams shards to whichever worker is free:
+``PooledTransport`` pays a full process-pool spawn on every plan —
+fine for one big grid, ruinous for the many small plans of an
+interactive session or a service loop.  :class:`WarmWorkerPool` keeps
+a fleet of worker processes alive across plans and streams shards to
+whichever worker is free:
 
 * **acquire/release** — workers are leased per shard
   (:meth:`WarmWorkerPool.acquire` / :meth:`WarmWorkerPool.release`)
   and returned to the idle set the moment their result lands, so a
   slow shard never idles the rest of the fleet;
-* **health checks** — a heartbeat ping/pong over the worker queues
-  (:meth:`check_health`, run at every ``prepare``) recycles silent or
-  dead workers before the plan starts, and the harvest loop notices a
-  worker that dies *mid-shard* within one poll tick;
+* **one wire per worker** — each worker takes tasks and answers on
+  its own pipe, and the parent blocks in
+  :func:`multiprocessing.connection.wait` over those pipes plus every
+  ``Process.sentinel``.  A reply and a death are both *events*: a
+  SIGKILLed worker is noticed the moment the OS reports it, with no
+  liveness poll, and it cannot wedge any other worker's replies;
 * **recycling** — a worker that has solved ``max_tasks_per_worker``
   shards is retired and replaced, bounding any slow leak a backend
   might carry;
@@ -42,25 +44,22 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
-import queue as _queue
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
 from ..exceptions import WorkerCrashError
-from ..api.shm import PackLayout, ScenarioPack, solve_pack_shard
 from .base import Shard, ShardOutcome, Transport, solve_shard_inline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import multiprocessing
+    from multiprocessing.connection import Connection
     from multiprocessing.context import BaseContext
     from multiprocessing.process import BaseProcess
 
-    from ..api.result import Result
     from ..api.scenario import Scenario
 
 __all__ = [
@@ -77,10 +76,6 @@ __all__ = [
 #: Tasks a worker solves before it is retired and replaced.
 DEFAULT_MAX_TASKS = 256
 
-#: Seconds the harvest loop blocks per poll before re-checking worker
-#: liveness — the crash-detection latency bound.
-_POLL_TICK = 0.05
-
 
 def _default_worker_count() -> int:
     """Default fleet size: the CPU count, capped (a solver pool past 8
@@ -88,65 +83,44 @@ def _default_worker_count() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+def _summary(exc: BaseException) -> RuntimeError:
+    """A plain, always-picklable stand-in for ``exc``."""
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _solve_payload(payload: tuple[Any, ...]) -> "list[Result]":
-    """Solve one task payload inside a worker."""
+def _worker_main(conn: "Connection") -> None:
+    """Worker loop: solve one task at a time until ``None`` (stop).
+
+    Every task failure is caught and reported, so a worker only exits
+    by ``stop``, recycle, or an actual crash (which the parent sees on
+    the process sentinel).  A reply that cannot be pickled is replaced
+    by a summary error — ``send`` pickles before it writes, so nothing
+    partial ever reaches the pipe.
+    """
     from ..api.backends import get_backend
 
-    if payload[0] == "pack":
-        _, name, layout, indices, backend = payload
-        assert isinstance(layout, PackLayout)
-        return solve_pack_shard(name, layout, list(indices), backend)
-    _, scenarios, backend = payload
-    return get_backend(backend).solve_batch(list(scenarios))
-
-
-def _picklable_error(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round-trip, else a summary.
-
-    An unpicklable exception would die silently in the queue's feeder
-    thread and the parent would wait forever for the lost message —
-    degrade the error, never the delivery.
-    """
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _worker_main(
-    worker_id: int,
-    task_queue: "multiprocessing.Queue[tuple[Any, ...]]",
-    result_queue: "multiprocessing.Queue[tuple[Any, ...]]",
-) -> None:
-    """Worker loop: solve tasks, answer pings, stop on request.
-
-    Every task failure — including a stale scenario pack unlinked by an
-    abandoned plan — is caught and reported, so a worker only dies by
-    ``stop``, recycle, or an actual crash (the parent detects the
-    latter via ``Process.is_alive``).
-    """
     while True:
-        message = task_queue.get()
-        kind = message[0]
-        if kind == "stop":
-            result_queue.put(("bye", worker_id, None, None))
-            return
-        if kind == "ping":
-            result_queue.put(("pong", worker_id, message[1], None))
-            continue
-        _, epoch, shard_id, payload = message
         try:
-            results = _solve_payload(payload)
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        epoch, shard_id, scenarios, backend = message
+        try:
+            reply = (epoch, shard_id, "done", get_backend(backend).solve_batch(scenarios))
         except Exception as exc:  # noqa: BLE001 - report, never die
-            result_queue.put(
-                ("error", worker_id, (epoch, shard_id), _picklable_error(exc))
-            )
-        else:
-            result_queue.put(("done", worker_id, (epoch, shard_id), results))
+            reply = (epoch, shard_id, "error", exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent stopped listening
+        except Exception as exc:  # noqa: BLE001 - unpicklable reply
+            cause = reply[3] if reply[2] == "error" else exc
+            conn.send((epoch, shard_id, "error", _summary(cause)))
 
 
 # ----------------------------------------------------------------------
@@ -154,17 +128,26 @@ def _worker_main(
 # ----------------------------------------------------------------------
 @dataclass
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process and its end of the pipe."""
 
     worker_id: int
     process: "BaseProcess"
-    task_queue: "multiprocessing.Queue[tuple[Any, ...]]"
+    conn: "Connection"
     tasks_done: int = 0
     busy: "tuple[int, int] | None" = None  # (epoch, shard_id) in flight
 
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    def reap(self, timeout: float = 1.0) -> None:
+        """Join the (exited or stopping) process, terminating it after
+        ``timeout`` seconds, and close its pipe."""
+        self.process.join(timeout=timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=1.0)
+        self.conn.close()
 
 
 @dataclass(frozen=True)
@@ -231,10 +214,6 @@ class WarmWorkerPool(Transport):
         Shards a worker solves before being retired and replaced.
     max_retries:
         Crash-retries per shard before it is reported lost.
-    heartbeat_timeout:
-        Seconds to wait for ping/pong health checks at ``prepare``
-        (``None`` disables the pre-plan heartbeat; mid-plan crash
-        detection via process liveness is always on).
     start_method:
         ``multiprocessing`` start method (``None`` = platform default,
         ``fork`` on Linux — see the registry caveat in the module
@@ -247,16 +226,13 @@ class WarmWorkerPool(Transport):
         *,
         max_tasks_per_worker: int = DEFAULT_MAX_TASKS,
         max_retries: int = 2,
-        heartbeat_timeout: float | None = 5.0,
         start_method: str | None = None,
     ) -> None:
         self.max_workers = max_workers or _default_worker_count()
         self.max_tasks_per_worker = max_tasks_per_worker
         self.max_retries = max_retries
-        self.heartbeat_timeout = heartbeat_timeout
         self._start_method = start_method
         self._ctx: "BaseContext | None" = None
-        self._result_queue: "multiprocessing.Queue[tuple[Any, ...]] | None" = None
         self._workers: dict[int, _Worker] = {}
         self._retiring: dict[int, _Worker] = {}
         self._idle: deque[int] = deque()
@@ -266,12 +242,10 @@ class WarmWorkerPool(Transport):
         # Per-plan state
         self._epoch = 0
         self._scenarios: list["Scenario"] = []
-        self._pack: ScenarioPack | None = None
         self._pending: deque[Shard] = deque()
         self._inflight: dict[int, Shard] = {}
         self._retries: dict[int, int] = {}
         self._ready: deque[ShardOutcome] = deque()
-        self._pongs: set[object] = set()
         # Lifetime counters (PoolStatus)
         self._tasks_completed = 0
         self._worker_crashes = 0
@@ -296,55 +270,59 @@ class WarmWorkerPool(Transport):
             import multiprocessing
 
             self._ctx = multiprocessing.get_context(self._start_method)
-            self._result_queue = self._ctx.Queue()
         self._started = True
         while len(self._workers) < self.max_workers:
             if self._spawn_worker() is None:
                 break
 
     def _spawn_worker(self) -> _Worker | None:
-        assert self._ctx is not None and self._result_queue is not None
+        assert self._ctx is not None
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        task_queue: "multiprocessing.Queue[tuple[Any, ...]]" = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_queue, self._result_queue),
+            args=(child_conn,),
             name=f"repro-warm-worker-{worker_id}",
             daemon=True,
         )
         try:
             process.start()
         except OSError:
+            conn.close()
             self._unhealthy = True
             return None
-        worker = _Worker(worker_id=worker_id, process=process, task_queue=task_queue)
+        finally:
+            # The child's end lives in the child only: once the worker
+            # exits, ``recv`` reads EOF and ``send`` breaks.
+            child_conn.close()
+        worker = _Worker(worker_id, process, conn)
         self._workers[worker_id] = worker
         self._idle.append(worker_id)
         self._unhealthy = False
         return worker
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker (graceful, then terminate) and reset."""
-        everyone = list(self._workers.values()) + list(self._retiring.values())
+        """Stop every worker and reset.
+
+        Idle workers get a graceful stop and ``timeout`` seconds to
+        exit; a worker still busy with an abandoned shard is
+        terminated (nobody will read its reply).
+        """
+        everyone = [*self._workers.values(), *self._retiring.values()]
         for worker in everyone:
-            if worker.alive:
-                try:
-                    worker.task_queue.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover - queue gone
-                    pass
+            if worker.busy is None:
+                self._send(worker, None)
+            else:
+                worker.process.terminate()
         deadline = time.monotonic() + timeout
         for worker in everyone:
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.alive:
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
+            worker.reap(timeout=max(0.0, deadline - time.monotonic()))
         self._workers.clear()
         self._retiring.clear()
         self._idle.clear()
         self._started = False
         self._ctx = None
-        self._result_queue = None
 
     # ------------------------------------------------------------------
     # Acquire / release
@@ -363,18 +341,18 @@ class WarmWorkerPool(Transport):
                 if worker is None:
                     continue
                 if not worker.alive:
-                    self._replace_worker(worker, crashed=True)
+                    self._bury(worker)
                     continue
                 if worker.tasks_done >= self.max_tasks_per_worker:
                     self._recycle_worker(worker)
                     continue
                 return worker
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
             if not self._workers:
                 return None
-            self._pump(timeout=_POLL_TICK)
-            self._reap_crashed()
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                return None
+            self._pump(timeout=remaining)
 
     def release(self, worker: _Worker) -> None:
         """Return a leased worker to the idle set (or retire it when it
@@ -386,73 +364,15 @@ class WarmWorkerPool(Transport):
             self._idle.append(worker.worker_id)
 
     def _recycle_worker(self, worker: _Worker) -> None:
-        """Retire a worker at its task budget and spawn a successor."""
+        """Retire a worker at its task budget and spawn a successor.
+        Its exit arrives later as a sentinel event (see :meth:`_bury`)."""
         if self._workers.pop(worker.worker_id, None) is None:
             return
         self._workers_recycled += 1
         self._retiring[worker.worker_id] = worker
-        try:
-            worker.task_queue.put(("stop",))
-        except (OSError, ValueError):  # pragma: no cover - queue gone
-            pass
+        self._send(worker, None)
         if self._started:
             self._spawn_worker()
-
-    def _replace_worker(self, worker: _Worker, *, crashed: bool) -> None:
-        """Drop a dead worker and spawn a successor."""
-        self._workers.pop(worker.worker_id, None)
-        if crashed:
-            self._worker_crashes += 1
-        if self._started:
-            self._spawn_worker()
-
-    # ------------------------------------------------------------------
-    # Health
-    # ------------------------------------------------------------------
-    def check_health(self, timeout: float | None = None) -> dict[int, bool]:
-        """Heartbeat every idle worker; recycle the silent and the dead.
-
-        Sends a ping down each idle worker's queue and waits up to
-        ``timeout`` (default ``heartbeat_timeout``) for the pongs.
-        Returns ``{worker_id: healthy}`` for the checked workers.
-        Busy workers are only liveness-checked — their heartbeat is the
-        result they are about to deliver.
-        """
-        wait = self.heartbeat_timeout if timeout is None else timeout
-        checked: dict[int, bool] = {}
-        tokens: dict[object, int] = {}
-        for worker_id in list(self._idle):
-            worker = self._workers.get(worker_id)
-            if worker is None:
-                continue
-            if not worker.alive:
-                checked[worker_id] = False
-                continue
-            token = ("hb", self._epoch, worker_id)
-            tokens[token] = worker_id
-            try:
-                worker.task_queue.put(("ping", token))
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                checked[worker_id] = False
-        deadline = time.monotonic() + (wait or 0.0)
-        while tokens and time.monotonic() < deadline:
-            self._pump(timeout=_POLL_TICK)
-            for token in [t for t in tokens if t in self._pongs]:
-                checked[tokens.pop(token)] = True
-                self._pongs.discard(token)
-        for worker_id in tokens.values():
-            checked[worker_id] = False
-        for worker_id, healthy in checked.items():
-            worker = self._workers.get(worker_id)
-            if worker is not None and not healthy:
-                try:
-                    self._idle.remove(worker_id)
-                except ValueError:
-                    pass
-                if worker.alive:
-                    worker.process.terminate()
-                self._replace_worker(worker, crashed=True)
-        return checked
 
     def status(self) -> PoolStatus:
         """A :class:`PoolStatus` snapshot (no side effects)."""
@@ -485,14 +405,11 @@ class WarmWorkerPool(Transport):
         # plan's interrupted harvest are discarded on arrival.
         self._epoch += 1
         self._scenarios = list(scenarios)
-        self._pack = ScenarioPack.create(self._scenarios)
         self._pending.clear()
         self._inflight.clear()
         self._retries.clear()
         self._ready.clear()
         self.start()
-        if self.heartbeat_timeout is not None and self._idle:
-            self.check_health()
 
     def submit_shard(self, shard: Shard) -> None:
         self._pending.append(shard)
@@ -504,7 +421,7 @@ class WarmWorkerPool(Transport):
                 yield self._ready.popleft()
                 continue
             self._dispatch()
-            if self._pending and not self._inflight and not self._live_workers():
+            if self._pending and not self._inflight and not self._workers:
                 # Degraded: no worker could be started (or every one is
                 # gone and irreplaceable) — finish the plan inline.
                 shard = self._pending.popleft()
@@ -513,34 +430,26 @@ class WarmWorkerPool(Transport):
                     self._scenarios, shard, retries=self._retries.get(shard.shard_id, 0)
                 )
                 continue
-            if self._inflight or self._pending:
-                self._pump(timeout=_POLL_TICK)
-                self._reap_crashed()
+            # Nothing more can start now: block until a reply or an exit.
+            self._pump(timeout=None)
 
     def close(self) -> None:
-        """End-of-plan cleanup: dispose the scenario pack, keep the
-        workers warm.  (Use :meth:`shutdown` to stop the fleet.)"""
-        if self._pack is not None:
-            self._pack.dispose()
-            self._pack = None
+        """End-of-plan cleanup; the workers stay warm.  (Use
+        :meth:`shutdown` to stop the fleet.)"""
         self._scenarios = []
         self._pending.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _live_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.alive)
-
-    def _payload(self, shard: Shard) -> tuple[Any, ...]:
-        if self._pack is not None:
-            name, layout, indices = self._pack.task(shard.indices)
-            return ("pack", name, layout, indices, shard.backend)
-        return (
-            "list",
-            [self._scenarios[u] for u in shard.indices],
-            shard.backend,
-        )
+    @staticmethod
+    def _send(worker: _Worker, message: tuple[Any, ...] | None) -> bool:
+        """Write to a worker's pipe; ``False`` if the worker is gone."""
+        try:
+            worker.conn.send(message)
+        except OSError:
+            return False
+        return True
 
     def _dispatch(self) -> None:
         """Hand pending shards to idle workers (acquire -> send)."""
@@ -549,108 +458,108 @@ class WarmWorkerPool(Transport):
             if worker is None:
                 return
             shard = self._pending.popleft()
-            try:
-                worker.task_queue.put(
-                    ("task", self._epoch, shard.shard_id, self._payload(shard))
-                )
-            except (OSError, ValueError):  # pragma: no cover - queue gone
+            scenarios = [self._scenarios[u] for u in shard.indices]
+            if not self._send(worker, (self._epoch, shard.shard_id, scenarios, shard.backend)):
                 self._pending.appendleft(shard)
-                self._replace_worker(worker, crashed=True)
+                self._bury(worker)
                 continue
             worker.busy = (self._epoch, shard.shard_id)
             self._inflight[shard.shard_id] = shard
 
-    def _pump(self, timeout: float | None = None) -> None:
-        """Drain the result queue, releasing workers and collecting
-        fresh outcomes into the ready deque.
-
-        Blocks up to ``timeout`` seconds for the *first* message, then
-        takes whatever else is immediately available.
-        """
-        if self._result_queue is None:
+    def _pump(self, timeout: float | None) -> None:
+        """Block up to ``timeout`` seconds (``None``: until something
+        happens) for a reply or a worker exit, then handle every event
+        that is ready."""
+        events: dict[Any, tuple[_Worker, bool]] = {}
+        for worker in [*self._workers.values(), *self._retiring.values()]:
+            events[worker.conn] = (worker, False)
+            events[worker.process.sentinel] = (worker, True)
+        if not events:
             return
-        block = timeout is not None and timeout > 0
+        for handle in wait(list(events), timeout):
+            worker, exited = events[handle]
+            if exited:
+                self._bury(worker)
+            else:
+                self._drain(worker)
+
+    def _drain(self, worker: _Worker) -> None:
+        """Take every reply already waiting in ``worker``'s pipe."""
         while True:
             try:
-                message = self._result_queue.get(
-                    block=block, timeout=timeout if block else None
-                )
-            except _queue.Empty:
-                return
-            block = False
-            kind, worker_id, tag, body = message
-            if kind == "pong":
-                self._pongs.add(tag)
-                continue
-            if kind == "bye":
-                retired = self._retiring.pop(worker_id, None)
-                if retired is not None:
-                    retired.process.join(timeout=1.0)
-                continue
-            # "done" / "error" for (epoch, shard_id) == tag
-            epoch, shard_id = tag
-            worker = self._workers.get(worker_id) or self._retiring.get(worker_id)
-            if worker is not None and worker.busy == (epoch, shard_id):
-                worker.tasks_done += 1
-                self.release(worker)
-            if epoch != self._epoch:
-                continue  # stale: an abandoned plan's shard
-            shard = self._inflight.pop(shard_id, None)
-            if shard is None:
-                continue  # already retried elsewhere / unknown
-            retries = self._retries.get(shard_id, 0)
-            if kind == "done":
-                self._tasks_completed += 1
-                self._ready.append(
-                    ShardOutcome(
-                        shard=shard,
-                        results=tuple(body),
-                        worker=f"warm-{worker_id}",
-                        retries=retries,
-                    )
-                )
-            else:
-                # A shard *exception* is deterministic — retrying it on
-                # another worker would fail identically, so report it.
-                self._ready.append(
-                    ShardOutcome(
-                        shard=shard,
-                        error=body,
-                        worker=f"warm-{worker_id}",
-                        retries=retries,
-                    )
-                )
+                if not worker.conn.poll():
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                return  # the worker is gone; its sentinel reports that
+            except Exception as exc:  # noqa: BLE001 - does not unpickle here
+                # The pipe carries one task's reply at a time, so the
+                # lease says whose reply this was.
+                if worker.busy is None:
+                    continue
+                message = (*worker.busy, "error", _summary(exc))
+            self._receive(worker, message)
 
-    def _reap_crashed(self) -> None:
-        """Detect workers that died mid-shard; retry or fail their work."""
-        for worker in list(self._workers.values()):
-            if worker.alive:
-                continue
-            busy = worker.busy
-            self._replace_worker(worker, crashed=True)
-            if busy is None:
-                continue
-            epoch, shard_id = busy
-            if epoch != self._epoch:
-                continue  # stale shard died with its worker; nothing to do
-            shard = self._inflight.pop(shard_id, None)
-            if shard is None:
-                continue
-            retries = self._retries.get(shard_id, 0) + 1
-            self._retries[shard_id] = retries
-            if retries <= self.max_retries:
-                self._shard_retries += 1
-                self._pending.appendleft(shard)
-                self._dispatch()
-            else:
-                self._ready.append(
-                    ShardOutcome(
-                        shard=shard,
-                        error=WorkerCrashError(1, len(shard)),
-                        worker=f"warm-{worker.worker_id}",
-                        retries=retries,
-                    )
+    def _receive(self, worker: _Worker, message: tuple[Any, ...]) -> None:
+        """File one reply: release the worker, then record the outcome
+        unless it belongs to an abandoned plan's epoch."""
+        epoch, shard_id, kind, body = message
+        if worker.busy == (epoch, shard_id):
+            worker.tasks_done += 1
+            self.release(worker)
+        if epoch != self._epoch:
+            return  # stale: an abandoned plan's shard
+        shard = self._inflight.pop(shard_id, None)
+        if shard is None:
+            return
+        site = f"warm-{worker.worker_id}"
+        retries = self._retries.get(shard_id, 0)
+        if kind == "done":
+            self._tasks_completed += 1
+            outcome = ShardOutcome(
+                shard=shard, results=tuple(body), worker=site, retries=retries
+            )
+        else:
+            # A shard *exception* is deterministic — retrying it on
+            # another worker would fail identically, so report it.
+            outcome = ShardOutcome(shard=shard, error=body, worker=site, retries=retries)
+        self._ready.append(outcome)
+
+    def _bury(self, worker: _Worker) -> None:
+        """A worker process ended.  A retiring worker was asked to; any
+        other exit is a crash: spawn a successor and retry (or, past
+        ``max_retries``, fail) the shard it was solving."""
+        self._drain(worker)  # a reply sent just before the exit still counts
+        worker.reap()
+        if self._retiring.pop(worker.worker_id, None) is not None:
+            return
+        if self._workers.pop(worker.worker_id, None) is None:
+            return  # already buried
+        self._worker_crashes += 1
+        if self._started:
+            self._spawn_worker()
+        if worker.busy is None:
+            return
+        epoch, shard_id = worker.busy
+        if epoch != self._epoch:
+            return  # a stale shard died with its worker; nothing to do
+        shard = self._inflight.pop(shard_id, None)
+        if shard is None:
+            return
+        retries = self._retries.get(shard_id, 0) + 1
+        self._retries[shard_id] = retries
+        if retries <= self.max_retries:
+            self._shard_retries += 1
+            self._pending.appendleft(shard)
+        else:
+            self._ready.append(
+                ShardOutcome(
+                    shard=shard,
+                    error=WorkerCrashError(1, len(shard)),
+                    worker=f"warm-{worker.worker_id}",
+                    retries=retries,
                 )
+            )
 
 
 # ----------------------------------------------------------------------
@@ -690,19 +599,17 @@ def shutdown_default_pool() -> None:
 
 
 def warm_default_pool(max_workers: int | None = None) -> WarmWorkerPool:
-    """Eagerly start (and heartbeat) the process-wide pool.
+    """Eagerly start the process-wide pool.
 
     ``get_default_pool`` alone spawns nothing — workers appear lazily
     at the first plan's ``prepare``, which is the right behaviour for
     scripts but wrong for a long-lived server: the first request should
     not pay the fleet spawn.  This helper is the *startup* half of the
-    server lifespan story: spawn the fleet now, heartbeat it, and
-    return the pool ready to serve.
+    server lifespan story: spawn the fleet now and return the pool
+    ready to serve.
     """
     pool = get_default_pool(max_workers)
     pool.start()
-    if pool.heartbeat_timeout is not None and pool._idle:
-        pool.check_health()
     return pool
 
 
@@ -718,11 +625,11 @@ def default_pool_lifespan(
     deterministically when the app stops — not when the process dies.
     ``with default_pool_lifespan(n):`` is that contract:
 
-    * entry — :func:`warm_default_pool` spawns and heartbeats the
-      fleet;
-    * exit — :func:`shutdown_default_pool` stops every worker
-      (graceful ``stop`` message first, ``terminate`` after
-      ``drain_timeout`` seconds), even on error paths.
+    * entry — :func:`warm_default_pool` spawns the fleet;
+    * exit — :func:`shutdown_default_pool` stops every worker, even
+      on error paths: idle workers get the graceful ``stop`` message
+      and ``drain_timeout`` seconds before ``terminate``; a worker
+      still busy with an abandoned shard is terminated at once.
 
     The atexit hook stays registered as the backstop for processes
     that never exit the lifespan cleanly (``kill -9`` excepted — the

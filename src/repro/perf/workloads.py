@@ -370,12 +370,12 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
 
     def cold() -> dict[str, float]:
         # transport=None + processes=2: a fresh ProcessPoolExecutor
-        # (and scenario pack) per plan — the per-call dispatch cost.
+        # per plan — the per-call dispatch cost.
         return _run_plans(None)
 
     def warm() -> dict[str, float]:
         # The process-wide warm pool: workers spawn once (first call,
-        # i.e. during warmup) and every later plan only pays queue
+        # i.e. during warmup) and every later plan only pays pipe
         # traffic.  The atexit hook shuts the default pool down.
         return _run_plans("warm")
 

@@ -181,10 +181,15 @@ class Job:
                 doc["error"] = self._error
             return doc
 
+    def _after(self, after_seq: int) -> tuple[JobEvent, ...]:
+        # ``_append`` keeps ``seq == index + 1``: the events after a
+        # cursor are a slice, not a scan.
+        return tuple(self._events[max(after_seq, 0):])
+
     def events_since(self, after_seq: int) -> tuple[JobEvent, ...]:
         """All events with ``seq > after_seq`` (non-blocking)."""
         with self._cond:
-            return tuple(e for e in self._events if e.seq > after_seq)
+            return self._after(after_seq)
 
     def wait_events(
         self, after_seq: int, timeout: float | None = None
@@ -199,7 +204,7 @@ class Job:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                pending = tuple(e for e in self._events if e.seq > after_seq)
+                pending = self._after(after_seq)
                 if pending or self._state.terminal:
                     return pending
                 remaining = (

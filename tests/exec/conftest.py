@@ -15,6 +15,9 @@ itself:
   retried or re-executed shard finds the file gone and solves
   normally);
 * ``poison`` — always raise (a deterministic shard exception);
+* ``unpicklable`` — raise an exception that cannot be pickled;
+* ``unloadable`` — raise an exception that pickles but cannot be
+  unpickled (its ``__init__`` takes more arguments than its ``args``);
 * ``sleep:<seconds>`` — delay before solving (completion-order tests);
 * anything else — solve like the ``firstorder`` backend.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from dataclasses import replace
 
@@ -43,6 +47,21 @@ CHAOS_BACKEND = "chaos-test-backend"
 _first_order = FirstOrderBackend()
 
 
+class UnpicklableError(RuntimeError):
+    """A shard failure that cannot cross a process boundary."""
+
+    def __init__(self) -> None:
+        super().__init__("unpicklable shard failure (chaos test backend)")
+        self.lock = threading.Lock()
+
+
+class UnloadableError(RuntimeError):
+    """Pickles as ``(cls, args)``, but ``cls(*args)`` is one short."""
+
+    def __init__(self, what: str, why: str) -> None:
+        super().__init__(f"{what}: {why}")
+
+
 class ChaosBackend(SolverBackend):
     """Label-scripted backend for fault injection (see module doc)."""
 
@@ -60,6 +79,10 @@ class ChaosBackend(SolverBackend):
                 time.sleep(float(part[len("sleep:") :]))
             elif part == "poison":
                 raise ConvergenceError("poisoned shard (chaos test backend)")
+            elif part == "unpicklable":
+                raise UnpicklableError()
+            elif part == "unloadable":
+                raise UnloadableError("unloadable shard failure", "chaos test backend")
         res = _first_order._solve(scenario)
         return replace(
             res, provenance=replace(res.provenance, backend=self.name)

@@ -7,20 +7,20 @@ so re-executing the plan replays the completed shards and solves only
 the remainder.
 
 The ``chaos`` backend (conftest) scripts the faults per scenario via
-labels; the worker-kill cases run in CI with ``REPRO_DISABLE_SHM``
-both unset and set (the fault-injection job), and the key ones are
-parametrised over the same switch here.
+labels; the CI fault-injection job loops this suite to catch
+intermittent hangs.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
 
 from repro.api.cache import SolveCache
 from repro.api.experiment import Experiment, PlanProgress
-from repro.api.shm import SHM_DISABLE_ENV
 from repro.exceptions import ConvergenceError, WorkerCrashError
 from repro.exec import WarmWorkerPool
 
@@ -36,22 +36,27 @@ def _field_equal(a, b) -> None:
         assert a.best == b.best
 
 
-@pytest.mark.parametrize("disable_shm", [False, True])
+@pytest.mark.parametrize("pool_served_before", [False, True])
 def test_warm_worker_kill_is_retried_on_healthy_worker(
-    chaos_scenarios, tmp_path, monkeypatch, disable_shm
+    chaos_scenarios, tmp_path, pool_served_before
 ):
-    if disable_shm:
-        monkeypatch.setenv(SHM_DISABLE_ENV, "1")
+    """The kill lands on a fresh fleet, or on one that already served a
+    plan (so the retry runs under a later plan epoch)."""
     flag = tmp_path / "kill-once"
     scenarios = chaos_scenarios([f"kill:{flag}", "", "", "", ""])
     exp = Experiment.from_scenarios(scenarios, name="warm-kill")
     # Baseline first — the flag file does not exist yet, so the inline
     # run in *this* process solves the kamikaze scenario normally.
     expected = exp.solve(cache=False, transport="inline")
-    flag.touch()
 
-    pool = WarmWorkerPool(max_workers=2, heartbeat_timeout=5.0)
+    pool = WarmWorkerPool(max_workers=2)
     try:
+        if pool_served_before:
+            # No flag yet: the same plan runs clean on the warm fleet.
+            for got, want in zip(exp.solve(cache=False, transport=pool), expected):
+                _field_equal(got, want)
+            assert pool.status().worker_crashes == 0
+        flag.touch()
         results = exp.solve(cache=False, transport=pool)
         status = pool.status()
     finally:
@@ -80,7 +85,7 @@ def test_warm_worker_kill_exhausts_retries_into_worker_crash_error(
     exp = Experiment.from_scenarios(scenarios, name="warm-kill-exhaust")
 
     cache = SolveCache()
-    pool = WarmWorkerPool(max_workers=2, heartbeat_timeout=5.0)
+    pool = WarmWorkerPool(max_workers=2)
     try:
         with pytest.raises(WorkerCrashError) as excinfo:
             exp.solve(cache=cache, transport=pool)
@@ -90,6 +95,59 @@ def test_warm_worker_kill_exhausts_retries_into_worker_crash_error(
     assert excinfo.value.lost_scenarios == 1
     # The healthy shards' work survived the crash storm.
     assert len(cache) == 3
+
+
+def test_idle_worker_killed_between_plans_is_replaced(chaos_scenarios):
+    exp = Experiment.from_scenarios(chaos_scenarios(["", "", "", ""]), name="idle-kill")
+    pool = WarmWorkerPool(max_workers=2)
+    try:
+        first = exp.solve(cache=False, transport=pool)
+        victim = pool.status().workers[0].pid
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while any(w.pid == victim and w.alive for w in pool.status().workers):
+            assert time.monotonic() < deadline, "SIGKILLed worker never died"
+            time.sleep(0.01)
+        second = exp.solve(cache=False, transport=pool)
+        status = pool.status()
+    finally:
+        pool.shutdown()
+
+    # The dead worker was replaced before any shard reached it, so no
+    # shard needed a retry.
+    assert status.worker_crashes == 1
+    assert status.shard_retries == 0
+    assert victim not in {w.pid for w in status.workers}
+    assert len(status.workers) == 2
+    assert all(w.alive for w in status.workers)
+    for got, want in zip(second, first):
+        _field_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "label, error_name",
+    [("unpicklable", "UnpicklableError"), ("unloadable", "UnloadableError")],
+)
+def test_unpicklable_shard_error_becomes_runtime_error_summary(
+    chaos_scenarios, label, error_name
+):
+    exp = Experiment.from_scenarios(chaos_scenarios([label, "", "", ""]), name=label)
+    cache = SolveCache()
+    pool = WarmWorkerPool(max_workers=2)
+    try:
+        with pytest.raises(RuntimeError) as excinfo:
+            exp.solve(cache=cache, transport=pool)
+        status = pool.status()
+    finally:
+        pool.shutdown()
+
+    # The worker could not deliver the exception itself, so a plain
+    # summary stands in for it; the worker survives and is released.
+    assert type(excinfo.value) is RuntimeError
+    assert error_name in str(excinfo.value)
+    assert len(cache) == 3
+    assert status.worker_crashes == 0
+    assert not any(w.busy for w in status.workers)
 
 
 def test_poisoned_shard_keeps_other_shards_cached(chaos_scenarios):
@@ -114,16 +172,15 @@ def test_poisoned_shard_keeps_other_shards_cached(chaos_scenarios):
         _field_equal(got, want)
 
 
-@pytest.mark.parametrize("disable_shm", [False, True])
+@pytest.mark.parametrize("resume_on_warm_pool", [False, True])
 def test_killed_processes4_run_resumes_from_cache(
-    chaos_scenarios, tmp_path, monkeypatch, disable_shm
+    chaos_scenarios, tmp_path, resume_on_warm_pool
 ):
     """The acceptance scenario: ``processes=4``, a worker killed
     mid-run, re-execute → completed shards replay from cache, only the
     remainder is solved, final results equal the uninterrupted
-    single-process run."""
-    if disable_shm:
-        monkeypatch.setenv(SHM_DISABLE_ENV, "1")
+    single-process run.  The resume runs on ``processes=4`` again or on
+    a warm pool: the cache, not the transport, carries the progress."""
     flag = tmp_path / "kill-mid-plan"
     # The kamikaze shard sleeps first so the fast shards can finish
     # (and be harvested + cached) before it takes its worker down.
@@ -143,7 +200,14 @@ def test_killed_processes4_run_resumes_from_cache(
     assert 1 <= cached <= len(scenarios) - 1
 
     ticks: list[PlanProgress] = []
-    resumed = exp.solve(cache=cache, processes=4, progress=ticks.append)
+    if resume_on_warm_pool:
+        pool = WarmWorkerPool(max_workers=4)
+        try:
+            resumed = exp.solve(cache=cache, transport=pool, progress=ticks.append)
+        finally:
+            pool.shutdown()
+    else:
+        resumed = exp.solve(cache=cache, processes=4, progress=ticks.append)
     # Only the remainder was solved on resume.
     assert ticks[-1].total_scenarios == len(scenarios) - cached
     assert len(cache) == len(scenarios)

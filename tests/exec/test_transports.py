@@ -2,11 +2,14 @@
 
 Crash/fault *integration* coverage lives in test_crash_recovery.py;
 here we pin the seams: the resolve mapping, the inline outcome
-semantics, and the warm pool's acquire/release, heartbeat, recycling
-and degradation machinery.
+semantics, the warm pool's acquire/release, recycling and degradation
+machinery, and process execution against the sequential path.
 """
 
 from __future__ import annotations
+
+import os
+import time
 
 import pytest
 
@@ -92,7 +95,7 @@ class TestInlineTransport:
 
 class TestWarmPoolMachinery:
     def test_acquire_release_lease_semantics(self):
-        pool = WarmWorkerPool(max_workers=1, heartbeat_timeout=None)
+        pool = WarmWorkerPool(max_workers=1)
         try:
             pool.start()
             worker = pool.acquire(timeout=5.0)
@@ -106,20 +109,76 @@ class TestWarmPoolMachinery:
         finally:
             pool.shutdown()
 
-    def test_heartbeat_reports_healthy_workers(self):
-        pool = WarmWorkerPool(max_workers=2, heartbeat_timeout=10.0)
+    def test_status_lists_live_idle_workers_after_start(self):
+        pool = WarmWorkerPool(max_workers=2)
         try:
             pool.start()
-            checked = pool.check_health()
-            assert len(checked) == 2
-            assert all(checked.values())
+            status = pool.status()
         finally:
             pool.shutdown()
+        assert status.started and status.healthy
+        assert len(status.workers) == 2
+        assert all(w.alive and not w.busy for w in status.workers)
+        assert len({w.pid for w in status.workers}) == 2
+        assert status.worker_crashes == 0
+
+    def test_acquire_waits_for_the_reply_of_a_busy_worker(self, chaos_scenarios):
+        pool = WarmWorkerPool(max_workers=1)
+        try:
+            pool.prepare(chaos_scenarios(["sleep:0.6"]))
+            pool.submit_shard(Shard(0, CHAOS_BACKEND, (0,)))
+            # The only worker is solving: a short wait times out ...
+            assert pool.acquire(timeout=0.1) is None
+            # ... a long one returns the worker once its reply lands.
+            worker = pool.acquire(timeout=10.0)
+            assert worker is not None
+            pool.release(worker)
+            (outcome,) = list(pool.as_completed())
+        finally:
+            pool.shutdown()
+        assert outcome.error is None
+        assert outcome.results[0].feasible
+
+    def test_reply_of_an_abandoned_plan_is_discarded(self, chaos_scenarios):
+        pool = WarmWorkerPool(max_workers=2)
+        try:
+            pool.prepare(chaos_scenarios(["sleep:0.5"]))
+            pool.submit_shard(Shard(0, CHAOS_BACKEND, (0,)))
+            pool.close()  # abandoned: nobody harvests this plan
+            second = chaos_scenarios(["sleep:1.5", ""], rho=3.5)
+            pool.prepare(second)
+            # Same shard id as the abandoned one, and still in flight
+            # when the stale reply lands: only the epoch tells the two
+            # replies apart.
+            pool.submit_shard(Shard(0, CHAOS_BACKEND, (0, 1)))
+            outcomes = list(pool.as_completed())
+            status = pool.status()
+        finally:
+            pool.shutdown()
+        (outcome,) = outcomes
+        assert outcome.error is None
+        assert [r.scenario.rho for r in outcome.results] == [s.rho for s in second]
+        assert status.tasks_completed == 1
+        assert status.worker_crashes == 0
+
+    def test_shutdown_terminates_worker_busy_with_abandoned_shard(
+        self, chaos_scenarios
+    ):
+        pool = WarmWorkerPool(max_workers=1)
+        pool.prepare(chaos_scenarios(["sleep:60"]))
+        pool.submit_shard(Shard(0, CHAOS_BACKEND, (0,)))
+        (busy,) = pool.status().workers
+        assert busy.busy
+        start = time.monotonic()
+        pool.shutdown(timeout=5.0)
+        # Terminated at once rather than given the graceful timeout.
+        assert time.monotonic() - start < 4.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(busy.pid, 0)
+        assert pool.status().workers == ()
 
     def test_max_tasks_recycling_replaces_workers(self, chaos_scenarios):
-        pool = WarmWorkerPool(
-            max_workers=2, max_tasks_per_worker=1, heartbeat_timeout=None
-        )
+        pool = WarmWorkerPool(max_workers=2, max_tasks_per_worker=1)
         try:
             exp = Experiment.from_scenarios(chaos_scenarios(["", "", "", ""]))
             results = exp.solve(cache=False, transport=pool)
@@ -157,7 +216,7 @@ class TestWarmPoolMachinery:
         assert "max_workers=3" in text
 
     def test_pool_reuse_across_plans(self, chaos_scenarios):
-        pool = WarmWorkerPool(max_workers=2, heartbeat_timeout=5.0)
+        pool = WarmWorkerPool(max_workers=2)
         try:
             exp = Experiment.from_scenarios(chaos_scenarios(["", "", "", ""]))
             first = exp.solve(cache=False, transport=pool)
@@ -184,3 +243,38 @@ class TestDefaultPool:
             assert fresh is not pool
         finally:
             shutdown_default_pool()
+
+
+def _two_config_experiment(name: str) -> Experiment:
+    scenarios = [
+        Scenario(config=cfg, rho=r)
+        for cfg in ("hera-xscale", "atlas-crusoe")
+        for r in (2.9, 3.1, 3.3)
+    ]
+    return Experiment.from_scenarios(scenarios, name=name)
+
+
+def _assert_same_results(got, want) -> None:
+    assert len(got) == len(want)
+    for s, p in zip(want, got):
+        assert p.feasible == s.feasible
+        assert p.scenario == s.scenario
+        if s.feasible:
+            assert p.best == s.best
+
+
+def test_processes_two_matches_sequential() -> None:
+    """processes=2 (pickled shards on a per-call pool) == sequential."""
+    exp = _two_config_experiment("processes-test")
+    _assert_same_results(exp.solve(cache=False, processes=2), exp.solve(cache=False))
+
+
+def test_warm_pool_matches_sequential() -> None:
+    """Shards over the warm pool's pipes == sequential."""
+    exp = _two_config_experiment("warm-test")
+    pool = WarmWorkerPool(max_workers=2)
+    try:
+        warm = exp.solve(cache=False, transport=pool)
+    finally:
+        pool.shutdown()
+    _assert_same_results(warm, exp.solve(cache=False))

@@ -395,7 +395,7 @@ class TestPool:
         try:
             assert main(["pool", "status", "--start", "--workers", "2"]) == 0
             out = capsys.readouterr().out
-            assert "heartbeat: 2/2" in out
+            assert "2/2 worker(s) alive" in out
             assert "2 worker(s)" in out
             assert "healthy" in out
         finally:

@@ -67,6 +67,17 @@ class TestJobModel:
         assert doc["spec"]["scenarios"] == 4
         assert doc["artifacts"] == []
 
+    def test_events_since_cursor_edges(self, spec):
+        job = JobStore().create(spec)
+        job.set_state(JobState.RUNNING)
+        job.record_progress({"done_shards": 1})
+        assert [e.seq for e in job.events_since(-5)] == [1, 2, 3]
+        for cursor in range(4):
+            assert [e.seq for e in job.events_since(cursor)] == list(
+                range(cursor + 1, 4)
+            )
+        assert job.events_since(99) == ()
+
     def test_wait_events_blocks_until_append(self, spec):
         job = JobStore().create(spec)
         got: list = []
