@@ -5,7 +5,7 @@ harness (median wall times over repeated runs, bootstrap CIs).  A
 (model x schedule x rho) grid mixing exponential, Weibull and Gamma
 error models — every row a general schedule, so nothing short-circuits
 into a two-speed closed form — is shared with the ``repro bench`` CLI
-via :func:`repro.perf.workloads.build_suite` and solved three ways:
+via :func:`repro.perf.workloads.build_suite` and solved two ways:
 
 * ``scalar_loop`` — the ``schedule`` backend's per-scenario
   ``solve_batch`` (minimise/bracket/minimise per scenario, SciPy scalar
@@ -13,12 +13,9 @@ via :func:`repro.perf.workloads.build_suite` and solved three ways:
 * ``schedule_grid`` — one ``schedule-grid`` batched pass: exponential
   rows ride the broadcast rate columns, renewal rows evaluate their
   CDF primitives row-wise but vectorised along the whole work axis, and
-  the constrained solve runs in lockstep for all rows at once;
-* ``schedule_grid_jit`` — the ``schedule-grid-jit`` tier, whose
-  renewal rows additionally reuse per-(speed, checkpoint) primitive
-  tables across grid rows sharing an error model.
+  the constrained solve runs in lockstep for all rows at once.
 
-All result sets must agree: feasibility identical, energy overheads to
+Both result sets must agree: feasibility identical, energy overheads to
 1e-9 relative.  The grid sticks to the *smooth* families — a
 trace-driven ECDF makes the overheads jump at each sample threshold, so
 two correct solvers can land on opposite sides of the same step with
@@ -74,14 +71,10 @@ def test_error_model_grid_speedup(results_dir):
 
     scalar = get_backend("schedule").solve_batch(scenarios)
     batched = get_backend("schedule-grid").solve_batch(scenarios)
-    jitted = get_backend("schedule-grid-jit").solve_batch(scenarios)
 
     n_feasible, max_rel = _max_rel_energy(scalar, batched)
     assert n_feasible > 200, "grid degenerated: most scenarios infeasible"
     assert max_rel <= ENERGY_RTOL, f"energy disagreement {max_rel:.2e}"
-
-    _, max_rel_jit = _max_rel_energy(scalar, jitted)
-    assert max_rel_jit <= ENERGY_RTOL, f"jit disagreement {max_rel_jit:.2e}"
 
     report = BenchRunner(repetitions=3, warmup=0).run(
         "error_models", build_suite("error_models")
@@ -99,17 +92,12 @@ def test_error_model_grid_speedup(results_dir):
                 "seconds_total": ws.median,
                 "seconds_per_scenario": ws.median / n,
                 "speedup_vs_scalar_loop": 1.0 if ws.speedup is None else ws.speedup,
-                "max_rel_energy_error_smooth": {
-                    "schedule_grid": max_rel,
-                    "schedule_grid_jit": max_rel_jit,
-                }.get(ws.name),
+                "max_rel_energy_error_smooth": (
+                    max_rel if ws.name == "schedule_grid" else None
+                ),
             }
         )
     write_rows_csv(results_dir / "error_model_bench.csv", _CSV_FIELDS, rows)
 
     speedup = report.workload("schedule_grid").speedup
     assert speedup >= 5.0, f"schedule-grid only {speedup:.1f}x over the loop"
-    jit_speedup = report.workload("schedule_grid_jit").speedup
-    assert jit_speedup >= 5.0, (
-        f"schedule-grid-jit only {jit_speedup:.1f}x over the loop"
-    )

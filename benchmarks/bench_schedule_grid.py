@@ -7,20 +7,16 @@ times, bootstrap CIs) instead of a single stopwatch pass.  The
 1000-scenario grid (10 general schedules x 10 bounds x 10 error rates,
 all routed to the numeric constrained solve) is shared with the
 ``repro bench`` CLI via :func:`repro.perf.workloads.build_suite` and
-solved three ways:
+solved two ways:
 
 * ``scalar_loop`` — the ``schedule`` backend's per-scenario
   ``solve_batch`` (minimise/bracket/minimise per scenario, SciPy
   scalar calls);
 * ``schedule_grid`` — one :func:`repro.schedules.vectorized.solve_schedule_grid`
-  pass (shared coarse scan + lockstep bisection/golden section);
-* ``schedule_grid_jit`` — the same pass through the
-  ``schedule-grid-jit`` tier (numba kernel when available, else the
-  byte-identical pure-NumPy fallback).
+  pass (shared coarse scan + lockstep bisection/golden section).
 
-All result sets must agree (feasibility identical, energy overheads to
-1e-12 relative — the acceptance pin of PR 3; the jit tier is pinned
-byte-identical to ``schedule-grid`` without numba).  The full report
+Both result sets must agree (feasibility identical, energy overheads to
+1e-12 relative).  The full report
 lands in ``results/BENCH_schedule_grid.json``; the legacy summary stays
 in ``results/schedule_grid_bench.csv``.
 """
@@ -31,7 +27,6 @@ from repro.api.backends import get_backend
 from repro.perf import BenchRunner, build_suite
 from repro.perf.workloads import schedule_grid_scenarios
 from repro.reporting.csvio import write_rows_csv
-from repro.schedules import jit_available
 
 ENERGY_RTOL = 1e-12
 
@@ -64,27 +59,16 @@ def _max_rel_energy(reference, candidate):
 
 def test_schedule_grid_speedup(results_dir):
     """1k-scenario grid: vectorised pass >= 10x the scalar loop, <= 1e-12
-    relative disagreement on the energy objective; jit tier equivalent
-    (and byte-identical to the grid pass when numba is absent)."""
+    relative disagreement on the energy objective."""
     scenarios = schedule_grid_scenarios()
     assert len(scenarios) == 1000
 
     scalar = get_backend("schedule").solve_batch(scenarios)
     batched = get_backend("schedule-grid").solve_batch(scenarios)
-    jitted = get_backend("schedule-grid-jit").solve_batch(scenarios)
 
     n_feasible, max_rel = _max_rel_energy(scalar, batched)
     assert n_feasible > 500, "grid degenerated: most scenarios infeasible"
     assert max_rel <= ENERGY_RTOL, f"energy disagreement {max_rel:.2e}"
-
-    _, max_rel_jit = _max_rel_energy(scalar, jitted)
-    assert max_rel_jit <= ENERGY_RTOL, f"jit disagreement {max_rel_jit:.2e}"
-    if not jit_available():
-        # Without numba the jit tier *is* the grid pass — bit-for-bit.
-        for b, j in zip(batched, jitted):
-            assert j.feasible == b.feasible
-            if b.feasible:
-                assert j.best.energy_overhead == b.best.energy_overhead
 
     report = BenchRunner(repetitions=3, warmup=0).run(
         "schedule_grid", build_suite("schedule_grid")
@@ -92,7 +76,6 @@ def test_schedule_grid_speedup(results_dir):
     report.write(results_dir)
 
     grid_ws = report.workload("schedule_grid")
-    jit_ws = report.workload("schedule_grid_jit")
     n = len(scenarios)
     write_rows_csv(
         results_dir / "schedule_grid_bench.csv",
@@ -114,23 +97,9 @@ def test_schedule_grid_speedup(results_dir):
                 "speedup_vs_scalar_loop": grid_ws.speedup,
                 "max_rel_energy_error": max_rel,
             },
-            {
-                "path": "schedule_grid_jit",
-                "scenarios": n,
-                "seconds_total": jit_ws.median,
-                "seconds_per_scenario": jit_ws.median / n,
-                "speedup_vs_scalar_loop": jit_ws.speedup,
-                "max_rel_energy_error": max_rel_jit,
-            },
         ],
     )
 
     assert grid_ws.speedup >= 10.0, (
         f"schedule-grid only {grid_ws.speedup:.1f}x over the loop"
     )
-    if jit_available():
-        # The native-kernel acceptance floor; without numba the jit
-        # tier just matches schedule-grid and is asserted equal above.
-        assert jit_ws.speedup >= 10.0, (
-            f"schedule-grid-jit only {jit_ws.speedup:.1f}x over the loop"
-        )

@@ -104,8 +104,8 @@ def _attr_names_used(node: ast.AST) -> set[str]:
 
 def _identifiers_used(node: ast.AST) -> set[str]:
     """Attribute names *and* bare identifiers under ``node`` — the
-    jit-capability needle must see class references like
-    ``JitScheduleGrid``, which are Names, not attributes."""
+    sweep-capability needle must see function references like
+    ``solve_schedule_grid_incremental``, which are Names, not attributes."""
     return _attr_names_used(node) | {
         sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)
     }
@@ -263,10 +263,6 @@ def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
       ``True``/``False`` (the registry reads them off the class), and a
       ``True`` declaration obliges the class body to actually touch
       ``schedule`` / ``errors`` (``resolved_errors``);
-    * ``uses_jit = True`` (the native-kernel tier marker read by the
-      capability matrix and the bench harness) obliges the class body
-      to reference a jit engine (``JitScheduleGrid``, ``jit_available``
-      — any jit-named identifier);
     * ``sweep_aware = True`` (the marker ExecutionPlan reads to order
       a group's shards along detected sweep axes) obliges the class
       body to reference an incremental/sweep solve path — claiming
@@ -277,8 +273,8 @@ def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
 
     The rule matches indirect subclasses too — any class whose base
     list names ``SolverBackend`` *or* ends in ``Backend`` (e.g. the
-    jit tier deriving from ``ScheduleGridBackend``) carries the same
-    routing contract.
+    incremental tier deriving from ``ScheduleGridBackend``) carries the
+    same routing contract.
     """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
@@ -338,42 +334,6 @@ def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
                     f"body never inspects {'/'.join(sorted(needles))}",
                     "handle the capability in _solve/solve_batch or drop the "
                     "declaration",
-                )
-
-        jit_stmt = attrs.get("uses_jit")
-        if jit_stmt is not None:
-            value = (
-                jit_stmt.value
-                if isinstance(jit_stmt, (ast.Assign, ast.AnnAssign))
-                else None
-            )
-            literal = isinstance(value, ast.Constant) and isinstance(
-                value.value, bool
-            )
-            if not literal:
-                yield ctx.diagnostic(
-                    jit_stmt,
-                    "RPR003",
-                    f"backend {node.name!r} sets `uses_jit` to a non-literal "
-                    f"value; the registry reads it off the class",
-                    "assign a literal True/False",
-                )
-            elif value.value is True and not abstract:
-                # Scan method bodies only — the `uses_jit` assignment
-                # target itself is a jit-named identifier and must not
-                # satisfy its own needle.
-                jit_used: set[str] = set()
-                for method in _class_methods(node).values():
-                    jit_used |= _identifiers_used(method)
-                if any("jit" in s.lower() for s in jit_used):
-                    continue
-                yield ctx.diagnostic(
-                    jit_stmt,
-                    "RPR003",
-                    f"backend {node.name!r} declares `uses_jit = True` but "
-                    f"its body never references a jit engine",
-                    "build the grid through the jit tier (JitScheduleGrid) or "
-                    "drop the declaration",
                 )
 
         sweep_stmt = attrs.get("sweep_aware")

@@ -1,7 +1,7 @@
 """Pluggable solver backends behind a process-wide registry.
 
 A backend turns a :class:`~repro.api.scenario.Scenario` into a
-:class:`~repro.api.result.Result`.  Eight ship by default:
+:class:`~repro.api.result.Result`.  Seven ship by default:
 
 ``firstorder``
     The paper's Theorem-1 closed form + O(K^2) enumeration
@@ -27,13 +27,6 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     whole batch in lockstep broadcast passes — the general-schedule
     analogue of ``grid``, and the default for scheduled scenarios whose
     policy is not expressible as a two-speed pair.
-``schedule-grid-jit``
-    The native-speed tier (:mod:`repro.schedules.jit`): identical batch
-    splitting to ``schedule-grid`` but stacking into a
-    :class:`~repro.schedules.jit.JitScheduleGrid`, whose hot
-    evaluation runs through a numba-compiled kernel when numba is
-    installed (``pip install repro[jit]``) and falls back to the
-    byte-identical NumPy path when it is not.
 ``schedule-grid-incremental``
     The incremental (variational) tier
     (:mod:`repro.schedules.incremental`): identical batch splitting to
@@ -44,6 +37,10 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     interpolated anchor optima — validated seeds only, cold fallback
     otherwise.  The sweep-aware planner orders ``ExecutionPlan`` shards
     so chains stay contiguous for this backend.
+
+The retired name ``schedule-grid-jit`` stays in the registry as an
+alias of ``schedule-grid``, so old specs, cache keys and ``--backend``
+arguments still resolve.
 
 Registering a new backend (``register_backend``) is the single
 extension point for new solve strategies; every consumer (legacy
@@ -76,10 +73,8 @@ from ..platforms.configuration import Configuration
 from ..schedules.base import TwoSpeed
 from ..schedules.incremental import (
     DeltaScheduleGrid,
-    IncrementalStats,
     solve_schedule_grid_incremental,
 )
-from ..schedules.jit import JitScheduleGrid
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
 from ..sweep.vectorized import GridSolution, solve_bicrit_grid
@@ -96,7 +91,6 @@ __all__ = [
     "GridBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
-    "ScheduleGridJitBackend",
     "ScheduleGridIncrementalBackend",
     "register_backend",
     "get_backend",
@@ -126,13 +120,6 @@ class SolverBackend(abc.ABC):
     #: evaluator dispatches through the model's renewal primitives —
     #: opt in.
     handles_error_models: bool = False
-    #: Whether this backend routes its hot path through an optional
-    #: native (jit-compiled) kernel tier when one is importable.  A
-    #: ``uses_jit`` backend must degrade gracefully — identical results
-    #: through a pure-NumPy fallback — when the jit dependency is
-    #: absent; :func:`repro.schedules.jit.jit_available` reports which
-    #: tier is live.
-    uses_jit: bool = False
     #: Whether this backend's batch path benefits from sweep-ordered
     #: input: ``ExecutionPlan`` keeps detected sweep chains contiguous
     #: (via :mod:`repro.api.sweep_planner`) when sharding to a
@@ -689,10 +676,10 @@ class ScheduleGridBackend(SolverBackend):
     def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
         """Stack the batch's numeric points into the evaluation grid.
 
-        The grid override point of the kernel tiers: the jit backend
-        swaps in :class:`~repro.schedules.jit.JitScheduleGrid` here and
-        inherits everything else (splitting, materialisation, the
-        lockstep solver) unchanged.
+        The grid override point of the kernel tiers: the incremental
+        backend swaps in
+        :class:`~repro.schedules.incremental.DeltaScheduleGrid` here and
+        inherits the batch splitting and materialisation unchanged.
         """
         return ScheduleGrid.from_points(points)
 
@@ -777,32 +764,6 @@ class ScheduleGridBackend(SolverBackend):
         )
 
 
-class ScheduleGridJitBackend(ScheduleGridBackend):
-    """``schedule-grid`` with the native-speed kernel tier.
-
-    Identical batch splitting and materialisation to
-    :class:`ScheduleGridBackend` — only the grid class differs: batches
-    stack into a :class:`~repro.schedules.jit.JitScheduleGrid`, whose
-    pure-exponential evaluations run through a numba-compiled kernel
-    when numba is importable (``pip install repro[jit]``; results agree
-    with the NumPy tier to ``<= 1e-12`` relative) and whose renewal
-    rows reuse per-``(model, V, speed)`` primitive tables across the
-    batch.  Without numba the fallback is byte-identical to
-    ``schedule-grid`` — same code path, so choosing this backend is
-    always safe.
-    """
-
-    name = "schedule-grid-jit"
-    modes = frozenset({"silent", "combined", "failstop"})
-    # handles_schedules / handles_error_models are inherited — this
-    # tier accepts exactly what schedule-grid accepts.
-    uses_jit = True
-
-    def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
-        """Stack into the jit-tier grid (NumPy-identical fallback)."""
-        return JitScheduleGrid.from_points(points)
-
-
 class ScheduleGridIncrementalBackend(ScheduleGridBackend):
     """``schedule-grid`` with the incremental (variational) solve tier.
 
@@ -823,10 +784,6 @@ class ScheduleGridIncrementalBackend(ScheduleGridBackend):
     property suite).  Sweep-shaped batches get sublinear solve cost;
     scattered batches degrade to roughly the cold path plus a small
     chaining overhead, so choosing this backend is always safe.
-
-    The provenance of the most recent batch is kept on
-    ``last_stats`` (anchor/warm/fallback row counts), which is how the
-    bench suite and the cache stats surface the warm-hit rate.
     """
 
     name = "schedule-grid-incremental"
@@ -834,10 +791,6 @@ class ScheduleGridIncrementalBackend(ScheduleGridBackend):
     # handles_schedules / handles_error_models are inherited — this
     # tier accepts exactly what schedule-grid accepts.
     sweep_aware = True
-
-    #: :class:`~repro.schedules.incremental.IncrementalStats` of the
-    #: most recent batched solve (``None`` before the first one).
-    last_stats: IncrementalStats | None = None
 
     def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
         """Stack into the delta tier (dedup on shared-axis scans)."""
@@ -847,9 +800,7 @@ class ScheduleGridIncrementalBackend(ScheduleGridBackend):
         self, grid: ScheduleGrid, rhos: np.ndarray
     ) -> ScheduleGridSolution:
         """Warm-started sweep solve (exact cold fallback per row)."""
-        sol = solve_schedule_grid_incremental(grid, rhos)
-        self.last_stats = sol.stats
-        return sol
+        return solve_schedule_grid_incremental(grid, rhos)
 
 
 # ----------------------------------------------------------------------
@@ -906,5 +857,5 @@ register_backend(CombinedBackend())
 register_backend(GridBackend())
 register_backend(ScheduleBackend())
 register_backend(ScheduleGridBackend())
-register_backend(ScheduleGridJitBackend())
 register_backend(ScheduleGridIncrementalBackend())
+_REGISTRY["schedule-grid-jit"] = _REGISTRY["schedule-grid"]

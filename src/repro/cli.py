@@ -447,24 +447,23 @@ def _cmd_backends(_: argparse.Namespace) -> int:
 
     print(
         f"{'backend':26s} {'modes':29s} {'schedules':>9s} "
-        f"{'errors':>7s} {'batched':>8s} {'jit':>4s} {'sweep':>6s}"
+        f"{'errors':>7s} {'batched':>8s} {'sweep':>6s}"
     )
     for name in available_backends():
         backend = get_backend(name)
+        if backend.name != name:
+            print(f"{name:26s} alias of {backend.name}")
+            continue
         modes = ", ".join(sorted(backend.modes))
         print(
             f"{name:26s} {modes:29s} {yn(backend.handles_schedules):>9s} "
             f"{yn(backend.handles_error_models):>7s} {yn(backend.batched):>8s} "
-            f"{yn(backend.uses_jit):>4s} {yn(backend.sweep_aware):>6s}"
+            f"{yn(backend.sweep_aware):>6s}"
         )
     print()
     print("batched backends solve whole Experiment/Study groups in one")
     print("broadcast pass; Experiment plans route each scenario to its")
     print("default backend unless --backend forces one.")
-    from .schedules import jit_available
-
-    state = "active" if jit_available() else "not installed - pure-NumPy fallback"
-    print(f"jit backends use the optional numba kernel tier ({state})")
     print("sweep-aware backends get their plan shards ordered along")
     print("detected sweep axes (warm-started incremental solves)")
     return 0
@@ -1253,8 +1252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: boot the solver service in the foreground.
 
     Flags override the ``REPRO_SERVICE_*`` environment; the service
-    runs on the dependency-free stdlib carrier (install the
-    ``repro[service]`` extra for the FastAPI/uvicorn shell instead).
+    runs on the dependency-free stdlib carrier.
     """
     from .service import ServiceApp, ServiceConfig, make_server
 

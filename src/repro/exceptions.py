@@ -25,7 +25,6 @@ __all__ = [
     "UnsupportedErrorModelError",
     "WorkerCrashError",
     "InvalidSpecError",
-    "MissingDependencyError",
 ]
 
 
@@ -236,28 +235,6 @@ class InvalidSpecError(ReproError, ValueError):
         # Multi-arg __init__ needs explicit pickle support so the error
         # survives a process boundary.
         return (type(self), (self.issues,))
-
-
-class MissingDependencyError(ReproError, ImportError):
-    """An optional integration was requested without its extra installed.
-
-    E.g. :func:`repro.service.asgi.create_fastapi_app` requires the
-    ``repro[service]`` extra (FastAPI); the core service app and the
-    stdlib server run without it.  The message names the extra to
-    install.
-    """
-
-    def __init__(self, feature: str, extra: str, missing: str):
-        self.feature = feature
-        self.extra = extra
-        self.missing = missing
-        super().__init__(
-            f"{feature} requires the optional dependency {missing!r}; "
-            f"install it with: pip install 'repro-reexec-speed[{extra}]'"
-        )
-
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return (type(self), (self.feature, self.extra, self.missing))
 
 
 class UnsupportedScenarioError(ReproError):

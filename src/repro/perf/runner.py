@@ -3,7 +3,7 @@
 The runner is deliberately dumb about *what* it times (that lives in
 :mod:`repro.perf.workloads`) and deliberately careful about *how*: a
 fixed number of warmup calls that are never recorded (first-call
-effects — imports, jit compilation, cold caches — are real but are not
+effects — imports, cold caches — are real but are not
 the steady-state cost a speedup claim is about), then ``repetitions``
 timed calls per workload, then medians, bootstrap CIs and per-workload
 speedups vs the suite's named baseline (:mod:`repro.perf.stats`).
@@ -11,8 +11,8 @@ speedups vs the suite's named baseline (:mod:`repro.perf.stats`).
 Reports serialise to a stable, diff-friendly JSON document
 (``schema: repro-bench/1``).  Deliberately **no timestamps**: a
 committed baseline report should only change when the measurements
-change.  The recorded environment block (python/numpy versions, jit
-availability, platform) is informational — comparisons gate on the
+change.  The recorded environment block (python/numpy versions,
+platform) is informational — comparisons gate on the
 dimensionless speedup columns precisely so that baselines survive a
 machine change (see :mod:`repro.perf.compare`).
 """
@@ -30,7 +30,6 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..schedules.jit import jit_available
 from .stats import (
     DEFAULT_BOOTSTRAP,
     DEFAULT_SEED,
@@ -181,7 +180,6 @@ def _environment() -> dict[str, Any]:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "jit_available": jit_available(),
     }
 
 

@@ -13,12 +13,11 @@ Four suites mirror the legacy bench scripts:
 
 ``schedule_grid``
     The per-scenario ``schedule`` loop vs the batched
-    ``schedule-grid`` pass vs the ``schedule-grid-jit`` tier, on a
-    pure general-schedule exponential grid (the jit kernel's hot
-    case).
+    ``schedule-grid`` pass, on a pure general-schedule exponential
+    grid.
 ``error_models``
-    The same comparison on a mixed renewal-model grid (Weibull/Gamma
-    rows exercise the primitive-table reuse, not the jit kernel).
+    The same comparison on a mixed renewal-model grid
+    (Weibull/Gamma/exponential rows).
 ``experiment_plan``
     Per-point ``Scenario.solve`` loop vs one batched
     :class:`~repro.api.experiment.Experiment` plan over a frontier
@@ -275,8 +274,7 @@ def _solve_with(backend_name: str, scenarios: "Sequence[Scenario]") -> dict[str,
     return {"scenarios": float(len(scenarios))}
 
 
-def _schedule_grid_suite(quick: bool) -> tuple[Workload, ...]:
-    scenarios = schedule_grid_scenarios(quick=quick)
+def _loop_vs_grid(scenarios: "Sequence[Scenario]") -> tuple[Workload, ...]:
     return (
         Workload("scalar_loop", lambda: _solve_with("schedule", scenarios)),
         Workload(
@@ -284,29 +282,15 @@ def _schedule_grid_suite(quick: bool) -> tuple[Workload, ...]:
             lambda: _solve_with("schedule-grid", scenarios),
             baseline="scalar_loop",
         ),
-        Workload(
-            "schedule_grid_jit",
-            lambda: _solve_with("schedule-grid-jit", scenarios),
-            baseline="scalar_loop",
-        ),
     )
+
+
+def _schedule_grid_suite(quick: bool) -> tuple[Workload, ...]:
+    return _loop_vs_grid(schedule_grid_scenarios(quick=quick))
 
 
 def _error_models_suite(quick: bool) -> tuple[Workload, ...]:
-    scenarios = error_model_scenarios(quick=quick)
-    return (
-        Workload("scalar_loop", lambda: _solve_with("schedule", scenarios)),
-        Workload(
-            "schedule_grid",
-            lambda: _solve_with("schedule-grid", scenarios),
-            baseline="scalar_loop",
-        ),
-        Workload(
-            "schedule_grid_jit",
-            lambda: _solve_with("schedule-grid-jit", scenarios),
-            baseline="scalar_loop",
-        ),
-    )
+    return _loop_vs_grid(error_model_scenarios(quick=quick))
 
 
 def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:

@@ -8,15 +8,12 @@ expectation evaluator for arbitrary schedules
 (:mod:`repro.schedules.evaluator`), a numeric constrained solver
 (:mod:`repro.schedules.solver`), and a vectorised batch kernel that
 evaluates/solves whole schedule grids in broadcast NumPy ops
-(:mod:`repro.schedules.vectorized`), plus an optional native-speed
-tier (:mod:`repro.schedules.jit`) that jit-compiles the hot kernel
-when numba is installed and falls back byte-identically when it is
-not, and an incremental (variational) tier
-(:mod:`repro.schedules.incremental`) that warm-starts sweep-shaped
+(:mod:`repro.schedules.vectorized`), plus an incremental (variational)
+tier (:mod:`repro.schedules.incremental`) that warm-starts sweep-shaped
 grids from neighbouring optima with validated seeds and cold fallback.
-The ``schedule``, ``schedule-grid``, ``schedule-grid-jit`` and
-``schedule-grid-incremental`` backends of :mod:`repro.api` plug all of
-this into ``Scenario(schedule=...)`` and ``Study`` batches.
+The ``schedule``, ``schedule-grid`` and ``schedule-grid-incremental``
+backends of :mod:`repro.api` plug all of this into
+``Scenario(schedule=...)`` and ``Study`` batches.
 """
 
 from .base import (
@@ -46,7 +43,6 @@ from .incremental import (
     IncrementalStats,
     solve_schedule_grid_incremental,
 )
-from .jit import JitScheduleGrid, jit_available
 from .solver import ScheduleSolution, schedule_min_bound, solve_schedule
 from .vectorized import (
     DEFAULT_SOLVER_OPTIONS,
@@ -85,8 +81,6 @@ __all__ = [
     "evaluate_schedule_batch",
     "solve_schedule_batch",
     "solve_schedule_grid",
-    "JitScheduleGrid",
-    "jit_available",
     "DeltaScheduleGrid",
     "IncrementalOptions",
     "IncrementalStats",

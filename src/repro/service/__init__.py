@@ -7,10 +7,8 @@ process-wide warm worker pool against the shared solve cache, progress
 streams as Server-Sent Events, and finished jobs leave CSV/JSON
 artifacts in a pluggable store.  See docs/service.md.
 
-The core (:mod:`repro.service.app`) is carrier-neutral and runs on the
-stdlib threaded server (:mod:`repro.service.server`) with zero
-third-party dependencies; the ``repro[service]`` extra adds the
-FastAPI/uvicorn shell (:mod:`repro.service.asgi`).
+The core (:mod:`repro.service.app`) runs on the stdlib threaded server
+(:mod:`repro.service.server`) with zero third-party dependencies.
 """
 
 from .app import ServiceApp, ServiceRequest, ServiceResponse

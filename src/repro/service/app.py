@@ -2,11 +2,8 @@
 
 :class:`ServiceApp` is the whole HTTP surface expressed over two small
 value types (:class:`ServiceRequest` in, :class:`ServiceResponse` out)
-so it binds to any carrier: the stdlib threaded server
-(:mod:`repro.service.server`), the hand-rolled ASGI adapter
-(:mod:`repro.service.asgi`) under uvicorn/FastAPI when the
-``repro[service]`` extra is installed, or directly in-process for tests
-(:mod:`repro.service.testing`).
+so it binds to the stdlib threaded server (:mod:`repro.service.server`)
+or runs directly in-process for tests (:mod:`repro.service.testing`).
 
 Routes::
 

@@ -6,8 +6,7 @@ which is exactly what the service needs: request handlers are cheap
 (solving happens on the queue workers) and SSE streams each hold one
 thread while blocked on the job's condition variable.
 
-This is the carrier behind ``repro serve`` when the ``repro[service]``
-extra (FastAPI + uvicorn) is not installed, and behind the e2e test
+This is the carrier behind ``repro serve`` and behind the e2e test
 suite — the full submit → stream → download path runs over a real
 socket with zero third-party packages.
 

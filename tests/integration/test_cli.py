@@ -187,21 +187,21 @@ class TestVersionFlag:
 
 
 class TestBackendsListing:
-    def test_batched_jit_and_sweep_columns_exposed(self, capsys):
+    def test_batched_and_sweep_columns_exposed(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         header = out.splitlines()[0]
         for column in ("backend", "modes", "schedules", "errors", "batched",
-                       "jit", "sweep"):
+                       "sweep"):
             assert column in header
         rows = {line.split()[0]: line for line in out.splitlines()[1:9]}
-        # Last three cells per row: (batched, jit, sweep).
-        assert rows["grid"].split()[-3:] == ["yes", "no", "no"]
-        assert rows["schedule-grid"].split()[-3:] == ["yes", "no", "no"]
-        assert rows["schedule-grid-jit"].split()[-3:] == ["yes", "yes", "no"]
-        assert rows["schedule-grid-incremental"].split()[-3:] == \
-            ["yes", "no", "yes"]
-        assert rows["firstorder"].split()[-3:] == ["no", "no", "no"]
+        # Last two cells per row: (batched, sweep).
+        assert rows["grid"].split()[-2:] == ["yes", "no"]
+        assert rows["schedule-grid"].split()[-2:] == ["yes", "no"]
+        assert rows["schedule-grid-incremental"].split()[-2:] == ["yes", "yes"]
+        assert rows["firstorder"].split()[-2:] == ["no", "no"]
+        assert rows["schedule-grid-jit"].split()[1:] == \
+            ["alias", "of", "schedule-grid"]
         assert "sweep-aware backends" in out
 
 
@@ -286,6 +286,19 @@ class TestSavingsCommand:
 
 
 class TestSolveAnalyze:
+    def test_retired_backend_name_matches_schedule_grid(self, capsys):
+        """``--backend schedule-grid-jit`` still runs, and prints exactly
+        what ``--backend schedule-grid`` prints (the name is an alias)."""
+        outputs = []
+        for backend in ("schedule-grid", "schedule-grid-jit"):
+            assert main([
+                "solve", "--schedule", "esc:0.4,0.6,0.8",
+                "--schedule", "geom:0.4,1.5,1", "--backend", backend,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "schedule-grid" in outputs[0]
+
     def test_schedule_axis_frontier(self, capsys):
         assert main([
             "solve", "--schedule", "two:0.4,0.6", "--schedule", "const:0.5",

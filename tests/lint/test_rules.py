@@ -193,43 +193,22 @@ _BACKEND_MISSING_NAME = """
 """
 
 _BACKEND_INDIRECT_SUBCLASS_OK = """
-    class JitTierBackend(ScheduleGridBackend):
-        name = "mine-jit"
+    class GridTierBackend(ScheduleGridBackend):
+        name = "mine-grid"
         modes = ("silent",)
-        uses_jit = True
 
         def _build_grid(self, points):
-            return JitScheduleGrid.from_points(points)
+            return DeltaScheduleGrid.from_points(points)
 """
 
 _BACKEND_INDIRECT_ASSIGNS_BATCHED = """
-    class JitTierBackend(ScheduleGridBackend):
-        name = "mine-jit"
+    class GridTierBackend(ScheduleGridBackend):
+        name = "mine-grid"
         modes = ("silent",)
         batched = True
 
         def _solve(self, scenario):
             return solve(scenario)
-"""
-
-_BACKEND_JIT_FLAG_WITHOUT_ENGINE = """
-    class JitTierBackend(ScheduleGridBackend):
-        name = "mine-jit"
-        modes = ("silent",)
-        uses_jit = True
-
-        def _build_grid(self, points):
-            return ScheduleGrid.from_points(points)
-"""
-
-_BACKEND_JIT_FLAG_NON_LITERAL = """
-    class JitTierBackend(ScheduleGridBackend):
-        name = "mine-jit"
-        modes = ("silent",)
-        uses_jit = compute_flag()
-
-        def _build_grid(self, points):
-            return JitScheduleGrid.from_points(points)
 """
 
 # The incremental tier's shape (ScheduleGridIncrementalBackend): a
@@ -297,16 +276,6 @@ class TestBackendCapabilities:
         diags = run(_BACKEND_INDIRECT_ASSIGNS_BATCHED, select="RPR003")
         assert codes_of(diags) == ["RPR003"]
         assert "solve_batch" in diags[0].message
-
-    def test_uses_jit_without_engine_flagged(self):
-        diags = run(_BACKEND_JIT_FLAG_WITHOUT_ENGINE, select="RPR003")
-        assert codes_of(diags) == ["RPR003"]
-        assert "uses_jit" in diags[0].message
-
-    def test_uses_jit_non_literal_flagged(self):
-        diags = run(_BACKEND_JIT_FLAG_NON_LITERAL, select="RPR003")
-        assert codes_of(diags) == ["RPR003"]
-        assert "non-literal" in diags[0].message
 
     def test_sweep_aware_backend_clean(self):
         assert run(_BACKEND_SWEEP_AWARE_OK, select="RPR003") == []

@@ -87,6 +87,20 @@ def test_compare_rejects_suite_mismatch() -> None:
         )
 
 
+def test_committed_baselines_cover_every_gated_workload() -> None:
+    """Each suite's candidate workloads appear in its committed quick
+    baseline, so the CI gate compares every one of them.  The gate skips
+    unshared workloads, so a renamed workload would otherwise escape it
+    without a word."""
+    from pathlib import Path
+
+    baselines = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+    for name in suite_names():
+        committed = BenchReport.load(baselines / f"BENCH_{name}.json")
+        gated = {w.name for w in build_suite(name, quick=True) if w.baseline}
+        assert gated <= {w.name for w in committed.workloads}, name
+
+
 def test_suite_registry() -> None:
     assert suite_names() == (
         "schedule_grid", "error_models", "experiment_plan", "study_batch",
@@ -120,6 +134,8 @@ def test_cli_bench_list(capsys) -> None:
 
 
 def test_cli_bench_run_and_gate(tmp_path, capsys) -> None:
+    from dataclasses import replace
+
     from repro.cli import main
 
     out_dir = tmp_path / "run1"
@@ -130,17 +146,37 @@ def test_cli_bench_run_and_gate(tmp_path, capsys) -> None:
     assert rc == 0
     report_path = out_dir / "BENCH_study_batch.json"
     assert report_path.exists()
-    assert BenchReport.load(report_path).name == "study_batch"
+    first = BenchReport.load(report_path)
+    assert first.name == "study_batch"
 
-    # Second run gated against the first: same machine, same code — the
-    # CIs overlap, so the gate passes.
-    rc = main([
-        "bench", "run", "study_batch", "--quick",
-        "--reps", "2", "--warmup", "0",
-        "--out", str(tmp_path / "run2"), "--baseline-dir", str(out_dir),
-    ])
-    assert rc == 0
-    assert "no regression" not in capsys.readouterr().err
+    def scaled(factor: float) -> BenchReport:
+        """The first report with grid_backend's speedup and CI scaled."""
+        return replace(first, workloads=tuple(
+            replace(
+                w,
+                speedup=w.speedup * factor,
+                speedup_ci=(w.speedup_ci[0] * factor, w.speedup_ci[1] * factor),
+            )
+            if w.name == "grid_backend" else w
+            for w in first.workloads
+        ))
+
+    # A real second run, gated against baselines 1000x below and 1000x
+    # above the first run's speedup: far outside run-to-run noise, so
+    # the first gate passes and the second must flag the regression.
+    scaled(1e-3).write(tmp_path / "slow_base")
+    scaled(1e3).write(tmp_path / "fast_base")
+    capsys.readouterr()
+    for base, expected_rc in (("slow_base", 0), ("fast_base", 1)):
+        rc = main([
+            "bench", "run", "study_batch", "--quick",
+            "--reps", "2", "--warmup", "0",
+            "--out", str(tmp_path / f"run_{base}"),
+            "--baseline-dir", str(tmp_path / base),
+        ])
+        out = capsys.readouterr().out
+        assert rc == expected_rc, out
+        assert ("REGRESSION" in out) == bool(expected_rc)
 
 
 def test_cli_bench_compare_exit_codes(tmp_path, capsys) -> None:
@@ -203,16 +239,3 @@ def test_cli_bench_run_rejects_unknown_suite(tmp_path) -> None:
     with pytest.raises(InvalidParameterError):
         main(["bench", "run", "nope", "--out", str(tmp_path)])
 
-
-def test_cli_backends_shows_jit_column(capsys) -> None:
-    from repro.cli import main
-
-    assert main(["backends"]) == 0
-    out = capsys.readouterr().out
-    header = out.splitlines()[0]
-    assert "jit" in header
-    jit_line = next(
-        line for line in out.splitlines() if line.startswith("schedule-grid-jit")
-    )
-    # Trailing cells are (batched, jit, sweep).
-    assert jit_line.split()[-3:-1] == ["yes", "yes"]

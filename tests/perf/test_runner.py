@@ -45,7 +45,6 @@ def test_runner_call_counts_and_stats() -> None:
     assert cand.speedup is not None and cand.speedup_ci is not None
     assert cand.speedup_ci[0] <= cand.speedup_ci[1]
     assert report.environment["python"]
-    assert "jit_available" in report.environment
 
 
 def test_runner_rejects_unmeasured_baseline() -> None:

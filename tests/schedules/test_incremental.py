@@ -25,7 +25,7 @@ import pytest
 from repro.errors import CombinedErrors
 from repro.exceptions import InvalidParameterError
 from repro.platforms import configuration_names, get_configuration
-from repro.schedules import Geometric, TwoSpeed, parse_schedule
+from repro.schedules import TwoSpeed, parse_schedule
 from repro.schedules.incremental import (
     DeltaScheduleGrid,
     IncrementalOptions,
@@ -306,18 +306,80 @@ class TestBackendIntegration:
         backend = get_backend("schedule-grid-incremental")
         assert backend.batched
         assert backend.sweep_aware
-        assert not backend.uses_jit
 
-    def test_last_stats_recorded_after_batch(self, hera_xscale):
-        from repro.api import Study
+    @pytest.mark.parametrize(
+        "name", ["schedule-grid-incremental", "schedule-grid"]
+    )
+    def test_concurrent_sweeps_match_serial_solves(self, name):
+        """Threads share a registered backend instance (as the service's
+        job workers do): each thread's sweep must come back exactly as
+        its serial solve did."""
+        import os
+        import sys
+        import threading
+
+        from repro.api import Scenario
         from repro.api.backends import get_backend
 
-        study = Study.from_grid(
-            configs=(hera_xscale,),
-            rhos=tuple(float(r) for r in np.linspace(2.8, 4.5, 20)),
-            schedules=(Geometric(0.4, 1.5, sigma_max=1.0),),
-        )
-        study.solve(backend="schedule-grid-incremental", cache=False)
-        stats = get_backend("schedule-grid-incremental").last_stats
-        assert stats is not None
-        assert stats.n == 20
+        backend = get_backend(name)
+        sweeps = [
+            [
+                Scenario(config="hera-xscale", rho=float(r), schedule=SCHEDULE)
+                for r in np.linspace(2.8, 4.5, 40)
+            ],
+            [
+                Scenario(
+                    config="atlas-crusoe",
+                    rho=float(r),
+                    error_rate=3e-5,
+                    schedule="esc:0.4,0.6,0.8",
+                )
+                for r in np.linspace(3.0, 6.0, 30)
+            ],
+        ]
+
+        def fields(results):
+            return [
+                (
+                    r.feasible,
+                    r.rho_min,
+                    None
+                    if r.best is None
+                    else (
+                        r.best.work,
+                        r.best.energy_overhead,
+                        r.best.time_overhead,
+                        r.best.interval,
+                    ),
+                )
+                for r in results
+            ]
+
+        serial = [fields(backend.solve_batch(sweep)) for sweep in sweeps]
+        assert any(f[0] for f in serial[0]) and any(f[0] for f in serial[1])
+        # More threads than cores and a short switch interval, so the
+        # batches interleave finely inside the shared instance.
+        n_threads = min(2 * (os.cpu_count() or 2), 8)
+        start = threading.Barrier(n_threads)
+        threaded: list[list] = [[] for _ in range(n_threads)]
+
+        def worker(k: int) -> None:
+            start.wait(timeout=60)
+            for _ in range(2):
+                threaded[k].append(fields(backend.solve_batch(sweeps[k % 2])))
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, runs in enumerate(threaded):
+            assert runs == [serial[k % 2]] * 2

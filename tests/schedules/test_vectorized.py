@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Scenario, SolveCache, Study, available_backends
 from repro.api.backends import get_backend
-from repro.errors import CombinedErrors
+from repro.errors import CombinedErrors, parse_error_model
 from repro.exceptions import InfeasibleBoundError, UnsupportedScenarioError
-from repro.platforms import configuration_names
+from repro.platforms import configuration_names, get_configuration
 from repro.schedules import (
     Constant,
     Escalating,
     Geometric,
+    ScheduleGrid,
     ScheduleSolution,
     TwoSpeed,
     evaluate_schedule,
@@ -157,6 +160,84 @@ class TestBatchedEvaluator:
         assert batch.time.shape == (len(GENERAL_SCHEDULES),)
 
 
+# ----------------------------------------------------------------------
+# Hypothesis strategies: schedules and error models the grid accepts
+# ----------------------------------------------------------------------
+
+_speeds = st.floats(min_value=0.2, max_value=1.2, allow_nan=False)
+
+
+@st.composite
+def _schedules(draw):
+    if draw(st.booleans()):
+        head = tuple(draw(st.lists(_speeds, min_size=1, max_size=4)))
+        terminal = draw(st.one_of(st.none(), _speeds))
+        return Escalating(head, terminal=terminal)
+    sigma1 = draw(st.floats(min_value=0.3, max_value=0.9))
+    ratio = draw(st.floats(min_value=1.1, max_value=1.8))
+    return Geometric(sigma1, ratio, sigma_max=1.2)
+
+
+_models = st.sampled_from(
+    [
+        None,
+        "exp:rate=3e-6",
+        "exp:rate=1e-5,failstop=0.4",
+        "weibull:shape=0.7,mtbf=3e5",
+        "gamma:shape=2,mtbf=2e5",
+    ]
+)
+
+HERA = get_configuration("hera-xscale")
+
+
+def _assert_grid_matches_scalar(points, work) -> None:
+    """``ScheduleGrid.evaluate`` row by row against ``evaluate_schedule``."""
+    got = ScheduleGrid.from_points(points).evaluate(work)
+    work = np.asarray(work, dtype=float)
+    for i, (cfg, sched, errors) in enumerate(points):
+        w = work if work.ndim < 2 else work[0 if work.shape[0] == 1 else i]
+        ref = evaluate_schedule(cfg, sched, w, errors=errors)
+        np.testing.assert_allclose(got.time[i], ref.time, rtol=ENERGY_RTOL)
+        np.testing.assert_allclose(got.energy[i], ref.energy, rtol=ENERGY_RTOL)
+        np.testing.assert_allclose(got.attempts[i], ref.attempts, rtol=ENERGY_RTOL)
+
+
+class TestGridEvaluatorProperties:
+    """Random schedules x error models: the grid evaluator agrees with
+    the scalar exact evaluator to 1e-12 relative on every row shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        schedule=_schedules(),
+        model=_models,
+        w=st.floats(min_value=1e2, max_value=1e5),
+    )
+    def test_single_row_matches_scalar(self, schedule, model, w):
+        errors = None if model is None else parse_error_model(model)
+        _assert_grid_matches_scalar([(HERA, schedule, errors)], float(w))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        schedules=st.lists(_schedules(), min_size=2, max_size=5),
+        model=_models,
+    )
+    def test_stacked_grid_on_shared_work_row(self, schedules, model):
+        """Multi-row grids with a shared work row (the solver's shape)."""
+        errors = None if model is None else parse_error_model(model)
+        points = [(HERA, s, errors) for s in schedules]
+        _assert_grid_matches_scalar(points, np.logspace(2.0, 4.5, 7).reshape(1, -1))
+
+    def test_per_row_work_panel(self):
+        """(n, m) per-row work panels take the same path as shared rows."""
+        points = [
+            (HERA, Escalating((0.4, 0.6, 0.8)), None),
+            (HERA, Geometric(0.5, 1.4, sigma_max=1.0), None),
+        ]
+        work = np.array([[500.0, 2e3, 8e3], [700.0, 3e3, 9e3]])
+        _assert_grid_matches_scalar(points, work)
+
+
 class TestGoldenSolveEquivalence:
     """The acceptance pin: schedule-grid == schedule, randomized grid."""
 
@@ -168,6 +249,30 @@ class TestGoldenSolveEquivalence:
         assert sum(r.feasible for r in scalar) > len(scenarios) // 2  # non-trivial
         for s, b in zip(scalar, batched):
             _assert_rows_agree(s, b)
+
+    def test_randomized_renewal_models_agree_with_scalar_backend(self):
+        """Weibull and Gamma arrivals: the batched solve still matches
+        the per-scenario exact solve on the energy objective."""
+        rng = np.random.default_rng(20261017)
+        scenarios = []
+        for sc in _random_scenarios(rng, 40):
+            family = ("weibull", "gamma")[int(rng.integers(0, 2))]
+            shape = float(np.round(rng.uniform(0.5, 3.0), 2))
+            mtbf = float(np.round(rng.uniform(1e5, 5e5), -3))
+            fraction = float(np.round(rng.uniform(0.0, 0.6), 2))
+            errors = f"{family}:shape={shape},mtbf={mtbf:g},failstop={fraction}"
+            scenarios.append(
+                Scenario(config=sc.config, rho=sc.rho, schedule=sc.schedule, errors=errors)
+            )
+        scalar = get_backend("schedule").solve_batch(scenarios)
+        batched = get_backend("schedule-grid").solve_batch(scenarios)
+        assert sum(r.feasible for r in scalar) > len(scenarios) // 2  # non-trivial
+        for s, b in zip(scalar, batched):
+            assert b.feasible == s.feasible
+            if s.feasible:
+                assert b.best.energy_overhead == pytest.approx(
+                    s.best.energy_overhead, rel=ENERGY_RTOL
+                )
 
     def test_named_schedules_across_catalog(self, any_config):
         scenarios = [
@@ -236,6 +341,26 @@ class TestRoutingAndStudy:
     def test_backend_registered(self):
         assert "schedule-grid" in available_backends()
         assert get_backend("schedule-grid").batched
+
+    def test_retired_jit_name_is_an_alias(self):
+        """``schedule-grid-jit`` resolves to the ``schedule-grid``
+        instance, so old specs solve bit-identically on it."""
+        assert get_backend("schedule-grid-jit") is get_backend("schedule-grid")
+        scenarios = [
+            Scenario(config="hera-xscale", rho=3.2, error_rate=1e-5,
+                     schedule="esc:0.4,0.6,0.8"),
+            Scenario(config="hera-xscale", rho=2.9,
+                     errors="weibull:shape=0.7,mtbf=3e5",
+                     schedule="geom:0.4,1.5,1"),
+            Scenario(config="atlas-crusoe", rho=3.5, error_rate=3e-5,
+                     schedule="two:0.8,1.1"),
+        ]
+        grid = [sc.solve(backend="schedule-grid", cache=False) for sc in scenarios]
+        alias = [sc.solve(backend="schedule-grid-jit", cache=False) for sc in scenarios]
+        for g, a in zip(grid, alias):
+            assert a.feasible and g.feasible
+            assert a.best == g.best
+            assert a.provenance.backend == "schedule-grid"
 
     def test_general_schedules_default_to_grid_backend(self):
         general = Scenario(

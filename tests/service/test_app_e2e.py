@@ -127,6 +127,28 @@ def test_duplicate_submission_hits_cache(served, client):
         assert ra["best"] == rb["best"]
 
 
+def test_retired_backend_name_solves_on_schedule_grid(client):
+    """A spec naming the deleted ``schedule-grid-jit`` tier is accepted
+    (202, not 422) and solves on ``schedule-grid``, which the old name
+    now aliases."""
+    spec = {
+        "name": "retired-backend",
+        "backend": "schedule-grid-jit",
+        "grid": {
+            "configs": ["hera-xscale"],
+            "rhos": [2.9, 3.4],
+            "schedules": ["geom:0.4,1.5,1"],
+        },
+    }
+    done = client.wait_job(client.submit(spec)["id"], poll=0.01)
+    assert done["state"] == "succeeded"
+    rows = client.get(f"/v1/jobs/{done['id']}/artifacts/results.json").json()
+    assert [r["provenance"]["backend"] for r in rows["results"]] == [
+        "schedule-grid", "schedule-grid",
+    ]
+    assert all(r["feasible"] for r in rows["results"])
+
+
 def test_auth_over_the_wire(served):
     anon = InProcessClient(served.app)
     assert anon.get("/v1/jobs").status == 401
