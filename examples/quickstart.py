@@ -60,7 +60,7 @@ def main() -> None:
         f"(cache hit: {result.provenance.cache_hit})"
     )
     study = repro.Study.from_grid(rhos=(1.775, 3.0))  # full catalog x 2 bounds
-    results = study.solve(backend="grid")  # one vectorised broadcast pass
+    results = study.solve()  # one vectorised broadcast pass
     feasible = int(results.feasible_mask().sum())
     print(
         f"Study API: solved {len(results)} scenarios in one grid batch "

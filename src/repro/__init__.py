@@ -12,9 +12,9 @@ speed.
 Quickstart
 ----------
 Declare *what* to solve as a :class:`Scenario`; the pluggable backend
-registry decides *how* (``firstorder``, ``exact``, ``combined``, the
-vectorised ``grid``, or the per-attempt ``schedule`` backend), with
-memoised caching and provenance:
+registry decides *how* (``firstorder``, ``exact``, ``combined``, or the
+per-attempt ``schedule`` backends), with memoised caching and
+provenance:
 
 >>> import repro
 >>> result = repro.Scenario(config="hera-xscale", rho=3.0).solve()
@@ -24,11 +24,11 @@ memoised caching and provenance:
 'firstorder'
 
 Batches of scenarios (grids over configurations, bounds, modes) are a
-:class:`Study`, and the ``grid`` backend solves whole studies in a few
-broadcast NumPy ops:
+:class:`Study`, and the ``firstorder`` batch path solves whole studies
+in a few broadcast NumPy ops:
 
 >>> study = repro.Study.from_grid(configs=("hera-xscale", "atlas-crusoe"))
->>> [r.best.speed_pair for r in study.solve(backend="grid")]
+>>> [r.best.speed_pair for r in study.solve()]
 [(0.4, 0.4), (0.45, 0.45)]
 
 Derived analyses compose through the lazy :class:`Experiment` pipeline

@@ -121,8 +121,8 @@ def pareto_frontier(
        ``.frontier(prune=False)`` verb — the legacy collapse rule, so
        the exponential two-speed output is byte-identical to the
        historical per-point loop.  ``backend`` forwards a registry name
-       (``"grid"`` vectorises the whole frontier into a single
-       broadcast pass); optional ``schedule``/``errors`` trace the
+       (the default ``firstorder`` already solves the whole frontier
+       in one broadcast pass); optional ``schedule``/``errors`` trace the
        frontier under a per-attempt speed schedule and/or a renewal
        error model (impossible pre-pipeline), riding the batched
        ``schedule-grid`` kernel.

@@ -5,8 +5,8 @@ This package is the single front door to every solver in the library:
 * :class:`~repro.api.scenario.Scenario` — a declarative problem spec
   (configuration + bound + error-model mode + optional restrictions);
 * :mod:`~repro.api.backends` — the ``SolverBackend`` registry
-  (``firstorder``, ``exact``, ``combined``, vectorised ``grid``,
-  per-attempt ``schedule``, vectorised ``schedule-grid``);
+  (``firstorder`` with its vectorised batch path, ``exact``,
+  ``combined``, per-attempt ``schedule``, vectorised ``schedule-grid``);
 * :class:`~repro.api.study.Study` — a batch of scenarios over a grid
   or a sweep axis, solved with caching, vectorised batching and
   optional multi-process fan-out;
@@ -30,7 +30,6 @@ from .backends import (
     CombinedBackend,
     ExactBackend,
     FirstOrderBackend,
-    GridBackend,
     ScheduleBackend,
     ScheduleGridBackend,
     SolverBackend,
@@ -40,7 +39,7 @@ from .backends import (
 )
 from .cache import DEFAULT_CACHE, SolveCache, clear_default_cache
 from .experiment import ExecutionPlan, Experiment, PlanGroup, PlanProgress
-from .result import GridPoint, Provenance, Result, ResultSet
+from .result import Provenance, Result, ResultSet
 from .scenario import MODES, Scenario
 from .study import Study
 
@@ -55,12 +54,10 @@ __all__ = [
     "Result",
     "ResultSet",
     "Provenance",
-    "GridPoint",
     "SolverBackend",
     "FirstOrderBackend",
     "ExactBackend",
     "CombinedBackend",
-    "GridBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
     "register_backend",

@@ -1,20 +1,20 @@
 """Pluggable solver backends behind a process-wide registry.
 
 A backend turns a :class:`~repro.api.scenario.Scenario` into a
-:class:`~repro.api.result.Result`.  Seven ship by default:
+:class:`~repro.api.result.Result`.  Six ship by default:
 
 ``firstorder``
     The paper's Theorem-1 closed form + O(K^2) enumeration
-    (:mod:`repro.core.solver` / :mod:`repro.core.singlespeed`).
+    (:mod:`repro.core.solver` / :mod:`repro.core.singlespeed`) for a
+    standalone solve; batches run through the vectorised Theorem-1
+    kernel (:func:`repro.sweep.vectorized.evaluate_pair_grid`), one
+    broadcast pass per pair axis, with each winner re-evaluated through
+    the scalar path.
 ``exact``
     Numeric optimisation of the exact Propositions 2/3
     (:mod:`repro.core.numeric`).
 ``combined``
     Numeric solve with both error sources (:mod:`repro.failstop.solver`).
-``grid``
-    The vectorised Theorem-1 kernel (:mod:`repro.sweep.vectorized`),
-    which solves whole scenario *batches* in a handful of broadcast
-    NumPy ops — the fast path for ``Study`` grids.
 ``schedule``
     Per-attempt speed schedules (:mod:`repro.schedules`): two-speed
     schedules keep the legacy closed-form/pair paths (byte-identical
@@ -24,9 +24,9 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     The vectorised schedule kernel (:mod:`repro.schedules.vectorized`):
     ``solve_batch`` stacks every general-schedule scenario into one
     :class:`~repro.schedules.vectorized.ScheduleGrid` and solves the
-    whole batch in lockstep broadcast passes — the general-schedule
-    analogue of ``grid``, and the default for scheduled scenarios whose
-    policy is not expressible as a two-speed pair.
+    whole batch in lockstep broadcast passes — the default for
+    scheduled scenarios whose policy is not expressible as a two-speed
+    pair.
 ``schedule-grid-incremental``
     The incremental (variational) tier
     (:mod:`repro.schedules.incremental`): identical batch splitting to
@@ -38,8 +38,9 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     otherwise.  The sweep-aware planner orders ``ExecutionPlan`` shards
     so chains stay contiguous for this backend.
 
-The retired name ``schedule-grid-jit`` stays in the registry as an
-alias of ``schedule-grid``, so old specs, cache keys and ``--backend``
+The retired names stay in the registry as aliases of the instances
+that replaced them — ``grid`` of ``firstorder``, ``schedule-grid-jit``
+of ``schedule-grid`` — so old specs, cache keys and ``--backend``
 arguments still resolve.
 
 Registering a new backend (``register_backend``) is the single
@@ -77,8 +78,8 @@ from ..schedules.incremental import (
 )
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
-from ..sweep.vectorized import GridSolution, solve_bicrit_grid
-from .result import GridPoint, Provenance, Result
+from ..sweep.vectorized import config_columns, evaluate_pair_grid
+from .result import Provenance, Result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scenario import Scenario
@@ -88,7 +89,6 @@ __all__ = [
     "FirstOrderBackend",
     "ExactBackend",
     "CombinedBackend",
-    "GridBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
     "ScheduleGridIncrementalBackend",
@@ -205,7 +205,20 @@ class SolverBackend(abc.ABC):
 # Default backends
 # ----------------------------------------------------------------------
 class FirstOrderBackend(SolverBackend):
-    """Theorem-1 closed form + O(K^2) enumeration (the paper's solver)."""
+    """Theorem-1 closed form + O(K^2) enumeration (the paper's solver).
+
+    A standalone solve (:meth:`solve`) runs the scalar enumeration and
+    returns the full ``BiCritSolution`` with every candidate.
+    :meth:`solve_batch` groups the batch by pair axis (the s1-major
+    product, the single-speed diagonal, or a ``speeds=`` /
+    ``sigma2_choices=`` restriction) and evaluates each group's rows x
+    pairs in one :func:`~repro.sweep.vectorized.evaluate_pair_grid`
+    pass.  The kernel repeats the scalar arithmetic, so its first
+    minimum is the scalar scan's winner; only that pair is re-evaluated
+    through :func:`~repro.core.solver.evaluate_pair`, so ``best`` is
+    byte-identical to a standalone solve.  Batch results carry ``best``
+    (or, when infeasible, the Eq. (6) ``rho_min``) but no candidates.
+    """
 
     name = "firstorder"
     modes = frozenset({"silent", "single-speed"})
@@ -229,6 +242,68 @@ class FirstOrderBackend(SolverBackend):
             raw=sol,
         )
 
+    def solve_batch(self, scenarios: Sequence["Scenario"]) -> list[Result]:
+        for sc in scenarios:
+            self.check_supports(sc)
+        t0 = time.perf_counter()
+        results: list[Result | None] = [None] * len(scenarios)
+        configs = [sc.resolved_config() for sc in scenarios]
+        groups: dict[tuple[tuple[float, float], ...], list[int]] = {}
+        for i, (sc, cfg) in enumerate(zip(scenarios, configs)):
+            groups.setdefault(tuple(_scenario_pair_axis(sc, cfg)), []).append(i)
+
+        for pairs, idxs in groups.items():
+            if not pairs or min(min(pair) for pair in pairs) <= 0.0:
+                # No pair, or a non-positive speed: solve standalone,
+                # which raises exactly what Scenario.solve raises.
+                for i in idxs:
+                    results[i] = super().solve_batch([scenarios[i]])[0]
+                continue
+            s1, s2 = zip(*pairs)
+            grid = evaluate_pair_grid(
+                s1,
+                s2,
+                **config_columns([configs[i] for i in idxs]),
+                rho=np.array([scenarios[i].rho for i in idxs]),
+            )
+            winners = np.argmin(grid.energy, axis=1)
+            rho_min = np.min(grid.rho_min, axis=1)
+            for pos, i in enumerate(idxs):
+                k = int(winners[pos])
+                if np.isfinite(grid.energy[pos, k]):
+                    results[i] = self._winner(scenarios[i], configs[i], pairs[k])
+                else:
+                    results[i] = Result(
+                        scenario=scenarios[i],
+                        provenance=Provenance(backend=self.name),
+                        best=None,
+                        rho_min=float(rho_min[pos]),
+                    )
+
+        wall = time.perf_counter() - t0
+        share = wall / max(len(scenarios), 1)
+        return [
+            replace(
+                r,
+                provenance=replace(
+                    r.provenance, wall_time=share, batch_size=len(scenarios)
+                ),
+            )
+            for r in results
+        ]
+
+    def _winner(
+        self, scenario: "Scenario", cfg: Configuration, pair: tuple[float, float]
+    ) -> Result:
+        """A batch row's kernel winner, re-evaluated through the scalar path."""
+        best = evaluate_pair(cfg, pair[0], pair[1], scenario.rho).solution
+        if best is None:
+            # The kernel called the pair feasible and the scalar path
+            # disagrees: defer to the scalar enumeration, so a batch row
+            # never diverges from a standalone solve.
+            return super().solve_batch([scenario])[0]
+        return Result(scenario=scenario, provenance=Provenance(backend=self.name), best=best)
+
 
 class ExactBackend(SolverBackend):
     """Numeric optimisation of the exact Propositions 2/3."""
@@ -238,18 +313,8 @@ class ExactBackend(SolverBackend):
 
     def _solve(self, scenario: "Scenario") -> Result:
         cfg = scenario.resolved_config()
-        s1_set = scenario.speeds if scenario.speeds is not None else cfg.speeds
-        if scenario.mode == "single-speed":
-            pairs = [(s, s) for s in s1_set]
-        else:
-            s2_set = (
-                scenario.sigma2_choices
-                if scenario.sigma2_choices is not None
-                else cfg.speeds
-            )
-            pairs = [(s1, s2) for s1 in s1_set for s2 in s2_set]
         best: ExactSolution | None = None
-        for s1, s2 in pairs:
+        for s1, s2 in _scenario_pair_axis(scenario, cfg):
             sol = solve_pair_exact(cfg, s1, s2, scenario.rho)
             if sol is not None and (
                 best is None or sol.energy_overhead < best.energy_overhead
@@ -265,11 +330,17 @@ class ExactBackend(SolverBackend):
         )
 
 
-def _scenario_pair_axis(scenario: "Scenario") -> list[tuple[float, float]]:
+def _scenario_pair_axis(
+    scenario: "Scenario", cfg: Configuration | None = None
+) -> list[tuple[float, float]]:
     """The (sigma1, sigma2) enumeration of a scenario, in the legacy
-    solvers' s1-major order (ties resolve the same way everywhere)."""
-    cfg = scenario.resolved_config()
+    solvers' s1-major order (ties resolve the same way everywhere); the
+    diagonal in single-speed mode.  ``cfg`` is the scenario's resolved
+    configuration, when the caller already has it."""
+    cfg = cfg if cfg is not None else scenario.resolved_config()
     s1_set = scenario.speeds if scenario.speeds is not None else cfg.speeds
+    if scenario.mode == "single-speed":
+        return [(s, s) for s in s1_set]
     s2_set = (
         scenario.sigma2_choices
         if scenario.sigma2_choices is not None
@@ -318,115 +389,6 @@ class CombinedBackend(SolverBackend):
             provenance=Provenance(backend=self.name),
             best=best,
             raw=best,
-        )
-
-
-class GridBackend(SolverBackend):
-    """Vectorised Theorem-1 kernel: whole batches in one broadcast pass.
-
-    ``solve_batch`` groups scenarios by DVFS speed set, stacks their
-    model parameters into arrays and calls
-    :func:`repro.sweep.vectorized.solve_bicrit_grid` once per group.
-    The winning pair of each scenario is then re-evaluated through the
-    scalar path (:func:`repro.core.solver.evaluate_pair`) so ``best``
-    is byte-identical to the ``firstorder`` backend's.
-    """
-
-    name = "grid"
-    modes = frozenset({"silent", "single-speed"})
-
-    def unsupported_reason(self, scenario: "Scenario") -> str | None:
-        reason = super().unsupported_reason(scenario)
-        if reason is not None:
-            return reason
-        if scenario.speeds is not None or scenario.sigma2_choices is not None:
-            return "custom speed restrictions require the scalar backends"
-        return None
-
-    def _solve(self, scenario: "Scenario") -> Result:
-        result = self.solve_batch([scenario])[0]
-        if not result.feasible:
-            raise InfeasibleBoundError(scenario.rho, result.rho_min)
-        return result
-
-    def solve_batch(self, scenarios: Sequence["Scenario"]) -> list[Result]:
-        for sc in scenarios:
-            self.check_supports(sc)
-        t0 = time.perf_counter()
-        results: list[Result | None] = [None] * len(scenarios)
-        configs = [sc.resolved_config() for sc in scenarios]
-
-        groups: dict[tuple[float, ...], list[int]] = {}
-        for i, cfg in enumerate(configs):
-            groups.setdefault(cfg.speeds, []).append(i)
-
-        for speeds, idxs in groups.items():
-            grid = solve_bicrit_grid(
-                lam=np.array([configs[i].lam for i in idxs]),
-                checkpoint=np.array([configs[i].checkpoint_time for i in idxs]),
-                verification=np.array([configs[i].verification_time for i in idxs]),
-                recovery=np.array([configs[i].recovery_time for i in idxs]),
-                kappa=np.array([configs[i].processor.kappa for i in idxs]),
-                idle_power=np.array([configs[i].processor.idle_power for i in idxs]),
-                io_power=np.array([configs[i].io_power for i in idxs]),
-                rho=np.array([scenarios[i].rho for i in idxs]),
-                speeds=speeds,
-            )
-            for pos, i in enumerate(idxs):
-                results[i] = self._materialise(scenarios[i], configs[i], grid, pos)
-
-        wall = time.perf_counter() - t0
-        share = wall / max(len(scenarios), 1)
-        return [
-            replace(
-                r,
-                provenance=replace(
-                    r.provenance, wall_time=share, batch_size=len(scenarios)
-                ),
-            )
-            for r in results
-        ]
-
-    def _materialise(
-        self, scenario: "Scenario", cfg: Configuration, grid: GridSolution, pos: int
-    ) -> Result:
-        """One scenario's result from its row of the grid output."""
-        point = GridPoint(
-            sigma1=float(grid.sigma1[pos]),
-            sigma2=float(grid.sigma2[pos]),
-            work=float(grid.work[pos]),
-            energy_overhead=float(grid.energy[pos]),
-            time_overhead=float(grid.time[pos]),
-            sigma_single=float(grid.sigma_single[pos]),
-            work_single=float(grid.work_single[pos]),
-            energy_single=float(grid.energy_single[pos]),
-        )
-        if scenario.mode == "single-speed":
-            s1 = s2 = point.sigma_single
-        else:
-            s1, s2 = point.sigma1, point.sigma2
-        if not np.isfinite(s1):
-            return replace(self.infeasible_result(scenario), raw=point)
-        # Re-evaluate through the scalar formulas: byte-identical fields
-        # vs the firstorder backend, and the exact-overhead diagnostics.
-        best = evaluate_pair(cfg, s1, s2, scenario.rho).solution
-        if best is None:
-            # Last-ulp disagreement at a feasibility boundary: the
-            # kernel called the winning pair feasible, the scalar path
-            # disagrees.  Defer entirely to the scalar enumeration so
-            # grid results never diverge from the firstorder backend.
-            try:
-                if scenario.mode == "single-speed":
-                    best = _solve_single_speed_direct(cfg, scenario.rho).best
-                else:
-                    best = _solve_bicrit_direct(cfg, scenario.rho).best
-            except InfeasibleBoundError as exc:
-                return replace(self.infeasible_result(scenario, exc), raw=point)
-        return Result(
-            scenario=scenario,
-            provenance=Provenance(backend=self.name),
-            best=best,
-            raw=point,
         )
 
 
@@ -854,8 +816,8 @@ def available_backends() -> tuple[str, ...]:
 register_backend(FirstOrderBackend())
 register_backend(ExactBackend())
 register_backend(CombinedBackend())
-register_backend(GridBackend())
 register_backend(ScheduleBackend())
 register_backend(ScheduleGridBackend())
 register_backend(ScheduleGridIncrementalBackend())
+_REGISTRY["grid"] = _REGISTRY["firstorder"]
 _REGISTRY["schedule-grid-jit"] = _REGISTRY["schedule-grid"]

@@ -12,7 +12,7 @@ bounds, schedules and error models), and compiles it into an
   they appear — the variational-execution leverage of sharing one
   deduplicated plan across many near-identical evaluations;
 * the remaining unique scenarios are grouped by backend, so
-  batch-capable backends (``grid``, ``schedule-grid``) receive whole
+  batch-capable backends (``firstorder``, ``schedule-grid``) receive whole
   groups as single broadcast passes instead of per-point loops;
 * execution is sharded — optionally over worker processes — with each
   completed shard written to the solve cache immediately, so an

@@ -1,10 +1,11 @@
 """Uniform solve results: one type across every backend.
 
-Whatever backend solves a scenario — the Theorem-1 enumeration, the
-exact numeric optimiser, the combined-error solver or the vectorised
-grid — the caller receives the same :class:`Result`: the winning
-candidate, the full candidate list when the backend enumerates one,
-the backend-native payload under ``raw``, and :class:`Provenance`
+Whatever backend solves a scenario — the Theorem-1 enumeration (scalar
+or batched), the exact numeric optimiser, the combined-error solver or
+the schedule kernels — the caller receives the same :class:`Result`:
+the winning candidate, the full candidate list when a standalone solve
+enumerates one, the backend-native payload under ``raw``, and
+:class:`Provenance`
 (backend name, wall time, cache/batch flags).  A :class:`Study` solve
 returns a :class:`ResultSet`, which adds NaN-encoded array accessors
 and conversions into the existing reporting/serialize/CSV layers.
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.estimators import AgreementReport
     from .scenario import Scenario
 
-__all__ = ["Provenance", "GridPoint", "Result", "ResultSet"]
+__all__ = ["Provenance", "Result", "ResultSet"]
 
 
 @dataclass(frozen=True)
@@ -60,33 +61,6 @@ class Provenance:
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    """Native payload of the vectorised ``grid`` backend for one scenario.
-
-    Carries both the full speed-pair optimum and the diagonal
-    (single-speed) optimum read off the same broadcast pass; NaN marks
-    infeasibility.  The numbers come from the vectorised kernel and may
-    differ from the scalar path in the last few ulps — ``Result.best``
-    is always re-evaluated through the scalar formulas so downstream
-    comparisons stay byte-identical.
-    """
-
-    sigma1: float
-    sigma2: float
-    work: float
-    energy_overhead: float
-    time_overhead: float
-    sigma_single: float
-    work_single: float
-    energy_single: float
-
-    @property
-    def feasible(self) -> bool:
-        """True when the two-speed problem is feasible at this point."""
-        return math.isfinite(self.energy_overhead)
-
-
-@dataclass(frozen=True)
 class Result:
     """Uniform output of one scenario solve.
 
@@ -102,11 +76,15 @@ class Result:
         infeasible.  All candidate types expose ``sigma1``, ``sigma2``,
         ``work``, ``energy_overhead`` and ``time_overhead``.
     candidates:
-        Per-pair outcomes when the backend enumerates them
-        (``firstorder``), else empty.
+        Per-pair outcomes of a standalone ``firstorder`` solve
+        (:meth:`Scenario.solve` or ``backend.solve``), else empty.
+        Batch rows (``Study``/``Experiment`` solves, and cache entries
+        they wrote) carry ``best`` and ``rho_min`` only.
     raw:
-        The backend-native full payload (e.g. a ``BiCritSolution``),
-        for callers that need backend-specific detail.
+        The backend-native full payload (e.g. the ``BiCritSolution`` of
+        a standalone ``firstorder`` solve), for callers that need
+        backend-specific detail; ``None`` on ``firstorder`` batch rows.
+        Callers that need it solve standalone with ``cache=False``.
     rho_min:
         Minimum feasible bound diagnostic, when the backend knows it.
     """

@@ -6,8 +6,8 @@ implied by a sweep axis — solved together.  ``Study.solve``:
 
 * consults the memo cache first (per scenario, per backend);
 * routes the misses to their backends, letting batch-capable backends
-  (the vectorised ``grid``) solve an entire group in one broadcast
-  pass;
+  (``firstorder``, ``schedule-grid``) solve an entire group in one
+  broadcast pass;
 * optionally fans the misses out over worker processes for large
   grids of the expensive numeric backends.
 
@@ -59,7 +59,7 @@ class Study:
     Examples
     --------
     >>> study = Study.from_grid(configs=("hera-xscale",), rhos=(2.5, 3.0))
-    >>> [r.best.speed_pair for r in study.solve(backend="grid")]
+    >>> [r.best.speed_pair for r in study.solve()]
     [(0.6, 0.4), (0.4, 0.4)]
     """
 
@@ -218,7 +218,7 @@ class Study:
         processes:
             When > 1, fan the cache misses out over that many worker
             processes.  Misses routed to a batch-capable backend
-            (``grid``, ``schedule-grid``) are sharded into contiguous
+            (``firstorder``, ``schedule-grid``) are sharded into contiguous
             sub-batches — each worker solves a whole shard in one
             vectorised pass — while per-scenario backends fan out one
             scenario per task.  Worth it for large grids of the

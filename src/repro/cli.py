@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", default=None, help="also write CSV to this path")
     p_sweep.add_argument(
         "--backend", choices=("firstorder", "grid"), default="firstorder",
-        help="solver backend (grid = vectorised batch path)",
+        help="solver backend (grid = alias of firstorder)",
     )
 
     p_fig = sub.add_parser("figure", help="run all panels of one paper figure")
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--csv-dir", default=None, help="write one CSV per panel here")
     p_fig.add_argument(
         "--backend", choices=("firstorder", "grid"), default="firstorder",
-        help="solver backend (grid = vectorised batch path)",
+        help="solver backend (grid = alias of firstorder)",
     )
 
     p_val = sub.add_parser("validate", help="Monte-Carlo vs model agreement")
@@ -691,7 +691,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     cfg = get_configuration(args.config)
     try:
-        solution = Scenario(config=cfg, rho=args.rho).solve().raw
+        # Uncached standalone solve: the table needs every candidate.
+        solution = Scenario(config=cfg, rho=args.rho).solve(cache=False).raw
     except InfeasibleBoundError:
         table = infeasible_table(cfg, args.rho)
     else:

@@ -69,10 +69,11 @@ def solve_single_speed(
     Same contract as :func:`repro.core.solver.solve_bicrit`, but the
     candidate set is the diagonal ``{(sigma, sigma) : sigma in S}``.
 
-    .. note:: Legacy wrapper.  Delegates to the ``firstorder`` backend
-       of the :mod:`repro.api` registry via
-       ``Scenario(..., mode="single-speed").solve()``; prefer the
-       :class:`repro.Scenario` API in new code.
+    .. note:: Legacy wrapper.  Delegates to a standalone, uncached
+       solve of the ``firstorder`` backend of the :mod:`repro.api`
+       registry (``Scenario(..., mode="single-speed").solve(cache=False)``),
+       so all candidates come back even after a batch solve cached the
+       point; prefer the :class:`repro.Scenario` API in new code.
 
     Raises
     ------
@@ -95,4 +96,4 @@ def solve_single_speed(
 
     return Scenario(
         config=cfg, rho=rho, mode="single-speed", speeds=speeds
-    ).solve(backend="firstorder").raw
+    ).solve(backend="firstorder", cache=False).raw

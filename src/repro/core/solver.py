@@ -98,11 +98,12 @@ def solve_bicrit(
 ) -> BiCritSolution:
     """Solve BiCrit for ``cfg`` under the performance bound ``rho``.
 
-    .. note:: Legacy wrapper.  Delegates to the ``firstorder`` backend
-       of the :mod:`repro.api` registry via
-       ``Scenario(config=cfg, rho=rho).solve()``, which adds caching
-       and provenance; prefer the :class:`repro.Scenario` API in new
-       code.
+    .. note:: Legacy wrapper.  Delegates to a standalone, uncached
+       solve of the ``firstorder`` backend of the :mod:`repro.api`
+       registry (``Scenario(config=cfg, rho=rho).solve(cache=False)``):
+       cache entries written by batch solves carry no candidates, and
+       this function returns all of them.  Prefer the
+       :class:`repro.Scenario` API in new code.
 
     Parameters
     ----------
@@ -147,4 +148,4 @@ def solve_bicrit(
         rho=rho,
         speeds=speeds,
         sigma2_choices=sigma2_choices,
-    ).solve(backend="firstorder").raw
+    ).solve(backend="firstorder", cache=False).raw

@@ -240,7 +240,7 @@ class InvalidSpecError(ReproError, ValueError):
 class UnsupportedScenarioError(ReproError):
     """A scenario was routed to a backend that cannot solve it.
 
-    E.g. the vectorised ``grid`` backend only handles the first-order
+    E.g. the ``firstorder`` backend only handles the first-order
     silent-error model, so a ``combined``-mode scenario must go to the
     ``combined`` backend instead.
     """

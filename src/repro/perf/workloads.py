@@ -23,8 +23,10 @@ Four suites mirror the legacy bench scripts:
     :class:`~repro.api.experiment.Experiment` plan over a frontier
     grid.
 ``study_batch``
-    The scalar ``firstorder`` backend vs the vectorised ``grid``
-    backend over a catalog x rho study.
+    A per-scenario loop of standalone scalar ``firstorder`` solves vs
+    the batched path (``Study.solve(backend="grid")``, the alias of
+    ``firstorder``, whose batch path is the vectorised kernel) over a
+    catalog x rho study.
 ``dispatch_overhead``
     Cold-pool vs warm-pool plan dispatch: the same sequence of small
     multi-process plans executed through a fresh per-call
@@ -63,6 +65,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.result import Result
     from ..api.scenario import Scenario
     from ..api.study import Study
 
@@ -73,6 +76,7 @@ __all__ = [
     "schedule_grid_scenarios",
     "error_model_scenarios",
     "experiment_plan_scenarios",
+    "study_batch_loop",
     "study_batch_study",
     "dispatch_scenarios",
     "incremental_axis_points",
@@ -323,11 +327,26 @@ def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:
     )
 
 
+def study_batch_loop(study: "Study") -> "list[Result | None]":
+    """The ``study_batch`` baseline: every scenario solved standalone,
+    one scalar ``firstorder`` enumeration each (``None`` = infeasible).
+    ``study.solve(backend="firstorder")`` would take the batch path."""
+    from ..exceptions import InfeasibleBoundError
+
+    results: "list[Result | None]" = []
+    for sc in study:
+        try:
+            results.append(sc.solve(backend="firstorder", cache=False))
+        except InfeasibleBoundError:
+            results.append(None)
+    return results
+
+
 def _study_batch_suite(quick: bool) -> tuple[Workload, ...]:
     study = study_batch_study(quick=quick)
 
     def loop() -> dict[str, float]:
-        study.solve(backend="firstorder", cache=False)
+        study_batch_loop(study)
         return {"scenarios": float(len(study))}
 
     def grid() -> dict[str, float]:

@@ -1,7 +1,8 @@
 """Vectorised batched schedule evaluation: whole grids in broadcast NumPy.
 
-PR 1 gave the two-speed model a vectorised ``grid`` backend (~17x over
-the per-scenario loop); general schedules were still evaluated one
+The two-speed model has a vectorised batch path (the ``firstorder``
+backend's ``solve_batch``, ~17x over the per-scenario loop); general
+schedules were still evaluated one
 scenario at a time in scalar Python.  This module closes that gap: a
 :class:`ScheduleGrid` stacks the model parameters of many
 ``(configuration, schedule, error-model)`` points into arrays so that

@@ -110,7 +110,7 @@ def run_panel(
     """Run one panel of a figure and return its series.
 
     ``backend`` forwards a :mod:`repro.api` registry name to the sweep
-    (e.g. ``"grid"`` for the vectorised batch path).
+    (``None`` = ``firstorder``, batched; ``"grid"`` is its alias).
     """
     cfg = spec.configuration()
     return run_sweep(cfg, rho, spec.axis(panel, n=n), backend=backend)

@@ -130,8 +130,9 @@ def run_sweep(
        ``repro.api.Experiment.over_axis(...).solve()``, compiling the
        two-speed and single-speed scenarios of every axis value into
        one deduplicated plan through the backend registry.  ``backend``
-       forwards a registry name (e.g. ``"grid"`` for the vectorised
-       batch path); ``None`` uses the scalar ``firstorder`` backend.
+       forwards a registry name; ``None`` routes every scenario to
+       ``firstorder``, whose batch path solves the whole axis in
+       vectorised passes (``"grid"`` is an alias of it).
 
     Examples
     --------

@@ -4,8 +4,12 @@ The reference sweep path (:mod:`repro.sweep.runner`) solves one
 configuration at a time — clear, but Python-loop-bound.  Because the
 entire Theorem-1 pipeline (Eq. 2/3 coefficients -> feasibility quadratic
 -> We -> clamp -> energy) is closed-form arithmetic, it vectorises
-perfectly: this module evaluates *all sweep values x all K^2 speed
-pairs at once* on broadcast arrays, then reduces with ``argmin``.
+perfectly: :func:`evaluate_pair_grid` evaluates *all parameter rows x
+all speed pairs at once* on broadcast arrays, and callers reduce with
+``argmin``.  It is the only Theorem-1 kernel: :func:`solve_bicrit_grid`
+(and through it :func:`run_sweep_fast`) reads the K^2 pair product and
+its diagonal off one pass, and the ``firstorder`` backend's batch path
+reads each scenario's own pair axis off another.
 
 This is the hpc-parallel playbook (vectorise the inner loop, avoid
 Python-level per-item work); the equivalence tests pin it bit-for-bit
@@ -21,7 +25,7 @@ closed-form fast paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 import numpy as np
@@ -33,6 +37,9 @@ from ..exceptions import InvalidParameterError
 
 __all__ = [
     "GridSolution",
+    "PairGrid",
+    "config_columns",
+    "evaluate_pair_grid",
     "ScheduleSweepSolution",
     "solve_bicrit_grid",
     "run_sweep_fast",
@@ -68,7 +75,43 @@ class GridSolution:
             return (1.0 - self.energy / self.energy_single) * 100.0
 
 
-def solve_bicrit_grid(
+@dataclass(frozen=True)
+class PairGrid:
+    """Theorem-1 quantities of every (row, speed pair): shape ``(n, P)``.
+
+    ``energy`` is ``inf`` where the pair cannot meet the row's bound;
+    ``rho_min`` is the pair's Eq. (6) threshold.  Each entry is what
+    :func:`repro.core.solver.evaluate_pair` computes for that pair, bit
+    for bit: :func:`evaluate_pair_grid` performs the scalar path's
+    operations in the scalar path's order.  So a row's first ``argmin``
+    of ``energy`` is the winner of the scalar solvers' strict-improvement
+    scan in the same enumeration order.
+    """
+
+    rho_min: FloatArray
+    work: FloatArray
+    energy: FloatArray
+    time: FloatArray
+
+
+def config_columns(configs: Sequence[Configuration]) -> dict[str, FloatArray]:
+    """The model parameters of ``configs`` as keyword arrays for
+    :func:`evaluate_pair_grid` / :func:`solve_bicrit_grid`."""
+    return {
+        "lam": np.array([c.lam for c in configs]),
+        "checkpoint": np.array([c.checkpoint_time for c in configs]),
+        "verification": np.array([c.verification_time for c in configs]),
+        "recovery": np.array([c.recovery_time for c in configs]),
+        "kappa": np.array([c.processor.kappa for c in configs]),
+        "idle_power": np.array([c.processor.idle_power for c in configs]),
+        "io_power": np.array([c.io_power for c in configs]),
+    }
+
+
+def evaluate_pair_grid(
+    sigma1: "Sequence[float] | FloatArray",
+    sigma2: "Sequence[float] | FloatArray",
+    /,
     *,
     lam: ScalarOrArray,
     checkpoint: ScalarOrArray,
@@ -78,14 +121,12 @@ def solve_bicrit_grid(
     idle_power: ScalarOrArray,
     io_power: ScalarOrArray,
     rho: ScalarOrArray,
-    speeds: tuple[float, ...],
-) -> GridSolution:
-    """Solve BiCrit for arrays of parameters in one broadcast pass.
+) -> PairGrid:
+    """Evaluate Theorem 1 for every parameter row x every speed pair.
 
-    Every scalar parameter of the model may instead be a 1-D array of
-    length ``n`` (all arrays must share that length; scalars broadcast).
-    Returns per-value optima over the ``K x K`` speed-pair grid and over
-    its diagonal (the single-speed baseline).
+    The one Theorem-1 kernel: the pairs are ``zip(sigma1, sigma2)`` in
+    the caller's enumeration order, and each model parameter may be a
+    scalar or a 1-D array of length ``n`` (scalars broadcast).
     """
     n = max(
         np.size(a)
@@ -93,120 +134,114 @@ def solve_bicrit_grid(
     )
 
     def col(a: ScalarOrArray) -> FloatArray:
-        # shape (n, 1, 1) for broadcasting against the (K, K) pair grid
-        arr = np.broadcast_to(np.asarray(a, dtype=np.float64), (n,))
-        return arr.reshape(n, 1, 1)
+        # shape (n, 1) for broadcasting against the pair axis
+        return np.broadcast_to(np.asarray(a, dtype=np.float64), (n,)).reshape(n, 1)
 
     lam_, C, V, R = col(lam), col(checkpoint), col(verification), col(recovery)
     kap, p_idle, p_io_dyn, rho_ = col(kappa), col(idle_power), col(io_power), col(rho)
 
-    s = np.asarray(speeds, dtype=np.float64)
-    k = s.size
-    s1 = s.reshape(1, k, 1)  # first speed varies along axis 1
-    s2 = s.reshape(1, 1, k)  # re-execution speed along axis 2
+    s1 = np.asarray(sigma1, dtype=np.float64).reshape(1, -1)
+    s2 = np.asarray(sigma2, dtype=np.float64).reshape(1, -1)
+    # sigma**3 exactly as PowerModel.cpu_power takes it (a 0-d power).
+    cube1, cube2 = (
+        np.array([np.asarray(s, dtype=np.float64) ** 3 for s in speeds]).reshape(1, -1)
+        for speeds in (sigma1, sigma2)
+    )
+    p1 = p_idle + kap * cube1
+    p2 = p_idle + kap * cube2
+    p_io = p_idle + p_io_dyn
 
-    p1 = kap * s1**3 + p_idle
-    p2 = kap * s2**3 + p_idle
-    p_io = p_io_dyn + p_idle
-
-    # Eq. (2) time coefficients.
+    # Eq. (2) time coefficients and the Eq. (6) threshold x + 2 sqrt(y z).
     x_t = 1.0 / s1 + lam_ * (R / s1 + V / (s1 * s2))
     y_t = lam_ / (s1 * s2)
     z_t = C + V / s1
+    rho_min = x_t + 2.0 * np.sqrt(y_t * z_t)
 
-    # Theorem-1 feasibility quadratic.
+    # Theorem-1 feasibility quadratic and its (ordered) root interval.
     b = x_t - rho_
     disc = b * b - 4.0 * y_t * z_t
     feasible = (b <= 0.0) & (disc >= 0.0)
     sq = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_hi = (-b + sq) / (2.0 * y_t)
-        w_lo = z_t / (y_t * w_hi)
+        w2 = (-b + sq) / (2.0 * y_t)
+        w1 = z_t / (y_t * w2)
+    lo, hi = np.minimum(w1, w2), np.maximum(w1, w2)
 
-    # Eq. (3) energy coefficients and Eq. (5) We.
+    # Eq. (3) energy coefficients, Eq. (5) We and the Eq. (4) clamp.
     x_e = p1 / s1 + lam_ * R * p_io / s1 + lam_ * V * p1 / (s1 * s2)
     y_e = lam_ * p2 / (s1 * s2)
     z_e = C * p_io + V * p1 / s1
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_e = np.sqrt(z_e / y_e)
-        w_opt = np.clip(w_e, w_lo, w_hi)
-        energy = x_e + y_e * w_opt + z_e / w_opt
-        time = x_t + y_t * w_opt + z_t / w_opt
+        work = np.minimum(np.maximum(lo, np.sqrt(z_e / y_e)), hi)
+        energy = x_e + y_e * work + z_e / work
+        time = x_t + y_t * work + z_t / work
 
-    energy = np.where(feasible, energy, np.inf)
+    return PairGrid(
+        rho_min=rho_min,
+        work=work,
+        energy=np.where(feasible, energy, np.inf),
+        time=time,
+    )
 
-    def reduce(
-        energy_grid: FloatArray, mask: "FloatArray | np.ndarray"
-    ) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
-        """argmin over the pair grid (optionally masked) per value."""
-        e = np.where(mask, energy_grid, np.inf)
-        flat = e.reshape(n, -1)
-        idx = np.argmin(flat, axis=1)
-        best_e = flat[np.arange(n), idx]
-        ok = np.isfinite(best_e)
-        i1, i2 = np.unravel_index(idx, (k, k))
-        out_s1 = np.where(ok, s[i1], np.nan)
-        out_s2 = np.where(ok, s[i2], np.nan)
-        w = w_opt.reshape(n, -1)[np.arange(n), idx]
-        t = time.reshape(n, -1)[np.arange(n), idx]
-        return (
-            out_s1,
-            out_s2,
-            np.where(ok, w, np.nan),
-            np.where(ok, best_e, np.nan),
-            np.where(ok, t, np.nan),
-        )
 
-    all_mask = np.ones((1, k, k), dtype=bool)
-    diag_mask = np.eye(k, dtype=bool).reshape(1, k, k)
-    b1, b2, bw, be, bt = reduce(energy, all_mask)
-    d1, _, dw, de, _ = reduce(energy, diag_mask)
+def solve_bicrit_grid(*, speeds: tuple[float, ...], **params: ScalarOrArray) -> GridSolution:
+    """Solve BiCrit for arrays of parameters in one broadcast pass.
 
+    ``params`` are the model parameters of :func:`evaluate_pair_grid`
+    (``lam``, ``checkpoint``, ``verification``, ``recovery``, ``kappa``,
+    ``idle_power``, ``io_power``, ``rho``), each a scalar or a 1-D array
+    of length ``n``.  Returns per-value optima over the ``K x K``
+    speed-pair grid and over its diagonal (the single-speed baseline),
+    both read off one kernel pass over the s1-major pair product.
+    """
+    k = len(speeds)
+    grid = evaluate_pair_grid(np.repeat(speeds, k), np.tile(speeds, k), **params)
+    rows = np.arange(grid.energy.shape[0])
+    s = np.asarray(speeds, dtype=np.float64)
+
+    def winner(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: is any pair among ``columns`` feasible, and the
+        winning pair's column index."""
+        pick = columns[np.argmin(grid.energy[:, columns], axis=1)]
+        return np.isfinite(grid.energy[rows, pick]), pick
+
+    ok, best = winner(np.arange(k * k))
+    ok_d, diag = winner(np.arange(k) * (k + 1))
     return GridSolution(
-        values=np.arange(n, dtype=float),
-        sigma1=b1,
-        sigma2=b2,
-        work=bw,
-        energy=be,
-        time=bt,
-        sigma_single=d1,
-        work_single=dw,
-        energy_single=de,
+        values=np.arange(rows.size, dtype=float),
+        sigma1=np.where(ok, s[best // k], np.nan),
+        sigma2=np.where(ok, s[best % k], np.nan),
+        work=np.where(ok, grid.work[rows, best], np.nan),
+        energy=np.where(ok, grid.energy[rows, best], np.nan),
+        time=np.where(ok, grid.time[rows, best], np.nan),
+        sigma_single=np.where(ok_d, s[diag // k], np.nan),
+        work_single=np.where(ok_d, grid.work[rows, diag], np.nan),
+        energy_single=np.where(ok_d, grid.energy[rows, diag], np.nan),
     )
 
 
 def run_sweep_fast(cfg: Configuration, rho: float, axis: SweepAxis) -> GridSolution:
     """Vectorised equivalent of :func:`repro.sweep.runner.run_sweep`.
 
-    .. note:: Legacy wrapper.  Delegates to the ``grid`` backend of
-       the :mod:`repro.api` registry, which batches every axis value's
-       scenario through one :func:`solve_bicrit_grid` broadcast pass.
-       Because the scenarios are materialised with the axis's own
-       ``apply`` rule, any axis works here — no per-axis vectorised
-       mapping to maintain.  The equivalence tests pin the output
-       against the scalar path.
+    Every axis value's configuration is materialised with the axis's own
+    ``apply`` rule (so any parameter axis works, with no per-axis
+    vectorised mapping to maintain) and the whole axis is solved by one
+    :func:`solve_bicrit_grid` pass.  The numbers are the kernel's, which
+    equal the scalar path's; the equivalence tests pin the output
+    against :func:`~repro.sweep.runner.run_sweep`.
     """
-    from ..api.backends import get_backend
-    from ..api.scenario import Scenario
-
-    vals = np.asarray(axis.values, dtype=np.float64)
-    scenarios = []
-    for value in axis.values:
-        cfg_v, rho_v = axis.apply(cfg, rho, value)
-        scenarios.append(Scenario(config=cfg_v, rho=rho_v))
-    results = get_backend("grid").solve_batch(scenarios)
-    points = [r.raw for r in results]  # GridPoint per value (NaN = infeasible)
-    return GridSolution(
-        values=vals,
-        sigma1=np.array([p.sigma1 for p in points]),
-        sigma2=np.array([p.sigma2 for p in points]),
-        work=np.array([p.work for p in points]),
-        energy=np.array([p.energy_overhead for p in points]),
-        time=np.array([p.time_overhead for p in points]),
-        sigma_single=np.array([p.sigma_single for p in points]),
-        work_single=np.array([p.work_single for p in points]),
-        energy_single=np.array([p.energy_single for p in points]),
+    applied = [axis.apply(cfg, rho, value) for value in axis.values]
+    if any(cfg_v.speeds != cfg.speeds for cfg_v, _ in applied):
+        raise InvalidParameterError(
+            f"axis {axis.name!r} changes the DVFS speed set; run_sweep_fast "
+            f"sweeps model parameters over one speed set"
+        )
+    sol = solve_bicrit_grid(
+        **config_columns([cfg_v for cfg_v, _ in applied]),
+        rho=np.array([rho_v for _, rho_v in applied]),
+        speeds=cfg.speeds,
     )
+    return replace(sol, values=np.asarray(axis.values, dtype=np.float64))
 
 
 @dataclass(frozen=True)

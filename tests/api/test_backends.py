@@ -11,8 +11,12 @@ from repro.api.backends import (
     get_backend,
     register_backend,
 )
-from repro.api.result import GridPoint, Provenance, Result
-from repro.exceptions import UnknownBackendError, UnsupportedScenarioError
+from repro.api.result import Provenance, Result
+from repro.exceptions import (
+    InfeasibleBoundError,
+    UnknownBackendError,
+    UnsupportedScenarioError,
+)
 
 
 class TestRegistry:
@@ -105,40 +109,67 @@ class TestRouting:
         with pytest.raises(UnsupportedScenarioError):
             get_backend("firstorder").solve(sc)
 
-    def test_grid_rejects_speed_restrictions(self):
+    def test_grid_alias_solves_speed_restrictions(self):
         sc = Scenario(config="hera-xscale", rho=3.0, speeds=(0.4, 0.8))
-        assert not get_backend("grid").supports(sc)
-        with pytest.raises(UnsupportedScenarioError):
-            get_backend("grid").solve(sc)
+        assert get_backend("grid") is get_backend("firstorder")
+        assert get_backend("grid").supports(sc)
+        result = sc.solve(backend="grid", cache=False)
+        assert result.best == sc.solve(backend="firstorder", cache=False).best
+        assert result.best.sigma1 in (0.4, 0.8)
 
     def test_scenario_backend_field_is_honoured(self):
         result = Scenario(config="hera-xscale", rho=3.0, backend="grid").solve(
             cache=False
         )
-        assert result.provenance.backend == "grid"
+        # "grid" is an alias: the instance that solved it is firstorder.
+        assert result.provenance.backend == "firstorder"
 
     def test_solve_argument_overrides_scenario_field(self):
-        result = Scenario(config="hera-xscale", rho=3.0, backend="grid").solve(
+        result = Scenario(config="hera-xscale", rho=3.0, backend="exact").solve(
             backend="firstorder", cache=False
         )
         assert result.provenance.backend == "firstorder"
 
 
 class TestGridBackend:
+    """The retired ``grid`` name: an alias of the firstorder instance,
+    whose batch path is the vectorised kernel."""
+
     def test_single_solve_matches_firstorder(self, any_config):
         fo = Scenario(config=any_config, rho=3.0).solve(cache=False)
         gr = Scenario(config=any_config, rho=3.0).solve(backend="grid", cache=False)
-        assert gr.best == fo.best  # byte-identical (re-evaluated scalar path)
-        assert isinstance(gr.raw, GridPoint)
-        assert gr.raw.feasible
+        assert gr.best == fo.best
+        assert gr.provenance.backend == "firstorder"
+        assert gr.candidates == fo.candidates  # standalone: full payload
+
+    def test_grid_point_payload_through_run_sweep_fast(self, any_config):
+        """The kernel's per-value optimum and diagonal optimum (the old
+        ``GridPoint`` payload) agree with the scalar solves."""
+        from repro.sweep.axes import rho_axis
+        from repro.sweep.vectorized import run_sweep_fast
+
+        fast = run_sweep_fast(any_config, 3.0, rho_axis(lo=3.0, hi=3.0, n=1))
+        two = Scenario(config=any_config, rho=3.0).solve(cache=False).best
+        one = Scenario(config=any_config, rho=3.0, mode="single-speed").solve(
+            cache=False
+        ).best
+        assert fast.feasible_mask()[0]
+        assert (fast.sigma1[0], fast.sigma2[0]) == two.speed_pair
+        assert (fast.work[0], fast.energy[0]) == (two.work, two.energy_overhead)
+        assert fast.time[0] == two.time_overhead
+        assert fast.sigma_single[0] == one.sigma1
+        assert (fast.work_single[0], fast.energy_single[0]) == (
+            one.work,
+            one.energy_overhead,
+        )
 
     def test_single_speed_mode_reads_diagonal(self, any_config):
         fo = Scenario(config=any_config, rho=3.0, mode="single-speed").solve(
             cache=False
         )
-        gr = Scenario(config=any_config, rho=3.0, mode="single-speed").solve(
-            backend="grid", cache=False
-        )
+        gr = get_backend("grid").solve_batch(
+            [Scenario(config=any_config, rho=3.0, mode="single-speed")]
+        )[0]
         assert gr.best == fo.best
         assert gr.best.sigma1 == gr.best.sigma2
 
@@ -153,6 +184,7 @@ class TestGridBackend:
         for sc, res in zip(scenarios, results):
             expected = Scenario(config=sc.config, rho=sc.rho).solve(cache=False)
             assert res.best == expected.best
+            assert res.candidates == () and res.raw is None
 
     def test_batch_marks_infeasible_without_raising(self):
         scenarios = [
@@ -162,3 +194,6 @@ class TestGridBackend:
         results = get_backend("grid").solve_batch(scenarios)
         assert not results[0].feasible
         assert results[1].feasible
+        with pytest.raises(InfeasibleBoundError) as exc:
+            scenarios[0].solve(cache=False)
+        assert results[0].rho_min == exc.value.rho_min

@@ -87,7 +87,7 @@ class TestReportingExports:
         assert len(rows) == 2
         assert rows[0]["sigma1"] == ""  # infeasible row keeps empty cells
         assert rows[1]["config"] == "hera-xscale"
-        assert rows[1]["backend"] == "grid"
+        assert rows[1]["backend"] == "firstorder"  # "grid" is its alias
         assert float(rows[1]["work"]) == pytest.approx(2764, abs=1)
 
     def test_resultset_csv_records_grid_axes(self, tmp_path, toy_config):

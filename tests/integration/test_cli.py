@@ -196,10 +196,10 @@ class TestBackendsListing:
             assert column in header
         rows = {line.split()[0]: line for line in out.splitlines()[1:9]}
         # Last two cells per row: (batched, sweep).
-        assert rows["grid"].split()[-2:] == ["yes", "no"]
         assert rows["schedule-grid"].split()[-2:] == ["yes", "no"]
         assert rows["schedule-grid-incremental"].split()[-2:] == ["yes", "yes"]
-        assert rows["firstorder"].split()[-2:] == ["no", "no"]
+        assert rows["firstorder"].split()[-2:] == ["yes", "no"]
+        assert rows["grid"].split()[1:] == ["alias", "of", "firstorder"]
         assert rows["schedule-grid-jit"].split()[1:] == \
             ["alias", "of", "schedule-grid"]
         assert "sweep-aware backends" in out
