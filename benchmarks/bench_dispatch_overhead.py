@@ -1,12 +1,12 @@
-"""Bench: warm-worker pool vs per-call process-pool plan dispatch.
+"""Bench: a long-lived warm pool vs a fresh pool per plan.
 
 The transport-layer perf claim, measured through the :mod:`repro.perf`
 harness (median wall times, bootstrap CIs): a sequence of small
-multi-process plans dispatched through the persistent
+multi-process plans dispatched through the persistent process-wide
 :class:`~repro.exec.warm.WarmWorkerPool` (``transport="warm"``) must
-beat the same sequence through a fresh per-call
-``ProcessPoolExecutor`` (``processes=2``), because the warm fleet pays
-worker spawn once instead of once per plan.  The plans are small and
+beat the same sequence through ``processes=2``, which spawns a fresh
+pool for each plan and shuts it down before the call returns, because
+the long-lived fleet pays worker spawn once instead of once per plan.  The plans are small and
 per-scenario-backend on purpose — dispatch, not solving, dominates —
 and caching is disabled on both sides.  The grid is shared with the
 ``repro bench`` CLI via :func:`repro.perf.workloads.build_suite`; the
@@ -62,7 +62,7 @@ def test_warm_pool_vs_cold_pool_dispatch(results_dir):
     )
 
     # Conservative floor: warm dispatch must at least not lose to the
-    # per-plan spawn cost (typically ~2x faster).
+    # per-plan spawn cost.
     assert warm_ws.speedup > 1.0, (
-        f"warm pool only {warm_ws.speedup:.2f}x vs per-call pool dispatch"
+        f"warm pool only {warm_ws.speedup:.2f}x vs a fresh pool per plan"
     )

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..exceptions import InfeasibleBoundError, WorkerCrashError
 from ..exec.base import Shard, ShardOutcome, Transport, resolve_transport
+from ..exec.warm import WarmWorkerPool
 from .backends import get_backend
 from .cache import DEFAULT_CACHE, SolveCache
 from .result import Result, ResultSet
@@ -245,10 +246,12 @@ class ExecutionPlan:
             over.
         processes:
             When > 1 (and no explicit ``transport``), fan cache-miss
-            shards out over a per-call process pool of that many
-            workers (batched backends are sharded into contiguous
-            sub-batches, per-scenario backends fan out point-wise —
-            the same policy as :meth:`Study.solve`).
+            shards out over a fresh
+            :class:`~repro.exec.warm.WarmWorkerPool` of that many
+            workers, which this call shuts down before it returns —
+            on success and on error (batched backends are sharded into
+            contiguous sub-batches, per-scenario backends fan out
+            point-wise — the same policy as :meth:`Study.solve`).
         strict:
             Raise :class:`InfeasibleBoundError` on the first
             infeasible scenario instead of returning a best-less
@@ -259,15 +262,14 @@ class ExecutionPlan:
         transport:
             Where the shards execute: a
             :class:`~repro.exec.base.Transport` instance, ``"inline"``,
-            ``"pooled"``, ``"warm"`` (the process-wide
+            ``"warm"`` (the process-wide
             :func:`~repro.exec.warm.get_default_pool`), or ``None`` for
-            the historical ``processes=`` semantics.  See
-            docs/execution.md.
+            the ``processes=`` semantics.  See docs/execution.md.
 
         Raises
         ------
         WorkerCrashError
-            When shards were lost to crashed workers (beyond the warm
+            When shards were lost to crashed workers (beyond the
             pool's retry bound).  Raised only after the harvest drained
             and every completed shard was cached, so a re-execute
             solves just the lost remainder.
@@ -278,6 +280,11 @@ class ExecutionPlan:
         # prepare) and its parallelism sizes the sharding below.
         tp = resolve_transport(transport, processes)
         fan_out = tp.parallelism > 1
+        # ``processes=N`` alone gets a pool of its own: no worker
+        # outlives this call.
+        owned_pool = (
+            tp if transport is None and isinstance(tp, WarmWorkerPool) else None
+        )
 
         # Cache replay per unique scenario (dedup means one lookup per
         # distinct solve, not one per requested scenario).
@@ -356,8 +363,8 @@ class ExecutionPlan:
 
         failures: list[ShardOutcome] = []
         if shards:
-            tp.prepare(self.unique)
             try:
+                tp.prepare(self.unique)
                 for shard in shards:
                     tp.submit_shard(shard)
                 # Harvest in completion order: every outcome is cached
@@ -373,19 +380,17 @@ class ExecutionPlan:
                         failures.append(outcome)
             finally:
                 tp.close()
+                if owned_pool is not None:
+                    owned_pool.shutdown()
         if failures:
             # Deterministic shard exceptions (a raising backend) would
             # fail identically on retry — re-raise the first one
             # as-is.  Pure worker crashes aggregate into a
             # WorkerCrashError that tells the caller a re-execute
             # resumes from the cached shards.
-            from concurrent.futures.process import BrokenProcessPool
-
             for outcome in failures:
                 assert outcome.error is not None
-                if not isinstance(
-                    outcome.error, (WorkerCrashError, BrokenProcessPool)
-                ):
+                if not isinstance(outcome.error, WorkerCrashError):
                     raise outcome.error
             raise WorkerCrashError(
                 len(failures), sum(len(oc.shard) for oc in failures)

@@ -22,9 +22,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from ..platforms.catalog import configuration_names
-from .backends import get_backend
 from .cache import SolveCache
-from .result import Result, ResultSet
+from .result import ResultSet
 from .scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,13 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sweep.axes import SweepAxis
 
 __all__ = ["Study"]
-
-
-def _solve_shard(scenarios: list[Scenario], backend_name: str) -> list[Result]:
-    """Solve one shard through its backend's batch path, mapping
-    infeasible bounds to best-less results.  Module-level so process
-    pools can pickle it."""
-    return get_backend(backend_name).solve_batch(scenarios)
 
 
 def _shard(indices: list[int], shards: int) -> list[list[int]]:
@@ -216,8 +208,11 @@ class Study:
             As in :meth:`Scenario.solve`.  Cache hits skip solving
             entirely and are marked in provenance.
         processes:
-            When > 1, fan the cache misses out over that many worker
-            processes.  Misses routed to a batch-capable backend
+            When > 1 (and no explicit ``transport``), fan the cache
+            misses out over a fresh warm pool of that many worker
+            processes, shut down before this call returns; a shard
+            whose worker crashed is retried on a healthy one.  Misses
+            routed to a batch-capable backend
             (``firstorder``, ``schedule-grid``) are sharded into contiguous
             sub-batches — each worker solves a whole shard in one
             vectorised pass — while per-scenario backends fan out one
@@ -231,8 +226,8 @@ class Study:
         transport:
             Where the shards execute — a
             :class:`~repro.exec.base.Transport`, ``"inline"``,
-            ``"pooled"``, ``"warm"``, or ``None`` for the historical
-            ``processes=`` semantics.  See docs/execution.md for the
+            ``"warm"``, or ``None`` for the ``processes=`` semantics.
+            See docs/execution.md for the
             transports and the ``fork``/``spawn`` backend-registry
             caveat that applies to all multi-process execution.
         """

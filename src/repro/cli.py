@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
     p_serve.add_argument("--port", type=int, default=8337, help="bind port")
     p_serve.add_argument(
-        "--transport", default="warm", choices=("warm", "pooled", "inline"),
+        "--transport", default="warm", choices=("warm", "inline"),
         help="where solve shards execute (default: the warm worker pool)",
     )
     p_serve.add_argument(

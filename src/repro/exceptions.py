@@ -185,10 +185,10 @@ class WorkerCrashError(ReproError):
     the harvest loop has drained: every shard that *did* complete was
     already written to the solve cache, so re-executing the same plan
     replays the completed shards and solves only the lost remainder.
-    The warm-worker transport retries a crashed shard on a healthy
-    worker up to its retry bound before giving up on it; the per-call
-    process pool cannot (a dead worker breaks the whole pool), so a
-    single crash there surfaces every in-flight shard here.
+    The warm-worker pool — behind ``transport="warm"`` and
+    ``processes=N`` alike — retries a crashed shard on a healthy worker
+    up to its retry bound before giving up on it, so only a shard that
+    crashed its worker on every attempt is counted here.
     """
 
     def __init__(self, lost_shards: int, lost_scenarios: int):

@@ -2,9 +2,8 @@
 
 The :class:`Transport` seam decouples *what* an
 :class:`~repro.api.experiment.ExecutionPlan` solves from *where* the
-shards execute — in-process (:class:`InlineTransport`), on a per-call
-process pool (:class:`PooledTransport`), or on the persistent
-:class:`WarmWorkerPool`.  See docs/execution.md.
+shards execute — in-process (:class:`InlineTransport`) or on the worker
+processes of a :class:`WarmWorkerPool`.  See docs/execution.md.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .base import (
     resolve_transport,
     solve_shard_inline,
 )
-from .pooled import PooledTransport
 from .warm import (
     PoolStatus,
     WarmWorkerPool,
@@ -34,7 +32,6 @@ __all__ = [
     "ShardOutcome",
     "Transport",
     "InlineTransport",
-    "PooledTransport",
     "WarmWorkerPool",
     "PoolStatus",
     "WorkerStatus",

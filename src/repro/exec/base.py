@@ -2,13 +2,13 @@
 
 An :class:`~repro.api.experiment.ExecutionPlan` describes *what* to
 solve — deduplicated scenarios grouped into backend shards.  A
-:class:`Transport` decides *where*: in-process, on a per-call process
-pool, or on the persistent :class:`~repro.exec.warm.WarmWorkerPool`.
+:class:`Transport` decides *where*: in-process, or on the worker
+processes of a :class:`~repro.exec.warm.WarmWorkerPool`.
 The contract is deliberately tiny so remote fabrics (the ROADMAP's
 distributed story) plug into the same seam:
 
 * :meth:`Transport.prepare` — one call per plan, handing the transport
-  the plan's unique scenarios (a process transport starts its workers
+  the plan's unique scenarios (the warm pool starts its workers
   here);
 * :meth:`Transport.submit_shard` — enqueue one :class:`Shard`;
 * :meth:`Transport.as_completed` — yield a :class:`ShardOutcome` per
@@ -165,33 +165,29 @@ def resolve_transport(
 ) -> Transport:
     """Map the ``transport=`` argument convention to a transport.
 
-    ``None`` keeps the historical ``processes=`` semantics: a per-call
-    process pool when ``processes > 1``, else inline.  Strings select a
-    kind — ``"inline"``, ``"pooled"`` (per-call
-    ``ProcessPoolExecutor``), or ``"warm"`` (the process-wide reusable
-    :func:`~repro.exec.warm.get_default_pool`) — sized by ``processes``
-    where that applies.  A :class:`Transport` instance is used as-is
-    (the executor still calls ``prepare``/``close`` around the plan).
+    ``None`` keeps the ``processes=`` semantics: a fresh
+    :class:`~repro.exec.warm.WarmWorkerPool` of ``processes`` workers
+    when ``processes > 1`` (its caller owns it and shuts it down, as
+    :meth:`~repro.api.experiment.ExecutionPlan.execute` does), else
+    inline.  Strings select a kind — ``"inline"`` or ``"warm"`` (the
+    process-wide reusable :func:`~repro.exec.warm.get_default_pool`,
+    sized by ``processes`` when it is first created).  A
+    :class:`Transport` instance is used as-is (the executor still calls
+    ``prepare``/``close`` around the plan).
     """
     if isinstance(transport, Transport):
         return transport
-    if transport is None:
-        if processes is not None and processes > 1:
-            from .pooled import PooledTransport
+    if transport is None and processes is not None and processes > 1:
+        from .warm import WarmWorkerPool
 
-            return PooledTransport(max_workers=processes)
+        return WarmWorkerPool(max_workers=processes)
+    if transport is None or transport == "inline":
         return InlineTransport()
-    if transport == "inline":
-        return InlineTransport()
-    if transport == "pooled":
-        from .pooled import PooledTransport
-
-        return PooledTransport(max_workers=processes)
     if transport == "warm":
         from .warm import get_default_pool
 
         return get_default_pool(max_workers=processes)
     raise InvalidParameterError(
         f"unknown transport {transport!r}; expected a Transport instance, "
-        f"'inline', 'pooled', 'warm', or None"
+        f"'inline', 'warm', or None"
     )

@@ -1,10 +1,13 @@
-"""The persistent warm-worker pool transport.
+"""The persistent warm-worker pool: the one multi-process transport.
 
-``PooledTransport`` pays a full process-pool spawn on every plan —
-fine for one big grid, ruinous for the many small plans of an
-interactive session or a service loop.  :class:`WarmWorkerPool` keeps
-a fleet of worker processes alive across plans and streams shards to
-whichever worker is free:
+:class:`WarmWorkerPool` keeps a fleet of worker processes alive across
+plans and streams shards to whichever worker is free.  It serves every
+multi-process plan: ``transport="warm"`` shares the process-wide
+:func:`get_default_pool`, a pool instance passed as ``transport=``
+lives as long as its owner keeps it, and ``processes=N`` gets a fresh
+``WarmWorkerPool(max_workers=N)`` that
+:meth:`~repro.api.experiment.ExecutionPlan.execute` shuts down before
+it returns.
 
 * **acquire/release** — workers are leased per shard
   (:meth:`WarmWorkerPool.acquire` / :meth:`WarmWorkerPool.release`)
@@ -16,21 +19,18 @@ whichever worker is free:
   ``Process.sentinel``.  A reply and a death are both *events*: a
   SIGKILLed worker is noticed the moment the OS reports it, with no
   liveness poll, and it cannot wedge any other worker's replies;
-* **recycling** — a worker that has solved ``max_tasks_per_worker``
+* **recycling** — a worker that has solved :data:`MAX_TASKS_PER_WORKER`
   shards is retired and replaced, bounding any slow leak a backend
   might carry;
 * **bounded retry** — a shard whose worker crashed is re-queued onto a
-  healthy worker up to ``max_retries`` times before it is reported
+  healthy worker up to :data:`MAX_RETRIES` times before it is reported
   lost (:class:`~repro.exceptions.WorkerCrashError`);
 * **graceful degradation** — when workers cannot be (re)started at
   all, the remaining shards solve inline in the parent process; the
   plan still completes, just without parallelism.
 
-The pool is a :class:`~repro.exec.base.Transport`, so
-``Experiment.solve(transport=pool)`` (or ``transport="warm"`` for the
-process-wide :func:`get_default_pool`) routes a plan through it;
 ``close()`` only releases per-plan resources — workers stay warm until
-:meth:`shutdown` (the default pool is shut down atexit).
+:meth:`WarmWorkerPool.shutdown` (the default pool is shut down atexit).
 
 Registry caveat: workers inherit the backend registry at fork, so
 custom backends registered at runtime are visible to them under the
@@ -43,6 +43,7 @@ docs/execution.md).
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import time
 from collections import deque
@@ -52,12 +53,11 @@ from collections.abc import Iterator, Sequence
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
-from ..exceptions import WorkerCrashError
+from ..exceptions import InvalidParameterError, WorkerCrashError
 from .base import Shard, ShardOutcome, Transport, solve_shard_inline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
-    from multiprocessing.context import BaseContext
     from multiprocessing.process import BaseProcess
 
     from ..api.scenario import Scenario
@@ -74,7 +74,10 @@ __all__ = [
 ]
 
 #: Tasks a worker solves before it is retired and replaced.
-DEFAULT_MAX_TASKS = 256
+MAX_TASKS_PER_WORKER = 256
+
+#: Crash-retries per shard before it is reported lost.
+MAX_RETRIES = 2
 
 
 def _default_worker_count() -> int:
@@ -209,30 +212,17 @@ class WarmWorkerPool(Transport):
     Parameters
     ----------
     max_workers:
-        Fleet size (default: CPU count capped at 8).
-    max_tasks_per_worker:
-        Shards a worker solves before being retired and replaced.
-    max_retries:
-        Crash-retries per shard before it is reported lost.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default,
-        ``fork`` on Linux — see the registry caveat in the module
-        docstring).
+        Fleet size, ``>= 1`` (``None``: the CPU count capped at 8).
+        Workers start with the platform's default ``multiprocessing``
+        start method — see the registry caveat in the module docstring.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        max_tasks_per_worker: int = DEFAULT_MAX_TASKS,
-        max_retries: int = 2,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise InvalidParameterError(
+                f"max_workers must be >= 1 (or None for the default), got {max_workers}"
+            )
         self.max_workers = max_workers or _default_worker_count()
-        self.max_tasks_per_worker = max_tasks_per_worker
-        self.max_retries = max_retries
-        self._start_method = start_method
-        self._ctx: "BaseContext | None" = None
         self._workers: dict[int, _Worker] = {}
         self._retiring: dict[int, _Worker] = {}
         self._idle: deque[int] = deque()
@@ -266,21 +256,16 @@ class WarmWorkerPool(Transport):
         A failed spawn marks the pool unhealthy — plans then degrade to
         inline execution instead of failing.
         """
-        if self._ctx is None:
-            import multiprocessing
-
-            self._ctx = multiprocessing.get_context(self._start_method)
         self._started = True
         while len(self._workers) < self.max_workers:
             if self._spawn_worker() is None:
                 break
 
     def _spawn_worker(self) -> _Worker | None:
-        assert self._ctx is not None
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
             target=_worker_main,
             args=(child_conn,),
             name=f"repro-warm-worker-{worker_id}",
@@ -322,7 +307,6 @@ class WarmWorkerPool(Transport):
         self._retiring.clear()
         self._idle.clear()
         self._started = False
-        self._ctx = None
 
     # ------------------------------------------------------------------
     # Acquire / release
@@ -343,7 +327,7 @@ class WarmWorkerPool(Transport):
                 if not worker.alive:
                     self._bury(worker)
                     continue
-                if worker.tasks_done >= self.max_tasks_per_worker:
+                if worker.tasks_done >= MAX_TASKS_PER_WORKER:
                     self._recycle_worker(worker)
                     continue
                 return worker
@@ -358,7 +342,7 @@ class WarmWorkerPool(Transport):
         """Return a leased worker to the idle set (or retire it when it
         has hit its task budget)."""
         worker.busy = None
-        if worker.tasks_done >= self.max_tasks_per_worker:
+        if worker.tasks_done >= MAX_TASKS_PER_WORKER:
             self._recycle_worker(worker)
         elif worker.worker_id in self._workers:
             self._idle.append(worker.worker_id)
@@ -528,7 +512,7 @@ class WarmWorkerPool(Transport):
     def _bury(self, worker: _Worker) -> None:
         """A worker process ended.  A retiring worker was asked to; any
         other exit is a crash: spawn a successor and retry (or, past
-        ``max_retries``, fail) the shard it was solving."""
+        :data:`MAX_RETRIES`, fail) the shard it was solving."""
         self._drain(worker)  # a reply sent just before the exit still counts
         worker.reap()
         if self._retiring.pop(worker.worker_id, None) is not None:
@@ -548,7 +532,7 @@ class WarmWorkerPool(Transport):
             return
         retries = self._retries.get(shard_id, 0) + 1
         self._retries[shard_id] = retries
-        if retries <= self.max_retries:
+        if retries <= MAX_RETRIES:
             self._shard_retries += 1
             self._pending.appendleft(shard)
         else:

@@ -29,11 +29,11 @@ Four suites mirror the legacy bench scripts:
     catalog x rho study.
 ``dispatch_overhead``
     Cold-pool vs warm-pool plan dispatch: the same sequence of small
-    multi-process plans executed through a fresh per-call
-    ``ProcessPoolExecutor`` each time (``processes=2``) vs the
-    persistent :class:`~repro.exec.warm.WarmWorkerPool`
-    (``transport="warm"``) — the per-plan spawn/teardown cost the warm
-    fabric amortises.
+    multi-process plans executed through a fresh
+    :class:`~repro.exec.warm.WarmWorkerPool` per plan, spawned and shut
+    down by the call (``processes=2``), vs the persistent process-wide
+    pool (``transport="warm"``) — the per-plan spawn/teardown cost a
+    long-lived pool amortises.
 ``incremental``
     The cold lockstep solve vs the incremental (warm-started) tier on
     the two sweep shapes the tier is specified against: a dense 1-axis
@@ -372,8 +372,8 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
         return {"plans": float(plans), "scenarios": float(len(scenarios))}
 
     def cold() -> dict[str, float]:
-        # transport=None + processes=2: a fresh ProcessPoolExecutor
-        # per plan — the per-call dispatch cost.
+        # transport=None + processes=2: a fresh pool per plan, shut
+        # down before the call returns — the cold dispatch cost.
         return _run_plans(None)
 
     def warm() -> dict[str, float]:

@@ -21,7 +21,7 @@ from ..exceptions import InvalidParameterError
 __all__ = ["ServiceConfig", "TRANSPORTS"]
 
 #: Transport kinds a job may execute on (docs/execution.md).
-TRANSPORTS: tuple[str, ...] = ("warm", "pooled", "inline")
+TRANSPORTS: tuple[str, ...] = ("warm", "inline")
 
 #: Environment variable carrying a comma-separated bearer-token list.
 TOKENS_ENV = "REPRO_SERVICE_TOKENS"
@@ -51,12 +51,11 @@ class ServiceConfig:
     transport:
         Where job plans execute: ``"warm"`` (the process-wide
         :class:`~repro.exec.warm.WarmWorkerPool`, spawned at app
-        startup and drained at shutdown), ``"pooled"`` (a per-plan
-        process pool), or ``"inline"`` (the calling thread — what
-        tests use).
+        startup and drained at shutdown) or ``"inline"`` (the calling
+        thread — what tests use).
     max_workers:
-        Fleet size for the warm/pooled transports (``None`` = the
-        pool's CPU-capped default).
+        Fleet size of the warm pool, ``>= 1`` (``None`` = the pool's
+        CPU-capped default).
     job_workers:
         Executor threads draining the job queue.  Plans routed through
         the shared warm pool serialise on it regardless (the pool runs
@@ -93,6 +92,10 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"unknown service transport {self.transport!r}; "
                 f"expected one of: {', '.join(TRANSPORTS)}"
+            )
+        if self.max_workers is not None and self.max_workers < 1:
+            raise InvalidParameterError(
+                "max_workers must be >= 1 (or None for the default)"
             )
         if self.job_workers < 1:
             raise InvalidParameterError("job_workers must be >= 1")

@@ -2,9 +2,9 @@
 
 The ``chaos`` test backend is registered for the whole package (an
 autouse package-scoped fixture) — in the parent process, before any
-worker exists, so both the ``fork`` start method (registry inherited
-at fork) and the pooled executor (workers forked at first submit) see
-it; it is popped again on package teardown so the registry stays
+worker exists, so every warm pool's workers (forked when a plan first
+starts them, under the ``fork`` start method) inherit it in the
+registry; it is popped again on package teardown so the registry stays
 clean for the rest of the session (the ``repro backends`` CLI tests
 pin the listing).  Its behaviour is scripted per scenario through the
 ``label`` field, which crosses the process boundary with the scenario

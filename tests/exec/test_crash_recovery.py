@@ -13,6 +13,7 @@ intermittent hangs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -22,7 +23,7 @@ import pytest
 from repro.api.cache import SolveCache
 from repro.api.experiment import Experiment, PlanProgress
 from repro.exceptions import ConvergenceError, WorkerCrashError
-from repro.exec import WarmWorkerPool
+from repro.exec import WarmWorkerPool, shutdown_default_pool
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -176,28 +177,34 @@ def test_poisoned_shard_keeps_other_shards_cached(chaos_scenarios):
 def test_killed_processes4_run_resumes_from_cache(
     chaos_scenarios, tmp_path, resume_on_warm_pool
 ):
-    """The acceptance scenario: ``processes=4``, a worker killed
-    mid-run, re-execute → completed shards replay from cache, only the
-    remainder is solved, final results equal the uninterrupted
-    single-process run.  The resume runs on ``processes=4`` again or on
-    a warm pool: the cache, not the transport, carries the progress."""
-    flag = tmp_path / "kill-mid-plan"
-    # The kamikaze shard sleeps first so the fast shards can finish
-    # (and be harvested + cached) before it takes its worker down.
-    scenarios = chaos_scenarios([f"sleep:1.0;kill:{flag}"] + [""] * 7)
+    """The acceptance scenario: ``processes=4``, a shard that kills its
+    worker on every attempt, re-execute → completed shards replay from
+    cache, only the remainder is solved, final results equal the
+    uninterrupted single-process run.  The resume runs on
+    ``processes=4`` again or on a warm pool: the cache, not the
+    transport, carries the progress."""
+    # Three flag files: the kamikaze shard kills its worker on the
+    # first try and on both retries, so the plan loses it.  It sleeps
+    # first so the fast shards are harvested while it runs.
+    flags = [tmp_path / f"kill-mid-plan-{i}" for i in range(3)]
+    kills = ";".join(f"kill:{flag}" for flag in flags)
+    scenarios = chaos_scenarios([f"sleep:0.5;{kills}"] + [""] * 7)
     exp = Experiment.from_scenarios(scenarios, name="acceptance")
-    # Baseline before the flag exists: the inline run in this process
+    # Baseline before the flags exist: the inline run in this process
     # sleeps but does not kill.
     expected = exp.solve(cache=False, transport="inline")
-    flag.touch()
+    for flag in flags:
+        flag.touch()
 
     cache = SolveCache()
-    with pytest.raises(WorkerCrashError):
+    with pytest.raises(WorkerCrashError) as excinfo:
         exp.solve(cache=cache, processes=4)
+    assert not any(flag.exists() for flag in flags)
+    assert (excinfo.value.lost_shards, excinfo.value.lost_scenarios) == (1, 1)
     cached = len(cache)
-    # The crash broke the per-call pool, but every shard completed
-    # before it was cached (the kamikaze shard itself cannot be).
-    assert 1 <= cached <= len(scenarios) - 1
+    # Every other shard completed and was cached; the kamikaze shard
+    # itself cannot be.
+    assert cached == len(scenarios) - 1
 
     ticks: list[PlanProgress] = []
     if resume_on_warm_pool:
@@ -213,6 +220,43 @@ def test_killed_processes4_run_resumes_from_cache(
     assert len(cache) == len(scenarios)
     for got, want in zip(resumed, expected):
         _field_equal(got, want)
+
+
+def test_processes2_sigkill_is_retried_and_matches_inline(chaos_scenarios, tmp_path):
+    """``processes=N`` runs on a warm pool, so it gains the bounded crash
+    retry: one SIGKILL costs a retry, not the shard."""
+    flag = tmp_path / "kill-once"
+    scenarios = chaos_scenarios([f"kill:{flag}", "", "", ""])
+    exp = Experiment.from_scenarios(scenarios, name="processes-kill")
+    expected = exp.solve(cache=False, transport="inline")
+    flag.touch()
+    results = exp.solve(cache=False, processes=2)
+    assert not flag.exists()
+    assert len(results) == len(expected)
+    for got, want in zip(results, expected):
+        _field_equal(got, want)
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_processes_call_leaves_no_worker_behind(chaos_scenarios, tmp_path, crash):
+    """The pool behind ``processes=2`` lives for the call only: no
+    worker process survives it, whether the plan succeeds or raises."""
+    shutdown_default_pool()  # its workers would be counted below
+    label = ""
+    if crash:
+        flags = [tmp_path / f"kill-{i}" for i in range(3)]
+        for flag in flags:
+            flag.touch()
+        label = ";".join(f"kill:{flag}" for flag in flags)
+    exp = Experiment.from_scenarios(
+        chaos_scenarios([label, "", "", ""]), name="no-leftovers"
+    )
+    if crash:
+        with pytest.raises(WorkerCrashError):
+            exp.solve(cache=False, processes=2)
+    else:
+        assert all(r.feasible for r in exp.solve(cache=False, processes=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_progress_ticks_follow_completion_order(chaos_scenarios):

@@ -18,14 +18,15 @@ from repro.api.scenario import Scenario
 from repro.exceptions import InvalidParameterError
 from repro.exec import (
     InlineTransport,
-    PooledTransport,
     Shard,
     WarmWorkerPool,
+    default_pool_or_none,
     get_default_pool,
     resolve_transport,
     shutdown_default_pool,
     solve_shard_inline,
 )
+from repro.exec import warm
 
 from .conftest import CHAOS_BACKEND
 
@@ -34,13 +35,17 @@ class TestResolveTransport:
     def test_none_maps_to_processes_semantics(self):
         assert isinstance(resolve_transport(None, None), InlineTransport)
         assert isinstance(resolve_transport(None, 1), InlineTransport)
-        pooled = resolve_transport(None, 3)
-        assert isinstance(pooled, PooledTransport)
-        assert pooled.max_workers == 3
+        # processes > 1: a fresh pool for the call, never the default
+        # pool, and no workers until a plan starts them.
+        fresh = resolve_transport(None, 3)
+        assert isinstance(fresh, WarmWorkerPool)
+        assert fresh.max_workers == 3
+        assert fresh is not default_pool_or_none()
+        assert resolve_transport(None, 3) is not fresh
+        assert not fresh.status().started
 
     def test_strings_select_kinds(self):
         assert isinstance(resolve_transport("inline", 4), InlineTransport)
-        assert isinstance(resolve_transport("pooled", 2), PooledTransport)
         try:
             warm = resolve_transport("warm", 2)
             assert isinstance(warm, WarmWorkerPool)
@@ -53,9 +58,10 @@ class TestResolveTransport:
         tp = InlineTransport()
         assert resolve_transport(tp, 8) is tp
 
-    def test_unknown_string_raises_typed(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_transport("teleport", None)
+    @pytest.mark.parametrize("kind", ["teleport", "pooled"])
+    def test_unknown_string_raises_typed(self, kind):
+        with pytest.raises(InvalidParameterError, match="'inline', 'warm'"):
+            resolve_transport(kind, None)
 
 
 class TestInlineTransport:
@@ -90,7 +96,7 @@ class TestInlineTransport:
 
     def test_parallelism_is_one(self):
         assert InlineTransport().parallelism == 1
-        assert PooledTransport(max_workers=5).parallelism == 5
+        assert WarmWorkerPool(max_workers=5).parallelism == 5
 
 
 class TestWarmPoolMachinery:
@@ -177,8 +183,9 @@ class TestWarmPoolMachinery:
             os.kill(busy.pid, 0)
         assert pool.status().workers == ()
 
-    def test_max_tasks_recycling_replaces_workers(self, chaos_scenarios):
-        pool = WarmWorkerPool(max_workers=2, max_tasks_per_worker=1)
+    def test_max_tasks_recycling_replaces_workers(self, chaos_scenarios, monkeypatch):
+        monkeypatch.setattr(warm, "MAX_TASKS_PER_WORKER", 1)
+        pool = WarmWorkerPool(max_workers=2)
         try:
             exp = Experiment.from_scenarios(chaos_scenarios(["", "", "", ""]))
             results = exp.solve(cache=False, transport=pool)
@@ -208,6 +215,16 @@ class TestWarmPoolMachinery:
             assert status.workers == ()
         finally:
             pool.shutdown()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_max_workers_rejected(self, workers):
+        with pytest.raises(InvalidParameterError, match="max_workers must be >= 1"):
+            WarmWorkerPool(max_workers=workers)
+
+    def test_max_workers_none_is_the_cpu_capped_default(self):
+        expected = max(1, min(8, os.cpu_count() or 1))
+        assert WarmWorkerPool().max_workers == expected
+        assert WarmWorkerPool(max_workers=None).parallelism == expected
 
     def test_status_describe_before_start(self):
         pool = WarmWorkerPool(max_workers=3)
@@ -264,7 +281,7 @@ def _assert_same_results(got, want) -> None:
 
 
 def test_processes_two_matches_sequential() -> None:
-    """processes=2 (pickled shards on a per-call pool) == sequential."""
+    """processes=2 (pickled shards on a pool the call owns) == sequential."""
     exp = _two_config_experiment("processes-test")
     _assert_same_results(exp.solve(cache=False, processes=2), exp.solve(cache=False))
 

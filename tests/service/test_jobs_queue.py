@@ -17,6 +17,7 @@ from repro.service import (
     JobStore,
     ServiceConfig,
 )
+from repro.service.config import TRANSPORT_ENV, TRANSPORTS
 from repro.service.queue import ServiceMetrics
 from repro.service.metrics import MetricsRegistry
 from repro.service.specs import parse_experiment_spec
@@ -33,6 +34,45 @@ def spec():
             },
         }
     )
+
+
+class TestServiceConfig:
+    def test_transport_kinds(self):
+        assert TRANSPORTS == ("warm", "inline")
+        for kind in TRANSPORTS:
+            assert ServiceConfig(transport=kind).transport == kind
+
+    def test_retired_pooled_transport_rejected_with_valid_kinds(self, monkeypatch):
+        with pytest.raises(InvalidParameterError, match="warm, inline"):
+            ServiceConfig(transport="pooled")
+        monkeypatch.setenv(TRANSPORT_ENV, "pooled")
+        with pytest.raises(InvalidParameterError, match="warm, inline"):
+            ServiceConfig.from_env()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_max_workers_rejected(self, workers):
+        with pytest.raises(InvalidParameterError, match="max_workers must be >= 1"):
+            ServiceConfig(max_workers=workers)
+
+    def test_max_workers_none_or_positive_accepted(self):
+        assert ServiceConfig().max_workers is None
+        assert ServiceConfig(max_workers=1).max_workers == 1
+
+    def test_serve_cli_rejects_bad_workers_and_pooled(self, capsys, monkeypatch):
+        import repro.service
+        from repro.cli import main
+
+        def app_built(config):
+            raise AssertionError(f"the service was built with {config}")
+
+        # Both must fail before any app (or socket) exists.
+        monkeypatch.setattr(repro.service, "ServiceApp", app_built)
+        with pytest.raises(InvalidParameterError, match="max_workers must be >= 1"):
+            main(["serve", "--workers", "0", "--port", "0"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--transport", "pooled", "--port", "0"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'pooled'" in capsys.readouterr().err
 
 
 class TestJobModel:
