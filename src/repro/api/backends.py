@@ -8,8 +8,9 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     (:mod:`repro.core.solver` / :mod:`repro.core.singlespeed`) for a
     standalone solve; batches run through the vectorised Theorem-1
     kernel (:func:`repro.sweep.vectorized.evaluate_pair_grid`), one
-    broadcast pass per pair axis, with each winner re-evaluated through
-    the scalar path.
+    broadcast pass per pair axis, and every winner is read off the
+    kernel's columns (its exact Prop. 2/3 overheads from one
+    :func:`~repro.sweep.vectorized.exact_overheads` pass).
 ``exact``
     Numeric optimisation of the exact Propositions 2/3
     (:mod:`repro.core.numeric`).
@@ -60,6 +61,7 @@ import numpy as np
 
 from ..core.numeric import ExactSolution, solve_pair_exact
 from ..core.singlespeed import _solve_single_speed_direct
+from ..core.solution import PatternSolution
 from ..core.solver import _solve_bicrit_direct, evaluate_pair
 from ..errors.combined import CombinedErrors
 from ..errors.models import ErrorModel
@@ -78,7 +80,7 @@ from ..schedules.incremental import (
 )
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
-from ..sweep.vectorized import config_columns, evaluate_pair_grid
+from ..sweep.vectorized import config_columns, evaluate_pair_grid, exact_overheads
 from .result import Provenance, Result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -214,10 +216,15 @@ class FirstOrderBackend(SolverBackend):
     ``sigma2_choices=`` restriction) and evaluates each group's rows x
     pairs in one :func:`~repro.sweep.vectorized.evaluate_pair_grid`
     pass.  The kernel repeats the scalar arithmetic, so its first
-    minimum is the scalar scan's winner; only that pair is re-evaluated
-    through :func:`~repro.core.solver.evaluate_pair`, so ``best`` is
-    byte-identical to a standalone solve.  Batch results carry ``best``
-    (or, when infeasible, the Eq. (6) ``rho_min``) but no candidates.
+    minimum is the scalar scan's winner and its columns are that
+    winner's first-order fields; one
+    :func:`~repro.sweep.vectorized.exact_overheads` pass over the
+    winners adds the exact Prop. 2/3 overheads, again in the scalar
+    operation order.  So ``best`` equals what
+    :func:`~repro.core.solver.evaluate_pair` returns for the winning
+    pair, field for field, with no scalar work per row.  Batch results
+    carry ``best`` (or, when infeasible, the Eq. (6) ``rho_min``) but
+    no candidates.
     """
 
     name = "firstorder"
@@ -246,7 +253,8 @@ class FirstOrderBackend(SolverBackend):
         for sc in scenarios:
             self.check_supports(sc)
         t0 = time.perf_counter()
-        results: list[Result | None] = [None] * len(scenarios)
+        bests: list[PatternSolution | None] = [None] * len(scenarios)
+        rho_mins: list[float | None] = [None] * len(scenarios)
         configs = [sc.resolved_config() for sc in scenarios]
         groups: dict[tuple[tuple[float, float], ...], list[int]] = {}
         for i, (sc, cfg) in enumerate(zip(scenarios, configs)):
@@ -254,55 +262,58 @@ class FirstOrderBackend(SolverBackend):
 
         for pairs, idxs in groups.items():
             if not pairs or min(min(pair) for pair in pairs) <= 0.0:
-                # No pair, or a non-positive speed: solve standalone,
-                # which raises exactly what Scenario.solve raises.
-                for i in idxs:
-                    results[i] = super().solve_batch([scenarios[i]])[0]
-                continue
+                # No pair, or a non-positive speed: a standalone solve
+                # raises exactly what Scenario.solve raises.
+                self.solve(scenarios[idxs[0]])
             s1, s2 = zip(*pairs)
+            columns = config_columns([configs[i] for i in idxs])
             grid = evaluate_pair_grid(
-                s1,
-                s2,
-                **config_columns([configs[i] for i in idxs]),
-                rho=np.array([scenarios[i].rho for i in idxs]),
+                s1, s2, **columns, rho=np.array([scenarios[i].rho for i in idxs])
             )
-            winners = np.argmin(grid.energy, axis=1)
-            rho_min = np.min(grid.rho_min, axis=1)
-            for pos, i in enumerate(idxs):
-                k = int(winners[pos])
-                if np.isfinite(grid.energy[pos, k]):
-                    results[i] = self._winner(scenarios[i], configs[i], pairs[k])
+            rows = np.arange(len(idxs))
+            k = np.argmin(grid.energy, axis=1)
+            energy = grid.energy[rows, k]
+            ok = np.isfinite(energy)
+            work = grid.work[rows, k]
+            energy_exact = np.full(len(idxs), np.nan)
+            time_exact = np.full(len(idxs), np.nan)
+            energy_exact[ok], time_exact[ok] = exact_overheads(
+                work[ok],
+                np.asarray(s1)[k[ok]],
+                np.asarray(s2)[k[ok]],
+                **{name: column[ok] for name, column in columns.items()},
+            )
+            # The winner's fields after its pair, in PatternSolution order.
+            fields = (
+                work,
+                energy,
+                grid.time[rows, k],
+                energy_exact,
+                time_exact,
+                grid.rho_min[rows, k],
+            )
+            for i, pair, feasible, row_rho_min, *values in zip(
+                idxs,
+                k.tolist(),
+                ok.tolist(),
+                np.min(grid.rho_min, axis=1).tolist(),
+                *(column.tolist() for column in fields),
+            ):
+                if feasible:
+                    bests[i] = PatternSolution(*pairs[pair], *values)
                 else:
-                    results[i] = Result(
-                        scenario=scenarios[i],
-                        provenance=Provenance(backend=self.name),
-                        best=None,
-                        rho_min=float(rho_min[pos]),
-                    )
+                    rho_mins[i] = row_rho_min
 
         wall = time.perf_counter() - t0
-        share = wall / max(len(scenarios), 1)
+        provenance = Provenance(
+            backend=self.name,
+            wall_time=wall / max(len(scenarios), 1),
+            batch_size=len(scenarios),
+        )
         return [
-            replace(
-                r,
-                provenance=replace(
-                    r.provenance, wall_time=share, batch_size=len(scenarios)
-                ),
-            )
-            for r in results
+            Result(scenario=sc, provenance=provenance, best=best, rho_min=rho_min)
+            for sc, best, rho_min in zip(scenarios, bests, rho_mins)
         ]
-
-    def _winner(
-        self, scenario: "Scenario", cfg: Configuration, pair: tuple[float, float]
-    ) -> Result:
-        """A batch row's kernel winner, re-evaluated through the scalar path."""
-        best = evaluate_pair(cfg, pair[0], pair[1], scenario.rho).solution
-        if best is None:
-            # The kernel called the pair feasible and the scalar path
-            # disagrees: defer to the scalar enumeration, so a batch row
-            # never diverges from a standalone solve.
-            return super().solve_batch([scenario])[0]
-        return Result(scenario=scenario, provenance=Provenance(backend=self.name), best=best)
 
 
 class ExactBackend(SolverBackend):

@@ -53,6 +53,9 @@ MODES: tuple[str, ...] = ("silent", "single-speed", "combined", "failstop")
 #: Modes that need a combined-error model.
 _COMBINED_MODES = frozenset({"combined", "failstop"})
 
+#: Instance-dict key of :meth:`Scenario.resolved_config`'s memo.
+_CONFIG_MEMO = "_resolved_config"
+
 
 def _resolve_cache(
     cache: "SolveCache | bool | None", default: "SolveCache | None"
@@ -211,13 +214,29 @@ class Scenario:
     # ------------------------------------------------------------------
     def resolved_config(self) -> Configuration:
         """The concrete configuration: catalog names resolved, the
-        ``error_rate`` override applied."""
+        ``error_rate`` override applied.
+
+        Resolved once per instance and memoised outside the dataclass
+        fields (the catalog is fixed and the scenario frozen), so the
+        memo stays out of ``==``, ``hash``, ``repr`` and pickles; a
+        ``dataclasses.replace`` copy resolves afresh.
+        """
+        memo: Configuration | None = self.__dict__.get(_CONFIG_MEMO)
+        if memo is not None:
+            return memo
         cfg = self.config
         if isinstance(cfg, str):
             cfg = get_configuration(cfg)
         if self.error_rate is not None:
             cfg = cfg.with_error_rate(self.error_rate)
+        self.__dict__[_CONFIG_MEMO] = cfg
         return cfg
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle the fields only, never the configuration memo."""
+        state = dict(self.__dict__)
+        state.pop(_CONFIG_MEMO, None)
+        return state
 
     @property
     def effective_failstop_fraction(self) -> float:

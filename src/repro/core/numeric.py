@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from ..exceptions import ConvergenceError
 from ..platforms.configuration import Configuration
@@ -65,6 +64,8 @@ def minimize_unimodal(
     the exact overheads (flat near the optimum, exponential far right)
     where a single Brent call from an arbitrary bracket can stall.
     """
+    from scipy.optimize import minimize_scalar
+
     grid = np.logspace(math.log10(lo), math.log10(hi), coarse)
     vals = np.array([fn(w) for w in grid])
     if not np.all(np.isfinite(vals)):
@@ -90,6 +91,7 @@ def exact_feasible_interval(
     Uses the unimodality of the exact time overhead: find its minimum,
     then bracket the ``rho`` crossings on each side with Brent.
     """
+    from scipy.optimize import brentq
 
     def t_over(w: float) -> float:
         with np.errstate(over="ignore"):
@@ -123,6 +125,8 @@ def solve_pair_exact(
     cfg: Configuration, sigma1: float, sigma2: float, rho: float
 ) -> ExactSolution | None:
     """Exact constrained optimum for one speed pair (``None`` = infeasible)."""
+    from scipy.optimize import minimize_scalar
+
     interval = exact_feasible_interval(cfg, sigma1, sigma2, rho)
     if interval is None:
         return None

@@ -64,7 +64,6 @@ from collections.abc import Callable
 from typing import Any
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from ..exceptions import InvalidParameterError, UnsupportedErrorModelError
 from ..quantities import (
@@ -463,6 +462,8 @@ class WeibullArrivals(ArrivalProcess):
         return float(q) if is_scalar(exposure) else q
 
     def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
+        from scipy.special import gammainc
+
         t = _nonneg_exposure(window)
         x = (t / self.scale) ** self.shape
         m = self.mtbf * gammainc(1.0 / self.shape, x)
@@ -535,16 +536,22 @@ class GammaArrivals(ArrivalProcess):
         return self.shape * self.scale
 
     def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
+        from scipy.special import gammainc
+
         t = _nonneg_exposure(exposure)
         p = gammainc(self.shape, t / self.scale)
         return float(p) if is_scalar(exposure) else p
 
     def survival_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
+        from scipy.special import gammaincc
+
         t = _nonneg_exposure(exposure)
         q = gammaincc(self.shape, t / self.scale)
         return float(q) if is_scalar(exposure) else q
 
     def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
+        from scipy.special import gammainc, gammaincc
+
         t = _nonneg_exposure(window)
         x = t / self.scale
         m = t * gammaincc(self.shape, x) + self.mtbf * gammainc(self.shape + 1.0, x)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from ..errors.combined import CombinedErrors
 from ..errors.models import require_memoryless
@@ -54,6 +53,8 @@ def _feasible_interval(
     sigma2: float,
     rho: float,
 ) -> tuple[float, float] | None:
+    from scipy.optimize import brentq
+
     def t_over(w: float) -> float:
         with np.errstate(over="ignore"):
             return float(exact.time_overhead(cfg, errors, w, sigma1, sigma2))
@@ -118,6 +119,8 @@ def solve_pair_combined(
     ``TwoSpeed`` schedule instead (the ``schedule``/``schedule-grid``
     backends do this automatically).
     """
+    from scipy.optimize import minimize_scalar
+
     errors = require_memoryless(errors, "repro.failstop.solver.solve_pair_combined")
     require_positive(rho, "rho")
     interval = _feasible_interval(cfg, errors, sigma1, sigma2, rho)

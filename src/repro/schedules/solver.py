@@ -28,7 +28,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from ..core.numeric import minimize_unimodal
 from ..exceptions import ConvergenceError, InfeasibleBoundError
@@ -126,6 +125,8 @@ def solve_schedule(
         schedule's minimal feasible bound (already computed by the
         time minimisation) rides along as ``rho_min``.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     require_positive(rho, "rho")
     t_over, e_over = _overhead_fns(cfg, errors, schedule)
 

@@ -9,7 +9,11 @@ all speed pairs at once* on broadcast arrays, and callers reduce with
 ``argmin``.  It is the only Theorem-1 kernel: :func:`solve_bicrit_grid`
 (and through it :func:`run_sweep_fast`) reads the K^2 pair product and
 its diagonal off one pass, and the ``firstorder`` backend's batch path
-reads each scenario's own pair axis off another.
+reads each scenario's own pair axis off another.  The batch path takes
+its winners' first-order fields straight from the :class:`PairGrid`
+columns and their exact Prop. 2/3 overheads from one
+:func:`exact_overheads` pass over the winners, so a batch row costs no
+scalar solver call.
 
 This is the hpc-parallel playbook (vectorise the inner loop, avoid
 Python-level per-item work); the equivalence tests pin it bit-for-bit
@@ -40,6 +44,7 @@ __all__ = [
     "PairGrid",
     "config_columns",
     "evaluate_pair_grid",
+    "exact_overheads",
     "ScheduleSweepSolution",
     "solve_bicrit_grid",
     "run_sweep_fast",
@@ -85,7 +90,10 @@ class PairGrid:
     for bit: :func:`evaluate_pair_grid` performs the scalar path's
     operations in the scalar path's order.  So a row's first ``argmin``
     of ``energy`` is the winner of the scalar solvers' strict-improvement
-    scan in the same enumeration order.
+    scan in the same enumeration order, and the winner's column holds
+    its ``PatternSolution`` fields ``rho_min``, ``work``,
+    ``energy_overhead`` (``energy``) and ``time_overhead`` (``time``);
+    :func:`exact_overheads` supplies the two exact ones.
     """
 
     rho_min: FloatArray
@@ -106,6 +114,16 @@ def config_columns(configs: Sequence[Configuration]) -> dict[str, FloatArray]:
         "idle_power": np.array([c.processor.idle_power for c in configs]),
         "io_power": np.array([c.io_power for c in configs]),
     }
+
+
+def _cubes(speeds: FloatArray) -> FloatArray:
+    """``speeds**3`` entry by entry, each taken as a 0-d power exactly as
+    :meth:`~repro.power.model.PowerModel.cpu_power` takes it (a
+    whole-array power may round differently).  Each distinct speed is
+    cubed once."""
+    values, index = np.unique(speeds, return_inverse=True)
+    cubes = np.array([np.asarray(v) ** 3 for v in values], dtype=np.float64)
+    return cubes[index.ravel()].reshape(np.shape(speeds))
 
 
 def evaluate_pair_grid(
@@ -142,11 +160,7 @@ def evaluate_pair_grid(
 
     s1 = np.asarray(sigma1, dtype=np.float64).reshape(1, -1)
     s2 = np.asarray(sigma2, dtype=np.float64).reshape(1, -1)
-    # sigma**3 exactly as PowerModel.cpu_power takes it (a 0-d power).
-    cube1, cube2 = (
-        np.array([np.asarray(s, dtype=np.float64) ** 3 for s in speeds]).reshape(1, -1)
-        for speeds in (sigma1, sigma2)
-    )
+    cube1, cube2 = _cubes(s1), _cubes(s2)
     p1 = p_idle + kap * cube1
     p2 = p_idle + kap * cube2
     p_io = p_idle + p_io_dyn
@@ -182,6 +196,49 @@ def evaluate_pair_grid(
         energy=np.where(feasible, energy, np.inf),
         time=time,
     )
+
+
+def exact_overheads(
+    work: FloatArray,
+    sigma1: FloatArray,
+    sigma2: FloatArray,
+    /,
+    *,
+    lam: ScalarOrArray,
+    checkpoint: ScalarOrArray,
+    verification: ScalarOrArray,
+    recovery: ScalarOrArray,
+    kappa: ScalarOrArray,
+    idle_power: ScalarOrArray,
+    io_power: ScalarOrArray,
+) -> tuple[FloatArray, FloatArray]:
+    """Propositions 2/3 per unit of work at each row's own ``(W, s1, s2)``.
+
+    Returns ``(energy_overhead_exact, time_overhead_exact)``, 1-D arrays
+    of the rows' length.  Each entry is what
+    :func:`repro.core.exact.energy_overhead` /
+    :func:`~repro.core.exact.time_overhead` return for that row, bit for
+    bit: the same operations in the same order (``-expm1(-lam W/s1) *
+    exp(lam W/s2)``, ``sigma**3`` as a 0-d power, then the division by
+    ``W``).  The model parameters are the keyword arrays of
+    :func:`config_columns`, one entry per row (scalars broadcast).
+    """
+    w = np.asarray(work, dtype=np.float64)
+    s1 = np.asarray(sigma1, dtype=np.float64)
+    s2 = np.asarray(sigma2, dtype=np.float64)
+    p1 = idle_power + kappa * _cubes(s1)
+    p2 = idle_power + kappa * _cubes(s2)
+    p_io = idle_power + io_power
+    V = verification
+    with np.errstate(over="ignore"):
+        retry = -np.expm1(-lam * w / s1) * np.exp(lam * w / s2)
+    energy = (
+        (checkpoint + retry * recovery) * p_io
+        + (w + V) / s1 * p1
+        + (w + V) / s2 * retry * p2
+    )
+    time = checkpoint + (w + V) / s1 + retry * (recovery + (w + V) / s2)
+    return energy / w, time / w
 
 
 def solve_bicrit_grid(*, speeds: tuple[float, ...], **params: ScalarOrArray) -> GridSolution:

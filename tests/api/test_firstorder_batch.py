@@ -1,16 +1,17 @@
 """The ``firstorder`` batch path against the scalar Theorem-1 enumeration.
 
 ``FirstOrderBackend.solve_batch`` evaluates every row x pair in one
-:func:`~repro.sweep.vectorized.evaluate_pair_grid` pass and re-derives
-only the winner through the scalar path.  These tests pin it to the
-standalone solvers: the same ``best`` (``==`` on the dataclass, so
-byte-identical fields), the same feasibility, and on infeasible rows
-the same ``rho_min`` the scalar solvers raise.
+:func:`~repro.sweep.vectorized.evaluate_pair_grid` pass and reads each
+winner off the kernel's columns, with no scalar work per row.  These
+tests pin it to the standalone solvers: the same ``best`` (``==`` on the
+dataclass, so byte-identical fields), the same feasibility, and on
+infeasible rows the same ``rho_min`` the scalar solvers raise.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,37 @@ def test_paper_grid_rows_match_scalar():
     infeasible = [r for r in results if not r.feasible]
     assert len(infeasible) == 66
     assert all(r.rho_min is not None for r in infeasible)
+
+
+@pytest.mark.parametrize(
+    "shift", [random.Random(seed).uniform(0.0, 1e-6) for seed in (1, 2, 3)] + [0.1]
+)
+def test_shifted_paper_grid_rows_match_scalar(shift):
+    """The benchmark's fresh batches move every rho by one seeded
+    offset below 1e-6; a shift of 0.1 moves rows across pair
+    thresholds."""
+    scenarios = [sc.with_rho(sc.rho + shift) for sc in paper_grid_scenarios()]
+    assert_matches_scalar(scenarios)
+
+
+def test_batch_makes_no_scalar_pair_evaluations(monkeypatch):
+    """Winners come from the kernel's columns, not from evaluate_pair."""
+    import repro.api.backends
+    import repro.core.singlespeed
+    import repro.core.solver
+
+    calls = []
+    real = repro.core.solver.evaluate_pair
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (repro.api.backends, repro.core.singlespeed, repro.core.solver):
+        monkeypatch.setattr(module, "evaluate_pair", counting)
+    results = BACKEND.solve_batch(paper_grid_scenarios())
+    assert len(results) == 960 and sum(r.feasible for r in results) == 894
+    assert calls == []
 
 
 def test_mixed_pair_axes_in_one_batch():

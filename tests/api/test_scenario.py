@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.api import Scenario
+from repro.api import Experiment, Scenario
+from repro.api.cache import SolveCache
 from repro.core.numeric import solve_pair_exact
 from repro.core.singlespeed import _solve_single_speed_direct
 from repro.core.solver import _solve_bicrit_direct, solve_bicrit
@@ -13,6 +17,7 @@ from repro.core.solution import BiCritSolution
 from repro.errors import CombinedErrors
 from repro.exceptions import InfeasibleBoundError, InvalidParameterError
 from repro.failstop.solver import solve_bicrit_combined, solve_pair_combined
+from repro.platforms import configuration_names
 
 RHO = 3.0
 
@@ -189,3 +194,44 @@ class TestCombinedEquivalence:
         )
         assert sc.default_backend == "combined"
         assert sc.resolve_backend_name() == "combined"
+
+
+class TestResolvedConfigMemo:
+    """``resolved_config`` runs once per scenario and the memo is
+    invisible to equality, hashing, repr and pickles."""
+
+    def test_paper_grid_solve_resolves_each_scenario_once(self, monkeypatch):
+        import repro.api.scenario
+
+        experiment = Experiment.over(
+            configs=tuple(configuration_names()),
+            rhos=tuple(1.3 + i * (3.5 - 1.3) / 39 for i in range(40)),
+            error_rates=(None, 1e-5, 1e-4),
+        )
+        calls = []
+        real = repro.api.scenario.get_configuration
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(repro.api.scenario, "get_configuration", counting)
+        results = experiment.solve(cache=SolveCache())
+        assert len(results) == 960
+        assert 0 < len(calls) <= 960
+
+    def test_memo_stays_out_of_identity(self):
+        sc = Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
+        before = (pickle.dumps(sc), hash(sc), repr(sc))
+        cfg = sc.resolved_config()
+        assert sc.resolved_config() is cfg
+        assert (pickle.dumps(sc), hash(sc), repr(sc)) == before
+        assert sc == Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
+        assert pickle.loads(pickle.dumps(sc)).resolved_config() == cfg
+
+    def test_replace_resolves_again(self):
+        sc = Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
+        assert sc.resolved_config().lam == 1e-5
+        other = dataclasses.replace(sc, error_rate=1e-4)
+        assert other.resolved_config().lam == 1e-4
+        assert sc.resolved_config().lam == 1e-5
