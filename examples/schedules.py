@@ -29,7 +29,7 @@ def main() -> None:
     print(f"attempt speeds: {schedule.speeds_for_attempts(5)} ...")
     print()
 
-    # Solve through the unified API: the 'schedule' backend finds the
+    # Solve through the unified API: the 'schedule-grid' backend finds the
     # energy-optimal pattern size under the exact attempt-series model.
     result = repro.Scenario(config=cfg, rho=rho, schedule=schedule).solve()
     best = result.best

@@ -12,9 +12,9 @@ speed.
 Quickstart
 ----------
 Declare *what* to solve as a :class:`Scenario`; the pluggable backend
-registry decides *how* (``firstorder``, ``exact``, ``combined``, or the
-per-attempt ``schedule`` backends), with memoised caching and
-provenance:
+registry decides *how* (``firstorder`` for the paper's two-speed model,
+``schedule-grid`` for schedules, error models and the Section-5 modes),
+with memoised caching and provenance:
 
 >>> import repro
 >>> result = repro.Scenario(config="hera-xscale", rho=3.0).solve()

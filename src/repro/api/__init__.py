@@ -27,7 +27,6 @@ remain available as thin wrappers over this package.
 """
 
 from .backends import (
-    CombinedBackend,
     ExactBackend,
     FirstOrderBackend,
     ScheduleBackend,
@@ -57,7 +56,6 @@ __all__ = [
     "SolverBackend",
     "FirstOrderBackend",
     "ExactBackend",
-    "CombinedBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
     "register_backend",

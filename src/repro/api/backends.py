@@ -1,7 +1,10 @@
 """Pluggable solver backends behind a process-wide registry.
 
 A backend turns a :class:`~repro.api.scenario.Scenario` into a
-:class:`~repro.api.result.Result`.  Six ship by default:
+:class:`~repro.api.result.Result`.  Five ship by default, and
+:attr:`Scenario.default_backend <repro.api.scenario.Scenario.default_backend>`
+routes to one of two: ``firstorder`` for the paper's two-speed model,
+``schedule-grid`` for everything else.
 
 ``firstorder``
     The paper's Theorem-1 closed form + O(K^2) enumeration
@@ -10,24 +13,28 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     kernel (:func:`repro.sweep.vectorized.evaluate_pair_grid`), one
     broadcast pass per pair axis, and every winner is read off the
     kernel's columns (its exact Prop. 2/3 overheads from one
-    :func:`~repro.sweep.vectorized.exact_overheads` pass).
+    :func:`~repro.sweep.vectorized.exact_overheads` pass).  The default
+    for schedule-less ``silent``/``single-speed`` scenarios without an
+    explicit error model.
 ``exact``
     Numeric optimisation of the exact Propositions 2/3
     (:mod:`repro.core.numeric`).
-``combined``
-    Numeric solve with both error sources (:mod:`repro.failstop.solver`).
 ``schedule``
-    Per-attempt speed schedules (:mod:`repro.schedules`): two-speed
-    schedules keep the legacy closed-form/pair paths (byte-identical
-    results), general schedules go through the exact attempt-series
-    evaluator + numeric constrained solve.
+    The scalar reference for scheduled scenarios (:mod:`repro.schedules`):
+    two-speed schedules take the closed-form/pair fast path
+    (:func:`_solve_two_speed`), general schedules the exact
+    attempt-series evaluator + numeric constrained solve.  Nothing
+    routes here by default; it is the oracle the batch kernel is
+    pinned against.
 ``schedule-grid``
-    The vectorised schedule kernel (:mod:`repro.schedules.vectorized`):
-    ``solve_batch`` stacks every general-schedule scenario into one
-    :class:`~repro.schedules.vectorized.ScheduleGrid` and solves the
-    whole batch in lockstep broadcast passes — the default for
-    scheduled scenarios whose policy is not expressible as a two-speed
-    pair.
+    The default for every other scenario — the Section-5 combined and
+    fail-stop modes, any schedule, any explicit error model.  Two-speed
+    rows under memoryless errors take the same scalar fast paths as
+    ``schedule`` (schedule-less combined rows enumerate the pair axis);
+    the rest stack into one
+    :class:`~repro.schedules.vectorized.ScheduleGrid`
+    (:mod:`repro.schedules.vectorized`) and solve in lockstep
+    broadcast passes.
 ``schedule-grid-incremental``
     The incremental (variational) tier
     (:mod:`repro.schedules.incremental`): identical batch splitting to
@@ -37,12 +44,12 @@ A backend turns a :class:`~repro.api.scenario.Scenario` into a
     its detected sweep axes and warm-starts each point from
     interpolated anchor optima — validated seeds only, cold fallback
     otherwise.  The sweep-aware planner orders ``ExecutionPlan`` shards
-    so chains stay contiguous for this backend.
+    so chains stay contiguous for this backend.  Opt-in only.
 
 The retired names stay in the registry as aliases of the instances
-that replaced them — ``grid`` of ``firstorder``, ``schedule-grid-jit``
-of ``schedule-grid`` — so old specs, cache keys and ``--backend``
-arguments still resolve.
+that replaced them — ``grid`` of ``firstorder``, ``combined`` and
+``schedule-grid-jit`` of ``schedule-grid`` — so old specs, cache keys
+and ``--backend`` arguments still resolve.
 
 Registering a new backend (``register_backend``) is the single
 extension point for new solve strategies; every consumer (legacy
@@ -90,7 +97,6 @@ __all__ = [
     "SolverBackend",
     "FirstOrderBackend",
     "ExactBackend",
-    "CombinedBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
     "ScheduleGridIncrementalBackend",
@@ -149,12 +155,12 @@ class SolverBackend(abc.ABC):
                 f"{sorted(self.modes)}"
             )
         if scenario.schedule is not None and not self.handles_schedules:
-            return "per-attempt speed schedules require the 'schedule' backend"
+            return "per-attempt speed schedules require the 'schedule-grid' backend"
         if scenario.errors is not None and not self.handles_error_models:
             return (
-                "explicit error models require the 'schedule'/'schedule-grid' "
-                "backends (their evaluator dispatches through the model's "
-                "renewal primitives)"
+                "explicit error models require the 'schedule-grid' backend "
+                "(its evaluator dispatches through the model's renewal "
+                "primitives)"
             )
         return None
 
@@ -360,62 +366,59 @@ def _scenario_pair_axis(
     return [(s1, s2) for s1 in s1_set for s2 in s2_set]
 
 
-def _best_pair_combined(
-    cfg: Configuration,
-    errors: CombinedErrors,
-    pairs: Sequence[tuple[float, float]],
-    rho: float,
-) -> CombinedSolution | None:
-    """Strict-improvement scan of :func:`solve_pair_combined` over the
-    pair axis — the single pair-enumeration loop shared by the
-    ``combined`` backend and the ``schedule-grid`` backend's
-    schedule-less exponential-model path, so the byte-identity pin
-    between them cannot drift."""
-    best: CombinedSolution | None = None
-    for s1, s2 in pairs:
-        sol = solve_pair_combined(cfg, errors, s1, s2, rho)
-        if sol is not None and (
-            best is None or sol.energy_overhead < best.energy_overhead
-        ):
-            best = sol
-    return best
+def _solve_two_speed(
+    scenario: "Scenario",
+    pair: tuple[float, float],
+    errors: CombinedErrors | None,
+    backend: str,
+) -> Result:
+    """Solve ``scenario`` at one speed pair on the closed-form fast paths.
 
-
-class CombinedBackend(SolverBackend):
-    """Numeric solve with fail-stop + silent errors (Section 5)."""
-
-    name = "combined"
-    modes = frozenset({"combined", "failstop"})
-
-    def _solve(self, scenario: "Scenario") -> Result:
-        cfg = scenario.resolved_config()
-        errors = scenario.resolved_errors()
-        best = _best_pair_combined(
-            cfg, errors, _scenario_pair_axis(scenario), scenario.rho
-        )
-        if best is None:
-            raise InfeasibleBoundError(scenario.rho)
+    The Theorem-1 :func:`~repro.core.solver.evaluate_pair` for silent
+    errors (``errors is None``: the configuration's own rate), the
+    Section-5 :func:`~repro.failstop.solver.solve_pair_combined` for a
+    memoryless fail-stop/silent mix — byte-identical to the legacy
+    solvers at that pair.  The one scalar two-speed path of the
+    ``schedule`` and ``schedule-grid`` backends; ``backend`` names the
+    caller in the provenance.
+    """
+    cfg = scenario.resolved_config()
+    if errors is None:
+        outcome = evaluate_pair(cfg, pair[0], pair[1], scenario.rho)
+        if outcome.solution is None:
+            raise InfeasibleBoundError(scenario.rho, outcome.rho_min)
         return Result(
             scenario=scenario,
-            provenance=Provenance(backend=self.name),
-            best=best,
-            raw=best,
+            provenance=Provenance(backend=backend),
+            best=outcome.solution,
+            candidates=(outcome,),
+            raw=outcome,
         )
+    sol = solve_pair_combined(cfg, errors, pair[0], pair[1], scenario.rho)
+    if sol is None:
+        raise InfeasibleBoundError(scenario.rho)
+    return Result(
+        scenario=scenario,
+        provenance=Provenance(backend=backend),
+        best=sol,
+        raw=sol,
+    )
 
 
 class ScheduleBackend(SolverBackend):
-    """Per-attempt speed schedules (:mod:`repro.schedules`).
+    """Per-attempt speed schedules (:mod:`repro.schedules`): the scalar
+    reference.
 
     A scheduled scenario pins every attempt speed, so the solve is a
     one-dimensional constrained optimisation over the pattern size.
     Two-speed schedules (``TwoSpeed``, ``Constant``, and any policy
-    whose canonical form reduces to them) keep the legacy paths — the
-    Theorem-1 closed form for silent errors, the Section-5 pair solver
-    for combined errors — so their results are byte-identical to the
-    ``firstorder``/``combined`` backends evaluated at the same pair.
-    General schedules go through the exact attempt-series evaluator
-    (:mod:`repro.schedules.evaluator`) and the numeric constrained
-    solver (:func:`repro.schedules.solver.solve_schedule`).
+    whose canonical form reduces to them) under memoryless errors take
+    :func:`_solve_two_speed`, byte-identical to the legacy solvers at
+    that pair.  General schedules go through the exact attempt-series
+    evaluator (:mod:`repro.schedules.evaluator`) and the numeric
+    constrained solver (:func:`repro.schedules.solver.solve_schedule`).
+    No scenario routes here by default: ``schedule-grid`` solves the
+    same scenarios in batches, and this backend is its oracle.
     """
 
     name = "schedule"
@@ -432,45 +435,23 @@ class ScheduleBackend(SolverBackend):
         return None
 
     def _solve(self, scenario: "Scenario") -> Result:
-        cfg = scenario.resolved_config()
         schedule = scenario.schedule
         pair = schedule.as_two_speed()
         errors = scenario.resolved_errors()
-
-        # Closed-form fast paths for two-speed schedules: byte-identical
-        # to the legacy solvers for the same (sigma1, sigma2).  They
-        # require memoryless arrivals — resolved_errors() already
-        # collapsed memoryless models to CombinedErrors, so anything
-        # still an ErrorModel here is a general renewal family and must
-        # take the numeric attempt-series route (the closed forms would
-        # raise UnsupportedErrorModelError).
+        # The closed forms require memoryless arrivals — resolved_errors()
+        # already collapsed memoryless models to CombinedErrors, so
+        # anything still an ErrorModel here is a general renewal family
+        # and must take the numeric attempt-series route.
         if pair is not None and not isinstance(errors, ErrorModel):
-            if errors is None:
-                outcome = evaluate_pair(cfg, pair[0], pair[1], scenario.rho)
-                if outcome.solution is None:
-                    raise InfeasibleBoundError(scenario.rho, outcome.rho_min)
-                return Result(
-                    scenario=scenario,
-                    provenance=Provenance(backend=self.name),
-                    best=outcome.solution,
-                    candidates=(outcome,),
-                    raw=outcome,
-                )
-            sol = solve_pair_combined(cfg, errors, pair[0], pair[1], scenario.rho)
-            if sol is None:
-                raise InfeasibleBoundError(scenario.rho)
-            return Result(
-                scenario=scenario,
-                provenance=Provenance(backend=self.name),
-                best=sol,
-                raw=sol,
-            )
+            return _solve_two_speed(scenario, pair, errors, self.name)
 
         # errors=None means silent-only at cfg.lam; the schedule solver
         # and evaluator apply that default themselves (and dispatch
         # renewal models through their per-attempt primitives).  An
         # infeasible bound propagates with the schedule's own rho_min.
-        sol = solve_schedule(cfg, schedule, scenario.rho, errors=errors)
+        sol = solve_schedule(
+            scenario.resolved_config(), schedule, scenario.rho, errors=errors
+        )
         return Result(
             scenario=scenario,
             provenance=Provenance(backend=self.name),
@@ -480,14 +461,16 @@ class ScheduleBackend(SolverBackend):
 
 
 class ScheduleGridBackend(SolverBackend):
-    """Vectorised general-schedule kernel: whole batches in lockstep.
+    """Vectorised schedule kernel: whole batches in lockstep.
 
     ``solve_batch`` splits a batch three ways:
 
-    * scenarios whose schedule reduces to a two-speed pair *and* whose
-      error model is memoryless take the scalar ``schedule`` backend's
-      closed-form fast paths, so their results stay byte-identical to
-      the legacy solvers;
+    * two-speed rows under memoryless errors stay scalar and
+      byte-identical to the legacy solvers: a two-speed schedule takes
+      :func:`_solve_two_speed` at its pair, a schedule-less row (the
+      Section-5 ``combined``/``failstop`` modes, or an ``exp:`` model)
+      enumerates its DVFS pairs through
+      :func:`~repro.failstop.solver.solve_pair_combined`;
     * every other *scheduled* scenario — general schedules and renewal
       error models alike, mixed freely — is stacked into one
       :class:`~repro.schedules.vectorized.ScheduleGrid` and solved by
@@ -495,18 +478,14 @@ class ScheduleGridBackend(SolverBackend):
       per-attempt primitives, geometric tails, and the constrained
       pattern-size search all run as broadcast passes over the whole
       sub-batch (a masked argmin instead of per-scenario SciPy loops);
-    * *schedule-less* scenarios carrying an explicit error model are
-      solved by enumerating their DVFS speed pairs as ``TwoSpeed``
-      schedules: exponential models replay the ``combined`` backend's
-      scalar pair loop (byte-identical to solving the equivalent
-      ``mode="combined"`` scenario), renewal models ride the same
-      batched grid as the scheduled rows, so a whole pair enumeration
-      costs one lockstep pass.
+    * *schedule-less* scenarios under a renewal model enumerate their
+      DVFS speed pairs as ``TwoSpeed`` rows of that same grid, so a
+      whole pair enumeration costs one lockstep pass.
 
     Results carry the same :class:`~repro.schedules.solver.ScheduleSolution`
-    payload as the scalar backend and agree with it to the optimiser
-    placement tolerance (``<= 1e-12`` relative on the energy objective;
-    the equivalence tests pin this on randomized grids).
+    payload as the scalar ``schedule`` backend and agree with it to the
+    optimiser placement tolerance (``<= 1e-12`` relative on the energy
+    objective; the equivalence tests pin this on randomized grids).
     """
 
     name = "schedule-grid"
@@ -518,10 +497,11 @@ class ScheduleGridBackend(SolverBackend):
         reason = super().unsupported_reason(scenario)
         if reason is not None:
             return reason
-        if scenario.schedule is None and scenario.errors is None:
+        if scenario.schedule is None and scenario.resolved_errors() is None:
             return (
-                "scenario has no schedule; set Scenario(schedule=...) "
-                "(or an explicit errors= model for pair enumeration)"
+                "scenario has no schedule and no error model; set "
+                "Scenario(schedule=...) or errors=..., or solve it on "
+                "'firstorder'"
             )
         return None
 
@@ -532,17 +512,19 @@ class ScheduleGridBackend(SolverBackend):
         return result
 
     def _solve_pairs_scalar(self, scenario: "Scenario") -> Result:
-        """Schedule-less scenario with a *memoryless* model: replay the
-        ``combined`` backend's pair enumeration — literally the same
-        :func:`_best_pair_combined` loop, so the result is
-        byte-identical to solving the equivalent ``mode="combined"``
-        scenario."""
-        best = _best_pair_combined(
-            scenario.resolved_config(),
-            scenario.resolved_errors(),
-            _scenario_pair_axis(scenario),
-            scenario.rho,
-        )
+        """Schedule-less scenario under memoryless errors: the Section-5
+        pair enumeration — a strict-improvement scan of
+        :func:`~repro.failstop.solver.solve_pair_combined` in s1-major
+        order, so ties resolve as in the legacy solver."""
+        cfg = scenario.resolved_config()
+        errors = scenario.resolved_errors()
+        best: CombinedSolution | None = None
+        for s1, s2 in _scenario_pair_axis(scenario, cfg):
+            sol = solve_pair_combined(cfg, errors, s1, s2, scenario.rho)
+            if sol is not None and (
+                best is None or sol.energy_overhead < best.energy_overhead
+            ):
+                best = sol
         if best is None:
             raise InfeasibleBoundError(scenario.rho)
         return Result(
@@ -562,38 +544,29 @@ class ScheduleGridBackend(SolverBackend):
         general: list[int] = []
         enum: list[int] = []
         for i, sc in enumerate(scenarios):
+            renewal = isinstance(sc.resolved_errors(), ErrorModel)
             if sc.schedule is None:
-                # Explicit error model, no schedule: pair enumeration.
-                # Memoryless models take the scalar combined loop (fast
-                # list); renewal models join the batched grid.
-                if isinstance(sc.resolved_errors(), ErrorModel):
-                    enum.append(i)
-                else:
-                    fast.append(i)
-            elif sc.schedule.as_two_speed() is not None and not isinstance(
-                sc.resolved_errors(), ErrorModel
-            ):
+                # Pair enumeration: memoryless errors take the scalar
+                # Section-5 loop, renewal models join the batched grid.
+                (enum if renewal else fast).append(i)
+            elif sc.schedule.as_two_speed() is not None and not renewal:
                 fast.append(i)
             else:
                 general.append(i)
 
-        # Scalar rows: closed-form/pair fast paths (byte-identical
-        # results, re-stamped with this backend's name).
-        if fast:
-            scalar = get_backend("schedule")
-            for i in fast:
-                try:
-                    if scenarios[i].schedule is None:
-                        res = self._solve_pairs_scalar(scenarios[i])
-                    else:
-                        res = scalar._solve(scenarios[i])
-                        res = replace(
-                            res,
-                            provenance=replace(res.provenance, backend=self.name),
-                        )
-                except InfeasibleBoundError as exc:
-                    res = self.infeasible_result(scenarios[i], exc)
-                results[i] = res
+        # Scalar rows: the closed-form/pair fast paths.
+        for i in fast:
+            sc = scenarios[i]
+            try:
+                if sc.schedule is None:
+                    res = self._solve_pairs_scalar(sc)
+                else:
+                    res = _solve_two_speed(
+                        sc, sc.schedule.as_two_speed(), sc.resolved_errors(), self.name
+                    )
+            except InfeasibleBoundError as exc:
+                res = self.infeasible_result(sc, exc)
+            results[i] = res
 
         if general or enum:
             # One grid for everything numeric: scheduled rows first,
@@ -826,9 +799,9 @@ def available_backends() -> tuple[str, ...]:
 
 register_backend(FirstOrderBackend())
 register_backend(ExactBackend())
-register_backend(CombinedBackend())
 register_backend(ScheduleBackend())
 register_backend(ScheduleGridBackend())
 register_backend(ScheduleGridIncrementalBackend())
 _REGISTRY["grid"] = _REGISTRY["firstorder"]
+_REGISTRY["combined"] = _REGISTRY["schedule-grid"]
 _REGISTRY["schedule-grid-jit"] = _REGISTRY["schedule-grid"]

@@ -100,11 +100,11 @@ class Scenario:
         :class:`~repro.schedules.base.SpeedSchedule` or a spec string
         such as ``"two:0.4,0.6"`` / ``"geom:0.4,1.5,1"``.  A scheduled
         scenario pins every attempt speed, so it is exclusive with the
-        ``speeds``/``sigma2_choices`` enumeration restrictions.  By
-        default two-speed schedules route to the ``schedule`` backend
-        (closed-form fast paths, byte-identical to the legacy solvers)
-        and general schedules to the vectorised ``schedule-grid``
-        backend, which batches whole studies in broadcast passes.
+        ``speeds``/``sigma2_choices`` enumeration restrictions.
+        Scheduled scenarios route to the vectorised ``schedule-grid``
+        backend, which batches whole studies in broadcast passes;
+        two-speed schedules keep the closed-form fast paths there,
+        byte-identical to the legacy solvers.
     errors:
         Optional explicit error model — a renewal
         :class:`~repro.errors.models.ErrorModel`, a bare
@@ -121,9 +121,10 @@ class Scenario:
         enumerated as two-speed schedules in one batched
         ``schedule-grid`` pass.
     backend:
-        Preferred backend registry name; ``None`` picks the mode's
-        default (``combined`` for combined/failstop modes, else
-        ``firstorder``).
+        Preferred backend registry name; ``None`` picks
+        :attr:`default_backend` (``firstorder`` for the schedule-less
+        silent/single-speed model without an explicit error model,
+        ``schedule-grid`` for everything else).
     label:
         Free-form tag carried into results (handy in study grids).
 
@@ -274,29 +275,16 @@ class Scenario:
     @property
     def default_backend(self) -> str:
         """Registry name used when neither the scenario nor the caller
-        names a backend."""
-        if self.errors is not None:
-            # Explicit error models live in the schedule subsystem: the
-            # scalar backend keeps the closed-form fast path for
-            # memoryless two-speed scenarios; everything else — general
-            # schedules, renewal families, and schedule-less scenarios
-            # (solved by enumerating speed pairs as two-speed
-            # schedules) — batches through the vectorised kernel.
-            if (
-                self.schedule is not None
-                and self.schedule.as_two_speed() is not None
-                and self.errors.is_memoryless
-            ):
-                return "schedule"
-            return "schedule-grid"
-        if self.schedule is not None:
-            # Two-speed schedules keep the scalar backend's closed-form
-            # fast paths; general schedules go to the vectorised batch
-            # kernel so Study grids solve in broadcast passes.
-            if self.schedule.as_two_speed() is not None:
-                return "schedule"
-            return "schedule-grid"
-        return "combined" if self.mode in _COMBINED_MODES else "firstorder"
+        names a backend: ``firstorder`` for the paper's two-speed model
+        (no schedule, no explicit error model, ``silent`` or
+        ``single-speed`` mode), ``schedule-grid`` for everything else."""
+        if (
+            self.schedule is None
+            and self.errors is None
+            and self.mode not in _COMBINED_MODES
+        ):
+            return "firstorder"
+        return "schedule-grid"
 
     def resolve_backend_name(self, override: str | None = None) -> str:
         """The backend this scenario will be solved with."""
@@ -362,8 +350,8 @@ class Scenario:
         Parameters
         ----------
         backend:
-            Registry name override; defaults to ``self.backend`` or the
-            mode's default backend.
+            Registry name override; defaults to ``self.backend`` or
+            :attr:`default_backend`.
         cache:
             ``True`` (default) memoises in the process-wide cache,
             ``False`` disables memoisation, and a

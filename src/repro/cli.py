@@ -462,8 +462,9 @@ def _cmd_backends(_: argparse.Namespace) -> int:
         )
     print()
     print("batched backends solve whole Experiment/Study groups in one")
-    print("broadcast pass; Experiment plans route each scenario to its")
-    print("default backend unless --backend forces one.")
+    print("broadcast pass.  Unless --backend forces one, schedule-less")
+    print("silent/single-speed scenarios without --errors solve on")
+    print("firstorder and every other scenario on schedule-grid.")
     print("sweep-aware backends get their plan shards ordered along")
     print("detected sweep axes (warm-started incremental solves)")
     return 0

@@ -169,7 +169,7 @@ class UnsupportedErrorModelError(ReproError, TypeError):
         super().__init__(
             f"{where} requires a memoryless (exponential) error model, got "
             f"{shown}; route non-exponential renewal models through the "
-            f"schedule evaluator (the 'schedule'/'schedule-grid' backends)"
+            f"schedule evaluator (the 'schedule-grid' backend)"
         )
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
@@ -241,8 +241,8 @@ class UnsupportedScenarioError(ReproError):
     """A scenario was routed to a backend that cannot solve it.
 
     E.g. the ``firstorder`` backend only handles the first-order
-    silent-error model, so a ``combined``-mode scenario must go to the
-    ``combined`` backend instead.
+    silent-error model, so a ``combined``-mode scenario must go to
+    ``schedule-grid`` instead.
     """
 
     def __init__(self, backend: str, reason: str):

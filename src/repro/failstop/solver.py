@@ -155,8 +155,8 @@ def solve_bicrit_combined(
 ) -> CombinedSolution:
     """Numeric BiCrit over all speed pairs with both error sources.
 
-    .. note:: Legacy wrapper.  Delegates to the ``combined`` backend
-       of the :mod:`repro.api` registry via
+    .. note:: Legacy wrapper.  Delegates to the default route of the
+       :mod:`repro.api` registry (``schedule-grid``) via
        ``Scenario(..., mode="combined").solve()``; prefer the
        :class:`repro.Scenario` API in new code.
 
@@ -186,4 +186,4 @@ def solve_bicrit_combined(
         mode="combined",
         failstop_fraction=errors.failstop_fraction,
         error_rate=errors.total_rate,
-    ).solve(backend="combined").raw
+    ).solve().raw

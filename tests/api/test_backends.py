@@ -117,6 +117,13 @@ class TestRouting:
         assert result.best == sc.solve(backend="firstorder", cache=False).best
         assert result.best.sigma1 in (0.4, 0.8)
 
+    def test_combined_alias_solves_on_schedule_grid(self):
+        sc = Scenario(config="hera-xscale", rho=3.0, mode="failstop")
+        assert get_backend("combined") is get_backend("schedule-grid")
+        result = sc.solve(backend="combined", cache=False)
+        assert result.provenance.backend == "schedule-grid"
+        assert result.best == sc.solve(cache=False).best
+
     def test_scenario_backend_field_is_honoured(self):
         result = Scenario(config="hera-xscale", rho=3.0, backend="grid").solve(
             cache=False

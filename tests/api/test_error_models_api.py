@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Scenario, Study
+from repro.api import Experiment, Scenario, Study
 from repro.api.backends import get_backend
 from repro.api.cache import SolveCache
 from repro.errors import CombinedErrors, ErrorModel, GammaArrivals, parse_error_model
@@ -14,6 +14,7 @@ from repro.exceptions import (
     InvalidParameterError,
     UnsupportedScenarioError,
 )
+from repro.failstop.solver import solve_pair_combined
 
 WEIBULL = "weibull:shape=0.7,mtbf=3e5,failstop=0.2"
 GAMMA = "gamma:shape=2,mtbf=3e5"
@@ -70,23 +71,46 @@ class TestScenarioField:
 
 class TestRouting:
     def test_default_backends(self):
-        base = dict(config="hera-xscale", rho=3.0)
-        assert Scenario(**base, errors=WEIBULL).default_backend == "schedule-grid"
-        assert (
-            Scenario(**base, errors=WEIBULL, schedule="two:0.4,0.6").default_backend
-            == "schedule-grid"
-        )
-        assert (
-            Scenario(**base, errors="exp:rate=1e-5", schedule="two:0.4,0.6").default_backend
-            == "schedule"
-        )
-        assert Scenario(**base, errors="exp:rate=1e-5").default_backend == "schedule-grid"
-        assert (
-            Scenario(**base, errors=GAMMA, schedule="geom:0.4,1.5,1").default_backend
-            == "schedule-grid"
-        )
+        """The routing table: ``firstorder`` for the schedule-less
+        silent/single-speed model without an explicit error model,
+        ``schedule-grid`` for every other valid combination."""
+        modes = {
+            "silent": {},
+            "single-speed": {"mode": "single-speed"},
+            "combined": {"mode": "combined", "failstop_fraction": 0.5},
+            "failstop": {"mode": "failstop"},
+        }
+        scenarios = []
+        for mode, kwargs in modes.items():
+            for schedule in (None, "two:0.4,0.6", "geom:0.4,1.5,1"):
+                for errors in (None, "exp:rate=1e-5,failstop=0.3", WEIBULL):
+                    if schedule is not None and mode == "single-speed":
+                        continue  # rejected: the diagonal is a Constant schedule
+                    if errors is not None and mode != "silent":
+                        continue  # rejected: the model carries its own split
+                    sc = Scenario(
+                        config="hera-xscale",
+                        rho=3.0,
+                        schedule=schedule,
+                        errors=errors,
+                        **kwargs,
+                    )
+                    expected = (
+                        "firstorder"
+                        if schedule is None
+                        and errors is None
+                        and mode in ("silent", "single-speed")
+                        else "schedule-grid"
+                    )
+                    assert sc.default_backend == expected, sc.describe()
+                    scenarios.append(sc)
+        assert len(scenarios) == 16
+        results = Experiment.from_scenarios(scenarios).solve(cache=False)
+        assert set(results.backends_used()) == {"firstorder", "schedule-grid"}
+        for sc, res in zip(scenarios, results):
+            assert res.provenance.backend == sc.default_backend
 
-    @pytest.mark.parametrize("backend", ["firstorder", "exact", "combined", "grid"])
+    @pytest.mark.parametrize("backend", ["firstorder", "exact", "grid"])
     def test_legacy_backends_refuse_models(self, backend):
         sc = Scenario(config="hera-xscale", rho=3.0, errors=WEIBULL)
         with pytest.raises(UnsupportedScenarioError):
@@ -96,6 +120,22 @@ class TestRouting:
         sc = Scenario(config="hera-xscale", rho=3.0)
         assert get_backend("schedule-grid").supports(sc) is False
         assert get_backend("schedule-grid").supports(sc.with_errors(WEIBULL)) is True
+
+
+def _reference_pair_loop(sc):
+    """Scalar Section-5 oracle: the strict-improvement scan of the legacy
+    combined solver over the s1-major pair axis."""
+    cfg = sc.resolved_config()
+    errors = sc.resolved_errors()
+    best = None
+    for s1 in cfg.speeds:
+        for s2 in cfg.speeds:
+            sol = solve_pair_combined(cfg, errors, s1, s2, sc.rho)
+            if sol is not None and (
+                best is None or sol.energy_overhead < best.energy_overhead
+            ):
+                best = sol
+    return best
 
 
 class TestExponentialEquivalencePins:
@@ -114,6 +154,17 @@ class TestExponentialEquivalencePins:
         assert a.best.work == b.best.work
         assert a.best.energy_overhead == b.best.energy_overhead
         assert a.best.time_overhead == b.best.time_overhead
+        # The Section-5 modes on their default route equal the scalar
+        # oracle: solve_pair_combined over the pairs in s1-major order,
+        # keeping only strict improvements.
+        for rho, kwargs in (
+            (1.2, {"mode": "combined", "failstop_fraction": 0.3}),
+            (2.0, {"mode": "failstop"}),
+        ):
+            sc = Scenario(config=any_config, rho=rho, **kwargs)
+            assert sc.default_backend == "schedule-grid"
+            best = sc.solve(cache=False).best
+            assert best == _reference_pair_loop(sc), sc.describe()
 
     def test_two_speed_schedule_matches_combined_mode(self, hera_xscale):
         lam = hera_xscale.lam
@@ -130,7 +181,7 @@ class TestExponentialEquivalencePins:
             mode="combined",
             failstop_fraction=0.5,
         ).solve(cache=False)
-        assert a.provenance.backend == b.provenance.backend == "schedule"
+        assert a.provenance.backend == b.provenance.backend == "schedule-grid"
         assert a.best.work == b.best.work
         assert a.best.energy_overhead == b.best.energy_overhead
 

@@ -188,12 +188,12 @@ class TestCombinedEquivalence:
         assert result.speed_pair == (legacy.sigma1, legacy.sigma2)
         assert result.work == legacy.work
 
-    def test_default_backend_is_combined(self):
+    def test_default_backend_is_schedule_grid(self):
         sc = Scenario(
             config="hera-xscale", rho=RHO, mode="combined", failstop_fraction=0.5
         )
-        assert sc.default_backend == "combined"
-        assert sc.resolve_backend_name() == "combined"
+        assert sc.default_backend == "schedule-grid"
+        assert sc.resolve_backend_name() == "schedule-grid"
 
 
 class TestResolvedConfigMemo:

@@ -110,7 +110,7 @@ class TestSolveSemantics:
             )
         )
         results = study.solve(cache=False)
-        assert results.backends_used() == ("firstorder", "combined")
+        assert results.backends_used() == ("firstorder", "schedule-grid")
 
     def test_forced_unsupported_backend_raises(self, toy_config):
         study = Study(
@@ -160,4 +160,4 @@ class TestProcessFanOut:
         fanned = study.solve(cache=False, processes=2)
         for s, f in zip(serial, fanned):
             assert f.best == s.best
-            assert f.provenance.backend == "combined"
+            assert f.provenance.backend == "schedule-grid"

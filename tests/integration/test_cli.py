@@ -200,6 +200,7 @@ class TestBackendsListing:
         assert rows["schedule-grid-incremental"].split()[-2:] == ["yes", "yes"]
         assert rows["firstorder"].split()[-2:] == ["yes", "no"]
         assert rows["grid"].split()[1:] == ["alias", "of", "firstorder"]
+        assert rows["combined"].split()[1:] == ["alias", "of", "schedule-grid"]
         assert rows["schedule-grid-jit"].split()[1:] == \
             ["alias", "of", "schedule-grid"]
         assert "sweep-aware backends" in out

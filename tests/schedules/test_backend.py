@@ -29,10 +29,10 @@ class TestRouting:
     def test_schedule_backend_registered(self):
         assert "schedule" in available_backends()
 
-    def test_scheduled_scenario_defaults_to_schedule_backend(self):
+    def test_scheduled_scenario_defaults_to_schedule_grid(self):
         sc = Scenario(config="hera-xscale", rho=RHO, schedule=TwoSpeed(0.4, 0.6))
-        assert sc.default_backend == "schedule"
-        assert sc.solve().provenance.backend == "schedule"
+        assert sc.default_backend == "schedule-grid"
+        assert sc.solve().provenance.backend == "schedule-grid"
 
     def test_spec_strings_are_parsed(self):
         sc = Scenario(config="hera-xscale", rho=RHO, schedule="two:0.4,0.6")

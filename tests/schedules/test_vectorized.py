@@ -368,7 +368,7 @@ class TestRoutingAndStudy:
         )
         two = Scenario(config="hera-xscale", rho=RHO, schedule=TwoSpeed(0.4, 0.6))
         assert general.default_backend == "schedule-grid"
-        assert two.default_backend == "schedule"
+        assert two.default_backend == "schedule-grid"
 
     def test_study_routes_general_schedule_batches(self):
         study = Study.from_grid(
@@ -380,7 +380,7 @@ class TestRoutingAndStudy:
         used = {r.scenario.schedule.spec() if r.scenario.schedule else None:
                 r.provenance.backend for r in results}
         assert used[None] == "firstorder"
-        assert used["two:0.4,0.6"] == "schedule"
+        assert used["two:0.4,0.6"] == "schedule-grid"
         assert used["geom:0.4,1.5,1"] == "schedule-grid"
         assert all(r.feasible for r in results)
 
