@@ -3,12 +3,12 @@
 The api_redesign's headline perf claim, re-measured through the
 :mod:`repro.perf` harness (median wall times over repeated runs,
 bootstrap CIs — replacing the earlier pytest-benchmark pedantic run): a
-full catalog x rho ``Study`` solved through ``backend="grid"`` (the
-alias of ``firstorder``, whose batch path is one broadcast NumPy pass
-per pair axis) must beat the same study solved scenario by scenario,
-one standalone scalar ``firstorder`` enumeration each.
+full catalog x rho ``Experiment`` solved through ``backend="grid"``
+(the alias of ``firstorder``, whose batch path is one broadcast NumPy
+pass per pair axis) must beat the same grid solved scenario by
+scenario, one standalone scalar ``firstorder`` enumeration each.
 Caching is disabled on both sides so the comparison measures solving,
-not memoisation.  The study grid is shared with the ``repro bench`` CLI
+not memoisation.  The grid is shared with the ``repro bench`` CLI
 via :func:`repro.perf.workloads.build_suite`; the full report lands in
 ``results/BENCH_study_batch.json`` and the legacy one-row summary in
 ``results/study_batch_speedup.csv``.
@@ -64,7 +64,7 @@ def test_grid_backend_vs_scenario_loop(results_dir):
 
 
 def test_study_cache_replay(results_dir):
-    """Second solve of the same study must be pure cache replay."""
+    """Second solve of the same grid must be pure cache replay."""
     from repro.api import SolveCache
 
     study = study_batch_study()

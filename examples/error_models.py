@@ -11,7 +11,7 @@ arrival CDF.  This example:
    and trace-driven models at one MTBF;
 2. solves the BiCrit problem under a Weibull model (speed pairs
    enumerated through the batched ``schedule-grid`` backend);
-3. sweeps a mixed-model Study grid in one lockstep pass;
+3. sweeps a mixed-model Experiment grid in one lockstep pass;
 4. cross-checks the Gamma evaluator against a Monte-Carlo replay.
 
 Run:
@@ -64,14 +64,13 @@ def main() -> None:
     print()
 
     # 3. A mixed-model grid under a geometric ramp — one lockstep pass.
-    study = repro.Study.from_grid(
+    results = repro.Experiment.over(
         configs=(cfg,),
-        rhos=(rho,),
+        rhos=rho,
         error_models=tuple(m.spec() for m in models.values()),
         schedules=("geom:0.4,1.5,1",),
         name="error-model-axis",
-    )
-    results = study.solve()
+    ).solve()
     print("mixed-model grid under geom:0.4,1.5,1 "
           f"(backend: {', '.join(results.backends_used())}):")
     print(f"{'model':34s} {'W':>8s} {'E/W':>8s} {'T/W':>8s}")

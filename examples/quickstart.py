@@ -52,18 +52,18 @@ def main() -> None:
     print()
 
     # The same solves through the unified API: declarative scenarios,
-    # batched studies, and provenance (see docs/api.md).
+    # batched experiments, and provenance (see docs/api.md).
     result = repro.Scenario(config="hera-xscale", rho=rho).solve()
     print(
         f"Scenario API: best pair {result.best.speed_pair} "
         f"via the {result.provenance.backend!r} backend "
         f"(cache hit: {result.provenance.cache_hit})"
     )
-    study = repro.Study.from_grid(rhos=(1.775, 3.0))  # full catalog x 2 bounds
-    results = study.solve()  # one vectorised broadcast pass
+    exp = repro.Experiment.over(rhos=(1.775, 3.0))  # full catalog x 2 bounds
+    results = exp.solve()  # one vectorised broadcast pass
     feasible = int(results.feasible_mask().sum())
     print(
-        f"Study API: solved {len(results)} scenarios in one grid batch "
+        f"Experiment API: solved {len(results)} scenarios in one grid batch "
         f"({feasible} feasible, {results.total_wall_time()*1e3:.1f} ms total)"
     )
 

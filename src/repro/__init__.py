@@ -23,17 +23,17 @@ with memoised caching and provenance:
 >>> result.provenance.backend
 'firstorder'
 
-Batches of scenarios (grids over configurations, bounds, modes) are a
-:class:`Study`, and the ``firstorder`` batch path solves whole studies
-in a few broadcast NumPy ops:
+Batches of scenarios (grids over configurations, bounds, modes) are an
+:class:`Experiment`, and the ``firstorder`` batch path solves whole
+grids in a few broadcast NumPy ops:
 
->>> study = repro.Study.from_grid(configs=("hera-xscale", "atlas-crusoe"))
->>> [r.best.speed_pair for r in study.solve()]
+>>> exp = repro.Experiment.over(configs=("hera-xscale", "atlas-crusoe"))
+>>> [r.best.speed_pair for r in exp.solve()]
 [(0.4, 0.4), (0.45, 0.45)]
 
-Derived analyses compose through the lazy :class:`Experiment` pipeline
-— a deduplicated, batched execution plan plus analysis verbs on the
-result (``docs/experiments.md``):
+Derived analyses compose on the same lazy pipeline — a deduplicated,
+batched execution plan plus analysis verbs on the result
+(``docs/experiments.md``):
 
 >>> fr = (
 ...     repro.Experiment.over(configs=("hera-xscale",), rhos=(2.5, 3.0, 4.0))
@@ -66,7 +66,7 @@ replace the exponential assumption end to end — see ``docs/errors.md``:
 >>> model.failstop_arrivals.mtbf
 25000.0
 
-See ``docs/api.md`` for the full Scenario/Study workflow and the
+See ``docs/api.md`` for the full Scenario/Experiment workflow and the
 legacy-wrapper mapping table.
 """
 
@@ -170,7 +170,6 @@ from .simulation import (
 )
 from .sweep import (
     run_figure,
-    run_schedule_sweep_fast,
     run_sweep,
     run_sweep_fast,
     speed_pair_table,
@@ -187,7 +186,6 @@ from .api import (
     Scenario,
     SolveCache,
     SolverBackend,
-    Study,
     available_backends,
     get_backend,
     register_backend,
@@ -199,7 +197,6 @@ __all__ = [
     "__version__",
     # unified solve API
     "Scenario",
-    "Study",
     "Experiment",
     "ExecutionPlan",
     "Result",
@@ -288,7 +285,6 @@ __all__ = [
     # sweeps / experiments
     "run_sweep",
     "run_sweep_fast",
-    "run_schedule_sweep_fast",
     "run_figure",
     "speed_pair_table",
     "sweep_failstop_fraction",

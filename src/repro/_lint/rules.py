@@ -252,7 +252,7 @@ def check_memoryless_guard(ctx: LintContext) -> Iterator[Diagnostic]:
 def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
     """A backend's declared capabilities are routing facts.
 
-    ``Study``/``ExecutionPlan`` shard work by ``batched`` and route
+    ``ExecutionPlan`` shards work by ``batched`` and route
     scheduled / explicit-error-model scenarios by the two ``handles_*``
     flags, so a flag that disagrees with the class's actual method
     surface silently misroutes whole batches.  Enforced shape:

@@ -7,15 +7,13 @@ This package is the single front door to every solver in the library:
 * :mod:`~repro.api.backends` — the ``SolverBackend`` registry
   (``firstorder`` with its vectorised batch path, ``exact``,
   ``combined``, per-attempt ``schedule``, vectorised ``schedule-grid``);
-* :class:`~repro.api.study.Study` — a batch of scenarios over a grid
-  or a sweep axis, solved with caching, vectorised batching and
-  optional multi-process fan-out;
-* :class:`~repro.api.experiment.Experiment` — the lazy, composable
-  pipeline on top: fluent grid builders, an
-  :class:`~repro.api.experiment.ExecutionPlan` that deduplicates and
-  groups scenarios into batched backend calls, shard-parallel
-  execution with cache-backed resume and progress callbacks, and
-  analysis verbs (``.frontier()``, ``.savings()``, …) on the result;
+* :class:`~repro.api.experiment.Experiment` — a batch of scenarios
+  over a grid or a sweep axis, as a lazy, composable pipeline: fluent
+  grid builders, an :class:`~repro.api.experiment.ExecutionPlan` that
+  deduplicates and groups scenarios into batched backend calls,
+  shard-parallel execution (optionally over worker processes) with
+  cache-backed resume and progress callbacks, and analysis verbs
+  (``.frontier()``, ``.savings()``, …) on the result;
 * :class:`~repro.api.result.Result` / ``ResultSet`` — uniform outputs
   with provenance, a ``simulate()`` validation hook and conversions
   into the reporting layers;
@@ -40,12 +38,10 @@ from .cache import DEFAULT_CACHE, SolveCache, clear_default_cache
 from .experiment import ExecutionPlan, Experiment, PlanGroup, PlanProgress
 from .result import Provenance, Result, ResultSet
 from .scenario import MODES, Scenario
-from .study import Study
 
 __all__ = [
     "MODES",
     "Scenario",
-    "Study",
     "Experiment",
     "ExecutionPlan",
     "PlanGroup",

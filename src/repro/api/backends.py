@@ -53,7 +53,7 @@ and ``--backend`` arguments still resolve.
 
 Registering a new backend (``register_backend``) is the single
 extension point for new solve strategies; every consumer (legacy
-wrappers, sweeps, CLI, studies) routes through the registry.
+wrappers, sweeps, CLI, experiments) routes through the registry.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class SolverBackend(abc.ABC):
     def batched(self) -> bool:
         """True when this backend overrides :meth:`solve_batch` with a
         real vectorised batch path (vs the default per-scenario loop).
-        ``Study.solve(processes=...)`` shards whole batches to such
+        ``Experiment.solve(processes=...)`` shards whole batches to such
         backends instead of fanning out scenario by scenario."""
         return type(self).solve_batch is not SolverBackend.solve_batch
 

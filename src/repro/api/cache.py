@@ -13,7 +13,7 @@ regeneration, interactive sessions) effectively free after the first
 pass.
 
 A process-wide :data:`DEFAULT_CACHE` backs ``Scenario.solve`` /
-``Study.solve`` unless the caller supplies a private
+``Experiment.solve`` unless the caller supplies a private
 :class:`SolveCache` (or disables caching with ``cache=False``).
 """
 
@@ -150,7 +150,7 @@ class SolveCache:
         self._by_backend.clear()
 
 
-#: Process-wide cache used by ``Scenario.solve`` / ``Study.solve`` when
+#: Process-wide cache used by ``Scenario.solve`` / ``Experiment.solve`` when
 #: the caller does not pass a private cache.
 DEFAULT_CACHE = SolveCache()
 

@@ -46,11 +46,11 @@ from typing import TYPE_CHECKING
 from ..exceptions import InfeasibleBoundError, WorkerCrashError
 from ..exec.base import Shard, ShardOutcome, Transport, resolve_transport
 from ..exec.warm import WarmWorkerPool
+from ..platforms.catalog import configuration_names
 from .backends import get_backend
 from .cache import DEFAULT_CACHE, SolveCache
 from .result import Result, ResultSet
 from .scenario import Scenario, _resolve_cache
-from .study import Study, _shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..errors.combined import CombinedErrors
@@ -60,6 +60,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sweep.axes import SweepAxis
 
 __all__ = ["Experiment", "ExecutionPlan", "PlanGroup", "PlanProgress"]
+
+
+def _shard(indices: list[int], shards: int) -> list[list[int]]:
+    """Split ``indices`` into at most ``shards`` contiguous chunks."""
+    shards = max(1, min(shards, len(indices)))
+    size = (len(indices) + shards - 1) // shards
+    return [indices[j : j + size] for j in range(0, len(indices), size)]
+
+
+def iter_grid(
+    configs: "Iterable[Configuration | str] | None" = None,
+    rhos: Iterable[float] | float = (3.0,),
+    *,
+    modes: Sequence[str] = ("silent",),
+    failstop_fractions: Sequence[float | None] = (None,),
+    error_rates: Sequence[float | None] = (None,),
+    schedules: "Sequence[SpeedSchedule | str | None]" = (None,),
+    error_models: Sequence = (None,),
+    backend: str | None = None,
+) -> Iterator[Scenario]:
+    """The scenarios of :meth:`Experiment.over`, lazily, row-major.
+
+    Lazy, so a caller that caps the grid size (the service's job cap)
+    can stop after ``cap + 1`` rows instead of building every scenario
+    first.  The axis rules are documented on :meth:`Experiment.over`.
+    """
+    if configs is None:
+        configs = configuration_names()
+    elif isinstance(configs, str):
+        # A lone catalog name is a config, not an iterable of them.
+        configs = (configs,)
+    # A real scalar (NumPy's included) is a one-value bound axis.
+    rho_axis = tuple(rhos) if isinstance(rhos, Iterable) else (rhos,)
+    return (
+        Scenario(
+            config=cfg,
+            rho=float(rho),
+            mode=mode,
+            failstop_fraction=fraction,
+            error_rate=rate,
+            schedule=schedule,
+            errors=model,
+            backend=backend,
+        )
+        for cfg in configs
+        for rho in rho_axis
+        for mode in modes
+        for fraction in (failstop_fractions if mode == "combined" else (None,))
+        for model in (error_models if mode == "silent" else (None,))
+        for rate in (error_rates if model is None else (None,))
+        for schedule in (schedules if mode != "single-speed" else (None,))
+    )
 
 
 @dataclass(frozen=True)
@@ -174,17 +226,12 @@ class ExecutionPlan:
         *,
         backend: str | None = None,
         name: str = "experiment",
-        deduplicate: bool = True,
     ) -> "ExecutionPlan":
         """Build the plan for ``scenarios``.
 
         ``backend`` forces one registry backend for every scenario
         (validated here, so bad routing fails before any solve);
         ``None`` routes each scenario to its own default.
-        ``deduplicate=False`` keeps every requested scenario as its own
-        solve — :meth:`Study.solve` uses this to preserve its
-        one-lookup-per-scenario cache semantics while sharing this
-        plan's execution engine.
         """
         if backend is not None:
             solver = get_backend(backend)
@@ -197,12 +244,9 @@ class ExecutionPlan:
         seen: dict[tuple, int] = {}
         for sc in scenarios:
             bn = sc.resolve_backend_name(backend)
-            key = (sc.cache_key(), bn) if deduplicate else None
-            pos = seen.get(key) if deduplicate else None
-            if pos is None:
-                pos = len(unique)
-                if deduplicate:
-                    seen[key] = pos
+            # One hash of the (nested) key per scenario.
+            pos = seen.setdefault((sc.cache_key(), bn), len(unique))
+            if pos == len(unique):
                 unique.append(sc)
                 names.append(bn)
             index_map.append(pos)
@@ -251,7 +295,9 @@ class ExecutionPlan:
             workers, which this call shuts down before it returns —
             on success and on error (batched backends are sharded into
             contiguous sub-batches, per-scenario backends fan out
-            point-wise — the same policy as :meth:`Study.solve`).
+            point-wise).  Worth it for large grids of the numeric
+            backends; the vectorised backends are often faster
+            in-process for small grids.
         strict:
             Raise :class:`InfeasibleBoundError` on the first
             infeasible scenario instead of returning a best-less
@@ -466,9 +512,8 @@ class Experiment:
     def over(
         cls,
         configs: "Iterable[Configuration | str] | None" = None,
-        rhos: Sequence[float] | float = (3.0,),
+        rhos: Iterable[float] | float = (3.0,),
         *,
-        rho: float | None = None,
         modes: Sequence[str] = ("silent",),
         failstop_fractions: Sequence[float | None] = (None,),
         error_rates: Sequence[float | None] = (None,),
@@ -477,31 +522,54 @@ class Experiment:
         backend: str | None = None,
         name: str = "experiment",
     ) -> "Experiment":
-        """The cartesian product configs x rhos x modes x fractions x
-        models x rates x schedules — the grid of
-        :meth:`Study.from_grid`, wrapped as a lazy experiment.
+        """The cartesian grid configs x rhos x modes x fractions x
+        models x rates x schedules.
 
-        ``rho=`` is scalar sugar for a one-value bound axis; ``rhos``
-        also accepts a bare float.  Axis semantics (which axes apply
-        to which modes) are exactly those of
-        :meth:`repro.api.Study.from_grid`.
+        ``configs`` defaults to the full eight-configuration catalog; a
+        lone catalog name is one config.  ``rhos`` is an iterable of
+        bounds or one real scalar (NumPy scalars included).  Grid
+        order is row-major in the parameter order above (the model
+        axis nests *outside* the rate axis, which it suppresses), so
+        the result set zips positionally against the same product.
+
+        ``failstop_fractions`` is an axis only for the ``combined``
+        mode; the other modes take no fraction (``failstop`` implies
+        1), so they contribute one scenario per (config, rho, rate)
+        rather than duplicating across the fraction axis.
+
+        ``schedules`` entries may be :class:`SpeedSchedule` objects,
+        spec strings (``"geom:0.4,1.5,1"``), or ``None`` for the
+        speed-pair enumeration of the legacy solvers.  Like the
+        fraction axis, the schedule axis only applies to modes that
+        take one — ``single-speed`` enumerates the diagonal and
+        contributes a single unscheduled scenario per grid point.
+
+        ``error_models`` entries may be
+        :class:`~repro.errors.models.ErrorModel` objects, spec strings
+        (``"weibull:shape=0.7,mtbf=5e3,failstop=0.2"``), or ``None``
+        for the mode's own error semantics.  An explicit model carries
+        its own rate and split, so the axis applies only to ``silent``
+        (default-mode) grid points and suppresses the ``error_rates``
+        axis for its scenarios; mixed exponential/renewal model grids
+        batch through the ``schedule-grid`` backend.
+
+        Examples
+        --------
+        >>> exp = Experiment.over(configs=("hera-xscale",), rhos=(2.5, 3.0))
+        >>> [r.best.speed_pair for r in exp.solve()]
+        [(0.6, 0.4), (0.4, 0.4)]
         """
-        if rho is not None:
-            rhos = (float(rho),)
-        elif isinstance(rhos, (int, float)):
-            rhos = (float(rhos),)
-        study = Study.from_grid(
-            configs=configs,
-            rhos=tuple(rhos),
+        grid = iter_grid(
+            configs,
+            rhos,
             modes=modes,
             failstop_fractions=failstop_fractions,
             error_rates=error_rates,
             schedules=schedules,
             error_models=error_models,
             backend=backend,
-            name=name,
         )
-        return cls(scenarios=study.scenarios, name=name)
+        return cls(scenarios=tuple(grid), name=name)
 
     @classmethod
     def over_axis(
@@ -515,12 +583,31 @@ class Experiment:
         errors: "ErrorModel | ArrivalProcess | CombinedErrors | str | None" = None,
         name: str | None = None,
     ) -> "Experiment":
-        """One scenario per (axis value, mode), axis-major order —
-        :meth:`Study.over_axis` as a lazy experiment."""
-        study = Study.over_axis(
-            cfg, rho, axis, modes=modes, schedule=schedule, errors=errors, name=name
-        )
-        return cls(scenarios=study.scenarios, name=study.name)
+        """One scenario per (axis value, mode), axis-major order.
+
+        Applies the axis rule to materialise the concrete
+        ``(configuration, rho)`` of every point — the batch equivalent
+        of :func:`repro.sweep.runner.run_sweep`'s iteration.  An
+        optional ``schedule`` pins the per-attempt speeds of every
+        point (sweeping the model parameters *under* one policy); an
+        optional ``errors`` model (object or spec string) likewise pins
+        the error model of every point.
+        """
+        scenarios: list[Scenario] = []
+        for value in axis.values:
+            cfg_v, rho_v = axis.apply(cfg, rho, value)
+            scenarios.extend(
+                Scenario(
+                    config=cfg_v,
+                    rho=rho_v,
+                    mode=mode,
+                    schedule=schedule,
+                    errors=errors,
+                    label=f"{axis.name}={value:g}",
+                )
+                for mode in modes
+            )
+        return cls(scenarios=tuple(scenarios), name=name or f"sweep:{cfg.name}:{axis.name}")
 
     @classmethod
     def from_scenarios(

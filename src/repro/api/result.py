@@ -6,7 +6,7 @@ the schedule kernels — the caller receives the same :class:`Result`:
 the winning candidate, the full candidate list when a standalone solve
 enumerates one, the backend-native payload under ``raw``, and
 :class:`Provenance`
-(backend name, wall time, cache/batch flags).  A :class:`Study` solve
+(backend name, wall time, cache/batch flags).  An ``Experiment`` solve
 returns a :class:`ResultSet`, which adds NaN-encoded array accessors
 and conversions into the existing reporting/serialize/CSV layers.
 """
@@ -78,7 +78,7 @@ class Result:
     candidates:
         Per-pair outcomes of a standalone ``firstorder`` solve
         (:meth:`Scenario.solve` or ``backend.solve``), else empty.
-        Batch rows (``Study``/``Experiment`` solves, and cache entries
+        Batch rows (``Experiment`` solves, and cache entries
         they wrote) carry ``best`` and ``rho_min`` only.
     raw:
         The backend-native full payload (e.g. the ``BiCritSolution`` of
@@ -183,9 +183,9 @@ class Result:
 
 @dataclass(frozen=True)
 class ResultSet:
-    """An ordered batch of results — the output of ``Study.solve``.
+    """An ordered batch of results — the output of ``Experiment.solve``.
 
-    Order matches the study's scenario order, so positional zips
+    Order matches the experiment's scenario order, so positional zips
     against the scenario grid are safe.  Array accessors encode
     infeasible entries as NaN, mirroring ``SweepSeries``.
     """

@@ -102,7 +102,7 @@ class Scenario:
         scenario pins every attempt speed, so it is exclusive with the
         ``speeds``/``sigma2_choices`` enumeration restrictions.
         Scheduled scenarios route to the vectorised ``schedule-grid``
-        backend, which batches whole studies in broadcast passes;
+        backend, which batches whole grids in broadcast passes;
         two-speed schedules keep the closed-form fast paths there,
         byte-identical to the legacy solvers.
     errors:

@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
 The solving commands are wired through the unified :mod:`repro.api`
-(``Scenario``/``Study`` + the backend registry); ``--backend`` flags
+(``Scenario``/``Experiment`` + the backend registry); ``--backend`` flags
 select a registered solver backend where more than one applies.
 
 Commands
@@ -461,7 +461,7 @@ def _cmd_backends(_: argparse.Namespace) -> int:
             f"{yn(backend.sweep_aware):>6s}"
         )
     print()
-    print("batched backends solve whole Experiment/Study groups in one")
+    print("batched backends solve whole Experiment groups in one")
     print("broadcast pass.  Unless --backend forces one, schedule-less")
     print("silent/single-speed scenarios without --errors solve on")
     print("firstorder and every other scenario on schedule-grid.")
@@ -517,7 +517,7 @@ def _cmd_errors(_: argparse.Namespace) -> int:
 
 def _solve_schedule_axis(args: argparse.Namespace, specs: list[str]) -> int:
     """Several ``--schedule`` flags: one batched solve over the axis."""
-    from .api.study import Study
+    from .api.experiment import Experiment
     from .exceptions import (
         InvalidParameterError,
         UnknownBackendError,
@@ -542,7 +542,7 @@ def _solve_schedule_axis(args: argparse.Namespace, specs: list[str]) -> int:
         print(f"invalid scenario: {exc}")
         return 1
     try:
-        results = Study(scenarios=scenarios, name="schedule-axis").solve()
+        results = Experiment.from_scenarios(scenarios, name="schedule-axis").solve()
     except (UnknownBackendError, UnsupportedScenarioError) as exc:
         print(f"bad backend routing: {exc}")
         return 1

@@ -57,7 +57,7 @@ class CombinedErrors:
     --------
     >>> m = CombinedErrors(total_rate=1e-4, failstop_fraction=0.25)
     >>> m.failstop_rate, m.silent_rate
-    (2.5e-05, 7.5e-05)
+    (2.5e-05, 7.500000000000001e-05)
     >>> m.silent_only().silent_rate == 1e-4
     True
     """

@@ -136,7 +136,7 @@ class UnknownBackendError(ReproError, KeyError):
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         # Multi-arg __init__ needs explicit pickle support so the error
-        # survives the Study.solve(processes=...) process boundary.
+        # survives the Experiment.solve(processes=...) process boundary.
         return (type(self), (self.name, self.available))
 
 
@@ -174,7 +174,7 @@ class UnsupportedErrorModelError(ReproError, TypeError):
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         # Multi-arg __init__ needs explicit pickle support so the error
-        # survives the Study.solve(processes=...) process boundary.
+        # survives the Experiment.solve(processes=...) process boundary.
         return (type(self), (self.where, self.model))
 
 

@@ -24,9 +24,9 @@ Four suites mirror the legacy bench scripts:
     grid.
 ``study_batch``
     A per-scenario loop of standalone scalar ``firstorder`` solves vs
-    the batched path (``Study.solve(backend="grid")``, the alias of
-    ``firstorder``, whose batch path is the vectorised kernel) over a
-    catalog x rho study.
+    the batched path (``Experiment.solve(backend="grid")``, the alias
+    of ``firstorder``, whose batch path is the vectorised kernel) over
+    a catalog x rho grid.
 ``dispatch_overhead``
     Cold-pool vs warm-pool plan dispatch: the same sequence of small
     multi-process plans executed through a fresh
@@ -65,9 +65,9 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.experiment import Experiment
     from ..api.result import Result
     from ..api.scenario import Scenario
-    from ..api.study import Study
 
 __all__ = [
     "Workload",
@@ -256,14 +256,14 @@ def incremental_grid_points(
     return points, np.tile(rhos, n_rates)
 
 
-def study_batch_study(*, quick: bool = False) -> "Study":
-    """The ``study_batch`` study: catalog x rho grid (184; quick: 10)."""
-    from ..api.study import Study
+def study_batch_study(*, quick: bool = False) -> "Experiment":
+    """The ``study_batch`` grid: catalog x rho (184; quick: 10)."""
+    from ..api.experiment import Experiment
     from ..platforms.catalog import configuration_names
 
     configs = configuration_names()[:2] if quick else configuration_names()
     rhos = tuple(float(r) for r in np.linspace(1.3, 3.5, 5 if quick else 23))
-    return Study.from_grid(configs=configs, rhos=rhos)
+    return Experiment.over(configs=configs, rhos=rhos)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:
     )
 
 
-def study_batch_loop(study: "Study") -> "list[Result | None]":
+def study_batch_loop(study: "Experiment") -> "list[Result | None]":
     """The ``study_batch`` baseline: every scenario solved standalone,
     one scalar ``firstorder`` enumeration each (``None`` = infeasible).
     ``study.solve(backend="firstorder")`` would take the batch path."""

@@ -13,7 +13,7 @@ tier (:mod:`repro.schedules.incremental`) that warm-starts sweep-shaped
 grids from neighbouring optima with validated seeds and cold fallback.
 The ``schedule``, ``schedule-grid`` and ``schedule-grid-incremental``
 backends of :mod:`repro.api` plug all of this into
-``Scenario(schedule=...)`` and ``Study`` batches.
+``Scenario(schedule=...)`` and ``Experiment`` batches.
 """
 
 from .base import (

@@ -34,7 +34,7 @@ lockstep searches; the constrained optimum it returns matches the
 scalar path to the optimiser placement tolerance (``<= 1e-12`` relative
 on the energy objective, ``~1e-8`` on the optimal pattern size).  The
 ``schedule-grid`` backend of :mod:`repro.api.backends` wraps all of
-this behind ``Study`` batches; ``benchmarks/bench_schedule_grid.py``
+this behind ``Experiment`` batches; ``benchmarks/bench_schedule_grid.py``
 measures the speedup over the per-scenario loop
 (``results/schedule_grid_bench.csv``).
 """

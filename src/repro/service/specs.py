@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..api.backends import available_backends
-from ..api.experiment import Experiment
+from ..api.experiment import Experiment, iter_grid
 from ..api.scenario import MODES, Scenario
-from ..api.study import Study
 from ..errors.models import as_error_model
 from ..exceptions import InvalidSpecError, ReproError
 from ..platforms.catalog import configuration_names, get_configuration
@@ -191,10 +191,11 @@ def _unknown_keys(
 # Axis parsers
 # ----------------------------------------------------------------------
 def _parse_numeric_axis(
-    value: Any, path: str, issues: _Issues, *, positive: bool
+    value: Any, path: str, issues: _Issues, *, positive: bool, max_count: int | None
 ) -> tuple[float, ...] | None:
     """A numeric axis: an array of numbers, or a range object
-    ``{"start", "stop", "count"[, "scale": "linear"|"log"]}``."""
+    ``{"start", "stop", "count"[, "scale": "linear"|"log"]}`` whose
+    ``count`` may not exceed ``max_count`` (the per-job cap)."""
     if isinstance(value, dict):
         _unknown_keys(value, _RANGE_KEYS, path, issues)
         start = _expect_number(value.get("start"), f"{path}.start", issues)
@@ -202,6 +203,13 @@ def _parse_numeric_axis(
         count = value.get("count")
         if isinstance(count, bool) or not isinstance(count, int) or count < 2:
             issues.add(f"{path}.count", f"expected an integer >= 2, got {count!r}")
+            count = None
+        elif max_count is not None and count > max_count:
+            issues.add(
+                f"{path}.count",
+                f"{count} points exceed the service cap of {max_count} "
+                "scenarios per job; split the job",
+            )
             count = None
         scale = value.get("scale", "linear")
         if scale not in ("linear", "log"):
@@ -347,8 +355,10 @@ def _parse_choice_list(
 # Branch parsers
 # ----------------------------------------------------------------------
 def _parse_grid(
-    grid: dict[str, Any], name: str, backend: str | None, issues: _Issues
+    grid: dict[str, Any], backend: str | None, max_points: int | None, issues: _Issues
 ) -> tuple[Scenario, ...] | None:
+    """The grid's scenarios; past ``max_points`` it stops building, so
+    an over-cap grid returns ``max_points + 1`` of them."""
     _unknown_keys(grid, _GRID_KEYS, "grid", issues)
 
     configs: "tuple[Configuration, ...] | None" = None
@@ -365,7 +375,7 @@ def _parse_grid(
         issues.add("grid.configs", "required: at least one catalog configuration name")
 
     rhos = _parse_numeric_axis(
-        grid.get("rhos", [3.0]), "grid.rhos", issues, positive=True
+        grid.get("rhos", [3.0]), "grid.rhos", issues, positive=True, max_count=max_points
     )
 
     modes: tuple[str, ...] | None = ("silent",)
@@ -389,7 +399,7 @@ def _parse_grid(
         raw = grid["error_rates"]
         if isinstance(raw, dict):
             parsed_rates = _parse_numeric_axis(
-                raw, "grid.error_rates", issues, positive=True
+                raw, "grid.error_rates", issues, positive=True, max_count=max_points
             )
             rates = parsed_rates if parsed_rates is None else tuple(parsed_rates)
         else:
@@ -433,17 +443,19 @@ def _parse_grid(
     assert configs is not None and rhos is not None and modes is not None
     assert fractions is not None and rates is not None
     assert schedules is not None and models is not None
+    scenarios = iter_grid(
+        configs,
+        rhos,
+        modes=modes,
+        failstop_fractions=fractions,
+        error_rates=rates,
+        schedules=schedules,
+        error_models=models,
+        backend=backend,
+    )
     try:
-        study = Study.from_grid(
-            configs=configs,
-            rhos=rhos,
-            modes=modes,
-            failstop_fractions=fractions,
-            error_rates=rates,
-            schedules=schedules,
-            error_models=models,
-            backend=backend,
-            name=name,
+        return tuple(
+            scenarios if max_points is None else islice(scenarios, max_points + 1)
         )
     except ReproError as exc:
         # Cross-field constraints (a schedule with single-speed mode, a
@@ -451,7 +463,6 @@ def _parse_grid(
         # construction; the axis values themselves validated above.
         issues.add("grid", str(exc))
         return None
-    return study.scenarios
 
 
 def _parse_scenario(
@@ -587,7 +598,7 @@ def parse_experiment_spec(
     elif has_grid:
         grid = _expect_mapping(obj["grid"], "grid", issues)
         if grid is not None:
-            parsed_grid = _parse_grid(grid, name, backend, issues)
+            parsed_grid = _parse_grid(grid, backend, max_points, issues)
             if parsed_grid is not None:
                 scenarios = parsed_grid
     else:
@@ -600,11 +611,11 @@ def parse_experiment_spec(
             if all(sc is not None for sc in parsed_rows):
                 scenarios = tuple(sc for sc in parsed_rows if sc is not None)
 
-    if scenarios and max_points is not None and len(scenarios) > max_points:
+    if max_points is not None and len(scenarios) > max_points:
         issues.add(
             "grid" if has_grid else "scenarios",
-            f"spec expands to {len(scenarios)} scenarios, above the service "
-            f"cap of {max_points}; split the job",
+            f"spec expands to more than {max_points} scenarios, the service "
+            "cap per job; split the job",
         )
 
     issues.raise_if_any()

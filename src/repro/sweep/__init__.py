@@ -24,8 +24,6 @@ from .runner import SweepPoint, SweepSeries, run_sweep
 from .tables import SpeedPairTable, TableRow, speed_pair_table
 from .vectorized import (
     GridSolution,
-    ScheduleSweepSolution,
-    run_schedule_sweep_fast,
     run_sweep_fast,
     solve_bicrit_grid,
 )
@@ -57,6 +55,4 @@ __all__ = [
     "GridSolution",
     "solve_bicrit_grid",
     "run_sweep_fast",
-    "ScheduleSweepSolution",
-    "run_schedule_sweep_fast",
 ]

@@ -20,11 +20,10 @@ Python-level per-item work); the equivalence tests pin it bit-for-bit
 against the scalar solver and the ablation bench measures the speedup
 (typically ~100x on figure-resolution sweeps).
 
-Since PR 3 the same treatment covers *schedule axes*: sweeping many
-per-attempt speed policies under one ``(configuration, rho)`` goes
-through the batched kernel of :mod:`repro.schedules.vectorized` via
-:func:`run_schedule_sweep_fast` (two-speed entries keep the
-closed-form fast paths).
+Schedule axes — many per-attempt speed policies under one
+``(configuration, rho)`` — batch through the kernel of
+:mod:`repro.schedules.vectorized` instead:
+``Experiment.over(configs=(cfg,), rhos=rho, schedules=specs).solve()``.
 """
 
 from __future__ import annotations
@@ -45,10 +44,8 @@ __all__ = [
     "config_columns",
     "evaluate_pair_grid",
     "exact_overheads",
-    "ScheduleSweepSolution",
     "solve_bicrit_grid",
     "run_sweep_fast",
-    "run_schedule_sweep_fast",
 ]
 
 
@@ -299,84 +296,3 @@ def run_sweep_fast(cfg: Configuration, rho: float, axis: SweepAxis) -> GridSolut
         speeds=cfg.speeds,
     )
     return replace(sol, values=np.asarray(axis.values, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class ScheduleSweepSolution:
-    """Vectorised schedule-axis sweep output: one entry per schedule.
-
-    All arrays have the axis's length; NaN marks schedules that cannot
-    meet the bound.  ``specs`` carries each policy's spec string in
-    axis order (the CSV/plot label).
-    """
-
-    specs: tuple[str, ...]
-    work: np.ndarray
-    energy: np.ndarray
-    time: np.ndarray
-    rho_min: np.ndarray
-
-    def feasible_mask(self) -> np.ndarray:
-        """Schedules that meet the bound."""
-        return np.isfinite(self.energy)
-
-    def best_index(self) -> int:
-        """Index of the energy-minimal feasible schedule.
-
-        Raises
-        ------
-        ValueError
-            When no schedule on the axis is feasible.
-        """
-        if not self.feasible_mask().any():
-            raise InvalidParameterError("no schedule on the axis meets the bound")
-        return int(np.nanargmin(self.energy))
-
-
-def run_schedule_sweep_fast(
-    cfg: Configuration | str,
-    rho: float,
-    schedules: Sequence,
-    *,
-    mode: str = "silent",
-    failstop_fraction: float | None = None,
-    error_rate: float | None = None,
-) -> ScheduleSweepSolution:
-    """One vectorised pass over a *schedule axis*.
-
-    The schedule-space analogue of :func:`run_sweep_fast`: every entry
-    of ``schedules`` (policies or spec strings) is solved for the same
-    ``(cfg, rho, error model)`` through the ``schedule-grid`` backend —
-    general schedules in one broadcast batch, two-speed entries via the
-    closed-form fast paths.
-    """
-    from ..api.backends import get_backend
-    from ..api.scenario import Scenario
-
-    scenarios = [
-        Scenario(
-            config=cfg,
-            rho=rho,
-            mode=mode,
-            failstop_fraction=failstop_fraction,
-            error_rate=error_rate,
-            schedule=schedule,
-        )
-        for schedule in schedules
-    ]
-    results = get_backend("schedule-grid").solve_batch(scenarios)
-    nan = float("nan")
-    return ScheduleSweepSolution(
-        specs=tuple(sc.schedule.spec() for sc in scenarios),
-        work=np.array([r.best.work if r.feasible else nan for r in results]),
-        energy=np.array(
-            [r.best.energy_overhead if r.feasible else nan for r in results]
-        ),
-        time=np.array(
-            [r.best.time_overhead if r.feasible else nan for r in results]
-        ),
-        rho_min=np.array(
-            [nan if r.feasible else (r.rho_min if r.rho_min is not None else nan)
-             for r in results]
-        ),
-    )

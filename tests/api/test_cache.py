@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, SolveCache, Study
+from repro.api import Experiment, Scenario, SolveCache
 from repro.api.cache import DEFAULT_CACHE
 
 
@@ -45,19 +45,19 @@ class TestProvenance:
         assert cache.stats() == (0, 1)
 
 
-class TestStudyCaching:
-    def test_second_study_solve_is_all_hits(self, cache):
-        study = Study.from_grid(configs=("hera-xscale",), rhos=(2.5, 3.0))
-        first = study.solve(cache=cache)
-        second = study.solve(cache=cache)
+class TestExperimentCaching:
+    def test_second_experiment_solve_is_all_hits(self, cache):
+        exp = Experiment.over(configs=("hera-xscale",), rhos=(2.5, 3.0))
+        first = exp.solve(cache=cache)
+        second = exp.solve(cache=cache)
         assert first.cache_hits() == 0
-        assert second.cache_hits() == len(study)
+        assert second.cache_hits() == len(exp)
         assert second.total_wall_time() == 0.0
 
-    def test_scenario_and_study_share_a_cache(self, hera_xscale, cache):
+    def test_scenario_and_experiment_share_a_cache(self, hera_xscale, cache):
         Scenario(config=hera_xscale, rho=2.75).solve(cache=cache)
-        study = Study(scenarios=(Scenario(config=hera_xscale, rho=2.75),))
-        results = study.solve(cache=cache)
+        exp = Experiment.from_scenarios((Scenario(config=hera_xscale, rho=2.75),))
+        results = exp.solve(cache=cache)
         assert results.cache_hits() == 1
 
 

@@ -1,11 +1,11 @@
-"""Scenario/Study/backends integration of the pluggable error models."""
+"""Scenario/Experiment/backends integration of the pluggable error models."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.api import Experiment, Scenario, Study
+from repro.api import Experiment, Scenario
 from repro.api.backends import get_backend
 from repro.api.cache import SolveCache
 from repro.errors import CombinedErrors, ErrorModel, GammaArrivals, parse_error_model
@@ -342,54 +342,54 @@ class TestCacheAndExports:
         assert res.to_dict()["scenario"]["errors"] is None
 
 
-class TestStudyGrids:
-    def test_from_grid_error_models_axis(self):
-        study = Study.from_grid(
+class TestExperimentGrids:
+    def test_over_error_models_axis(self):
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(3.0,),
             error_models=(None, WEIBULL, GAMMA),
             schedules=("geom:0.4,1.5,1",),
         )
-        assert len(study) == 3
+        assert len(exp) == 3
         kinds = [
             None if sc.errors is None else sc.errors.process.kind
-            for sc in study
+            for sc in exp
         ]
         assert kinds == [None, "weibull", "gamma"]
 
     def test_model_axis_suppresses_rate_axis(self):
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(3.0,),
             error_rates=(1e-5, 1e-4),
             error_models=(None, WEIBULL),
         )
         # None model x 2 rates + weibull model x (rate suppressed).
-        assert len(study) == 3
+        assert len(exp) == 3
 
     def test_model_axis_skips_non_silent_modes(self):
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(3.0,),
             modes=("silent", "failstop"),
             error_models=(None, WEIBULL),
         )
         # silent: None + weibull; failstop: None only.
-        assert len(study) == 3
+        assert len(exp) == 3
 
     def test_mixed_model_grid_solves_through_schedule_grid(self, hera_xscale):
         """The acceptance pin: a mixed exponential/renewal model grid
         batches through the schedule-grid backend and matches the
         per-scenario route."""
         lam = hera_xscale.lam
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(3.0, 4.0),
             error_models=(f"exp:rate={lam!r},failstop=0.5", WEIBULL, GAMMA),
             schedules=("geom:0.4,1.5,1", "esc:0.4,0.6,0.8"),
         )
-        assert len(study) == 12
-        results = study.solve(cache=False)
+        assert len(exp) == 12
+        results = exp.solve(cache=False)
         assert set(results.backends_used()) == {"schedule-grid"}
         for res in results:
             assert res.feasible
@@ -402,8 +402,8 @@ class TestStudyGrids:
         from repro.sweep.axes import axis_by_name
 
         axis = axis_by_name("C", n=3)
-        study = Study.over_axis(hera_xscale, 3.0, axis, errors=GAMMA)
-        assert len(study) == 3
-        assert all(sc.errors.process.kind == "gamma" for sc in study)
-        results = study.solve(cache=False)
+        exp = Experiment.over_axis(hera_xscale, 3.0, axis, errors=GAMMA)
+        assert len(exp) == 3
+        assert all(sc.errors.process.kind == "gamma" for sc in exp)
+        results = exp.solve(cache=False)
         assert all(r.feasible for r in results)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import Scenario, Study
+from repro.api import Experiment, Scenario
 from repro.exceptions import InfeasibleBoundError
 from repro.reporting.csvio import read_series_csv_rows
 
@@ -22,8 +22,8 @@ class TestUniformAccessors:
         assert res.require() is res
 
     def test_infeasible_result_accessors(self, hera_xscale):
-        study = Study(scenarios=(Scenario(config=hera_xscale, rho=1.0001),))
-        res = study.solve(cache=False)[0]
+        exp = Experiment.from_scenarios((Scenario(config=hera_xscale, rho=1.0001),))
+        res = exp.solve(cache=False)[0]
         assert not res.feasible
         assert res.speed_pair is None
         assert math.isnan(res.work)
@@ -48,8 +48,8 @@ class TestSimulateHook:
         assert report.agrees()
 
     def test_infeasible_simulate_raises(self, hera_xscale):
-        study = Study(scenarios=(Scenario(config=hera_xscale, rho=1.0001),))
-        res = study.solve(cache=False)[0]
+        exp = Experiment.from_scenarios((Scenario(config=hera_xscale, rho=1.0001),))
+        res = exp.solve(cache=False)[0]
         with pytest.raises(InfeasibleBoundError):
             res.simulate(n=10)
 
@@ -80,8 +80,8 @@ class TestReportingExports:
         }
 
     def test_resultset_csv(self, tmp_path):
-        study = Study.from_grid(configs=("hera-xscale",), rhos=(1.0001, 3.0))
-        results = study.solve(backend="grid", cache=False)
+        exp = Experiment.over(configs=("hera-xscale",), rhos=(1.0001, 3.0))
+        results = exp.solve(backend="grid", cache=False)
         path = results.to_csv(tmp_path / "results.csv")
         rows = read_series_csv_rows(path)
         assert len(rows) == 2
@@ -91,20 +91,20 @@ class TestReportingExports:
         assert float(rows[1]["work"]) == pytest.approx(2764, abs=1)
 
     def test_resultset_csv_records_grid_axes(self, tmp_path, toy_config):
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=(toy_config,),
             modes=("combined",),
             failstop_fractions=(0.0, 1.0),
             error_rates=(2e-3,),
         )
-        results = study.solve(cache=False)
+        results = exp.solve(cache=False)
         rows = read_series_csv_rows(results.to_csv(tmp_path / "grid.csv"))
         assert [r["failstop_fraction"] for r in rows] == ["0", "1"]
         assert [r["error_rate"] for r in rows] == ["0.002", "0.002"]
 
     def test_resultset_array_accessors(self):
-        study = Study.from_grid(configs=("hera-xscale",), rhos=(2.5, 3.0))
-        results = study.solve(cache=False)
+        exp = Experiment.over(configs=("hera-xscale",), rhos=(2.5, 3.0))
+        results = exp.solve(cache=False)
         assert results.works().shape == (2,)
         assert np.all(np.isfinite(results.energy_overheads()))
         assert results.speed_pairs()[1] == (0.4, 0.4)

@@ -220,19 +220,18 @@ class TestCacheKeys:
         # CSV/serialized exports must show the policy the caller wrote.
         assert replay.scenario.schedule.spec() == "two:0.4,0.4"
 
-    def test_study_cache_replay_keeps_caller_scenario(self):
-        from repro.api import Study
+    def test_experiment_cache_replay_keeps_caller_scenario(self):
+        from repro.api import Experiment
 
         cache = SolveCache()
         Scenario(config="hera-xscale", rho=RHO, schedule=Constant(0.4)).solve(
             cache=cache
         )
-        study = Study(
-            scenarios=(
+        exp = Experiment.from_scenarios((
                 Scenario(config="hera-xscale", rho=RHO, schedule=TwoSpeed(0.4, 0.4)),
             )
         )
-        results = study.solve(cache=cache)
+        results = exp.solve(cache=cache)
         assert results[0].provenance.cache_hit
         assert results[0].scenario.schedule.spec() == "two:0.4,0.4"
 
@@ -262,48 +261,48 @@ class TestCacheKeys:
         assert a.best != b.best
 
 
-class TestStudyIntegration:
-    def test_from_grid_schedule_axis(self):
-        from repro.api import Study
+class TestExperimentIntegration:
+    def test_over_schedule_axis(self):
+        from repro.api import Experiment
 
         scheds = (None, "two:0.4,0.6", Geometric(0.4, 1.5, sigma_max=1.0))
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale",), rhos=(RHO,), schedules=scheds
         )
-        assert len(study) == 3
-        results = study.solve(cache=False)
+        assert len(exp) == 3
+        results = exp.solve(cache=False)
         assert [r.scenario.schedule for r in results] == [
             None, TwoSpeed(0.4, 0.6), Geometric(0.4, 1.5, sigma_max=1.0),
         ]
         assert all(r.feasible for r in results)
 
-    def test_from_grid_schedule_axis_skips_single_speed_mode(self):
+    def test_over_schedule_axis_skips_single_speed_mode(self):
         """Like the fraction axis, the schedule axis only applies to
         modes that take one — mixing in single-speed must not raise."""
-        from repro.api import Study
+        from repro.api import Experiment
 
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(RHO,),
             modes=("silent", "single-speed"),
             schedules=(None, TwoSpeed(0.4, 0.6)),
         )
         # silent x {None, schedule} + single-speed x {None} = 3 scenarios.
-        assert len(study) == 3
-        assert sum(1 for sc in study if sc.mode == "single-speed") == 1
+        assert len(exp) == 3
+        assert sum(1 for sc in exp if sc.mode == "single-speed") == 1
         assert all(
-            sc.schedule is None for sc in study if sc.mode == "single-speed"
+            sc.schedule is None for sc in exp if sc.mode == "single-speed"
         )
 
     def test_over_axis_with_schedule(self, hera_xscale):
-        from repro.api import Study
+        from repro.api import Experiment
         from repro.sweep.axes import axis_by_name
 
         axis = axis_by_name("C", n=4)
-        study = Study.over_axis(
+        exp = Experiment.over_axis(
             hera_xscale, RHO, axis, schedule="esc:0.4,0.6,0.8"
         )
-        results = study.solve(cache=False)
+        results = exp.solve(cache=False)
         assert len(results) == 4
         for r in results:
             assert r.scenario.schedule == Escalating((0.4, 0.6, 0.8))

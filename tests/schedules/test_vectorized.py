@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Scenario, SolveCache, Study, available_backends
+from repro.api import Experiment, Scenario, SolveCache, available_backends
 from repro.api.backends import get_backend
 from repro.errors import CombinedErrors, parse_error_model
 from repro.exceptions import InfeasibleBoundError, UnsupportedScenarioError
@@ -32,7 +32,6 @@ from repro.schedules import (
     schedule_min_bound,
     solve_schedule_batch,
 )
-from repro.sweep.vectorized import run_schedule_sweep_fast
 
 RHO = 3.0
 
@@ -337,7 +336,7 @@ class TestGoldenSolveEquivalence:
         )
 
 
-class TestRoutingAndStudy:
+class TestRoutingAndExperiment:
     def test_backend_registered(self):
         assert "schedule-grid" in available_backends()
         assert get_backend("schedule-grid").batched
@@ -370,13 +369,13 @@ class TestRoutingAndStudy:
         assert general.default_backend == "schedule-grid"
         assert two.default_backend == "schedule-grid"
 
-    def test_study_routes_general_schedule_batches(self):
-        study = Study.from_grid(
+    def test_experiment_routes_general_schedule_batches(self):
+        exp = Experiment.over(
             configs=("hera-xscale",),
             rhos=(3.0, 3.5),
             schedules=(None, "two:0.4,0.6", "geom:0.4,1.5,1"),
         )
-        results = study.solve(cache=False)
+        results = exp.solve(cache=False)
         used = {r.scenario.schedule.spec() if r.scenario.schedule else None:
                 r.provenance.backend for r in results}
         assert used[None] == "firstorder"
@@ -398,13 +397,17 @@ class TestRoutingAndStudy:
             schedule_min_bound(hera_xscale, sched), rel=1e-6
         )
 
-    def test_run_schedule_sweep_fast(self, hera_xscale):
+    def test_schedule_axis_experiment(self, hera_xscale):
         specs = ("two:0.4,0.6", "esc:0.4,0.6,0.8", "geom:0.4,1.5,1")
-        sweep = run_schedule_sweep_fast(hera_xscale, RHO, specs)
-        assert sweep.specs == specs
-        assert sweep.feasible_mask().all()
-        best = sweep.best_index()
-        assert sweep.energy[best] == np.nanmin(sweep.energy)
+        results = Experiment.over(
+            configs=(hera_xscale,), rhos=RHO, schedules=specs
+        ).solve(cache=False)
+        assert [r.scenario.schedule.spec() for r in results] == list(specs)
+        assert results.feasible_mask().all()
+        best = results[int(np.nanargmin(results.energy_overheads()))]
+        assert best.best.energy_overhead == min(
+            r.best.energy_overhead for r in results
+        )
 
     def test_result_payload_is_schedule_solution(self):
         res = Scenario(
@@ -455,13 +458,13 @@ class TestCacheIntegration:
 
 class TestProcessSharding:
     def test_sharded_fanout_matches_serial(self):
-        study = Study.from_grid(
+        exp = Experiment.over(
             configs=("hera-xscale", "atlas-crusoe"),
             rhos=(3.0, 3.5),
             schedules=("esc:0.4,0.6,0.8", "geom:0.4,1.5,1"),
         )
-        serial = study.solve(cache=False)
-        fanned = study.solve(cache=False, processes=2)
+        serial = exp.solve(cache=False)
+        fanned = exp.solve(cache=False, processes=2)
         for s, f in zip(serial, fanned):
             assert f.provenance.backend == s.provenance.backend
             assert f.feasible == s.feasible

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario, SolveCache
 from repro.exceptions import InvalidSpecError
+from repro.platforms import configuration_names
+from repro.service import InMemoryArtifactStore, ServiceApp, ServiceConfig
 from repro.service.specs import ExperimentSpec, parse_experiment_spec
+from repro.service.testing import InProcessClient
 
 
 def _paths(excinfo) -> list[str]:
@@ -142,7 +146,25 @@ class TestGridSpecs:
         parse_experiment_spec(payload, max_points=100)
         with pytest.raises(InvalidSpecError) as excinfo:
             parse_experiment_spec(payload, max_points=99)
+        # A range longer than the cap is refused before it is built.
+        assert "grid.rhos.count" in _paths(excinfo)
+        # A product of in-cap axes over the cap is refused on the grid.
+        payload["grid"]["configs"] = ["hera-xscale", "atlas-crusoe"]
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_experiment_spec(payload, max_points=199)
         assert "grid" in _paths(excinfo)
+
+    @pytest.mark.parametrize("axis", ["rhos", "error_rates"])
+    def test_range_count_above_cap_rejected(self, axis):
+        payload = {
+            "grid": {
+                "configs": ["hera-xscale"],
+                axis: {"start": 1e-6, "stop": 5.0, "count": 11},
+            }
+        }
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_experiment_spec(payload, max_points=10)
+        assert _paths(excinfo) == [f"grid.{axis}.count"]
 
     def test_cross_field_scenario_constraint_lands_on_grid(self):
         # A speed schedule cannot combine with an explicit fail-stop
@@ -279,3 +301,35 @@ class TestHttpMapping:
 
     def test_empty_body_is_400(self, client):
         assert client.request("POST", "/v1/jobs").status == 400
+
+    @pytest.mark.parametrize(
+        "configs, rhos",
+        [
+            # One row over the cap, then a grid far over it.
+            (["hera-xscale"], [2.5 + 0.1 * i for i in range(11)]),
+            (list(configuration_names()), [2.5, 3.0, 3.5, 4.0, 4.5]),
+        ],
+        ids=["one-over", "far-over"],
+    )
+    def test_over_cap_grid_stops_building(self, monkeypatch, configs, rhos):
+        app = ServiceApp(
+            ServiceConfig(transport="inline", job_workers=1, max_points=10),
+            cache=SolveCache(),
+            artifacts=InMemoryArtifactStore(),
+        )
+        built = 0
+        post_init = Scenario.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        with app:
+            monkeypatch.setattr(Scenario, "__post_init__", counting)
+            response = InProcessClient(app).post_json(
+                "/v1/jobs", {"grid": {"configs": configs, "rhos": rhos}}
+            )
+        assert response.status == 422
+        assert [issue["path"] for issue in response.json()["issues"]] == ["grid"]
+        assert built <= 11

@@ -88,7 +88,7 @@ class TestUnsupportedErrorModelError:
         assert "schedule" in msg  # points at the escape hatch
 
     def test_pickle_round_trip(self):
-        # Must survive the Study.solve(processes=...) boundary.
+        # Must survive the Experiment.solve(processes=...) boundary.
         import pickle
 
         e = UnsupportedErrorModelError("somewhere", self._model())
