@@ -28,10 +28,7 @@ import numpy as np
 from repro.perf import BenchRunner, build_suite
 from repro.perf.workloads import incremental_axis_points, incremental_grid_points
 from repro.reporting.csvio import write_rows_csv
-from repro.schedules.incremental import (
-    DeltaScheduleGrid,
-    solve_schedule_grid_incremental,
-)
+from repro.schedules.incremental import solve_schedule_grid_incremental
 from repro.schedules.vectorized import ScheduleGrid, solve_schedule_grid
 
 ENERGY_ATOL = 1e-9
@@ -51,10 +48,9 @@ _CSV_FIELDS = (
 def _equivalence(points, rhos):
     """Solve one shape both ways; returns (stats, max abs energy error)
     after asserting feasibility agreement and cold-row byte identity."""
-    cold = solve_schedule_grid(ScheduleGrid.from_points(points), rhos)
-    warm = solve_schedule_grid_incremental(
-        DeltaScheduleGrid.from_points(points), rhos
-    )
+    grid = ScheduleGrid.from_points(points)
+    cold = solve_schedule_grid(grid, rhos)
+    warm = solve_schedule_grid_incremental(grid, rhos)
     assert np.array_equal(cold.feasible, warm.feasible)
     err = np.abs(np.where(cold.feasible, warm.energy_overhead - cold.energy_overhead, 0.0))
     # Rows the tier solved cold (anchors and fallbacks) ride the exact

@@ -40,11 +40,11 @@ routes to one of two: ``firstorder`` for the paper's two-speed model,
     (:mod:`repro.schedules.incremental`): identical batch splitting to
     ``schedule-grid`` but the lockstep solve runs through
     :func:`~repro.schedules.incremental.solve_schedule_grid_incremental`,
-    which deduplicates repeated parameter rows, chains the batch along
-    its detected sweep axes and warm-starts each point from
-    interpolated anchor optima — validated seeds only, cold fallback
-    otherwise.  The sweep-aware planner orders ``ExecutionPlan`` shards
-    so chains stay contiguous for this backend.  Opt-in only.
+    which chains the batch along its detected sweep axes and
+    warm-starts each point from interpolated anchor optima — validated
+    seeds only, cold fallback otherwise.  The sweep-aware planner
+    orders ``ExecutionPlan`` shards so chains stay contiguous for this
+    backend.  Opt-in only.
 
 The retired names stay in the registry as aliases of the instances
 that replaced them — ``grid`` of ``firstorder``, ``combined`` and
@@ -81,10 +81,7 @@ from ..exceptions import (
 from ..failstop.solver import CombinedSolution, solve_pair_combined
 from ..platforms.configuration import Configuration
 from ..schedules.base import TwoSpeed
-from ..schedules.incremental import (
-    DeltaScheduleGrid,
-    solve_schedule_grid_incremental,
-)
+from ..schedules.incremental import solve_schedule_grid_incremental
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
 from ..sweep.vectorized import config_columns, evaluate_pair_grid, exact_overheads
@@ -598,7 +595,7 @@ class ScheduleGridBackend(SolverBackend):
                 )
                 rhos.extend([sc.rho] * len(pairs))
             if points:
-                grid = self._build_grid(points)
+                grid = ScheduleGrid.from_points(points)
                 sol = self._solve_grid(grid, np.asarray(rhos))
                 for pos, i in enumerate(general):
                     results[i] = self._materialise(scenarios[i], sol, pos)
@@ -618,16 +615,6 @@ class ScheduleGridBackend(SolverBackend):
             )
             for r in results
         ]
-
-    def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
-        """Stack the batch's numeric points into the evaluation grid.
-
-        The grid override point of the kernel tiers: the incremental
-        backend swaps in
-        :class:`~repro.schedules.incremental.DeltaScheduleGrid` here and
-        inherits the batch splitting and materialisation unchanged.
-        """
-        return ScheduleGrid.from_points(points)
 
     def _solve_grid(
         self, grid: ScheduleGrid, rhos: np.ndarray
@@ -715,10 +702,7 @@ class ScheduleGridIncrementalBackend(ScheduleGridBackend):
 
     Identical batch splitting and materialisation to
     :class:`ScheduleGridBackend` — only the lockstep solve differs:
-    batches stack into a
-    :class:`~repro.schedules.incremental.DeltaScheduleGrid` (repeated
-    parameter rows deduplicate on the solver's shared coarse scan) and
-    run through
+    batches run through
     :func:`~repro.schedules.incremental.solve_schedule_grid_incremental`,
     which chains the batch along its detected sweep axes, solves
     anchors cold and warm-starts everything in between from
@@ -737,10 +721,6 @@ class ScheduleGridIncrementalBackend(ScheduleGridBackend):
     # handles_schedules / handles_error_models are inherited — this
     # tier accepts exactly what schedule-grid accepts.
     sweep_aware = True
-
-    def _build_grid(self, points: list[tuple]) -> ScheduleGrid:
-        """Stack into the delta tier (dedup on shared-axis scans)."""
-        return DeltaScheduleGrid.from_points(points)
 
     def _solve_grid(
         self, grid: ScheduleGrid, rhos: np.ndarray

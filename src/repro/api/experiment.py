@@ -46,7 +46,9 @@ from typing import TYPE_CHECKING
 from ..exceptions import InfeasibleBoundError, WorkerCrashError
 from ..exec.base import Shard, ShardOutcome, Transport, resolve_transport
 from ..exec.warm import WarmWorkerPool
+from ..errors.models import as_error_model
 from ..platforms.catalog import configuration_names
+from ..schedules.base import as_schedule
 from .backends import get_backend
 from .cache import DEFAULT_CACHE, SolveCache
 from .result import Result, ResultSet
@@ -93,7 +95,13 @@ def iter_grid(
         configs = (configs,)
     # A real scalar (NumPy's included) is a one-value bound axis.
     rho_axis = tuple(rhos) if isinstance(rhos, Iterable) else (rhos,)
-    return (
+    # Parse each schedule / error-model spec once per axis value, not
+    # once per scenario; an axis no mode uses stays unparsed.
+    if any(mode != "single-speed" for mode in modes):
+        schedules = tuple(as_schedule(s) for s in schedules)
+    if "silent" in modes:
+        error_models = tuple(as_error_model(m) for m in error_models)
+    yield from (
         Scenario(
             config=cfg,
             rho=float(rho),

@@ -213,8 +213,8 @@ def incremental_axis_points(
     """The ``incremental`` 1-axis shape: a dense rho sweep.
 
     One (config, schedule) row repeated along 10k bounds (quick: 1200)
-    — the shape where the incremental tier's delta dedup collapses the
-    evaluation work to a single scan and every non-anchor point is a
+    — the shape where the cold solver's stage 1 collapses to a single
+    row's scan and every non-anchor point of the incremental tier is a
     warm-started solve.  Returns ``(points, rhos)`` ready for
     ``ScheduleGrid.from_points``.
     """
@@ -389,24 +389,19 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
 
 
 def _incremental_suite(quick: bool) -> tuple[Workload, ...]:
-    from ..schedules.incremental import (
-        DeltaScheduleGrid,
-        solve_schedule_grid_incremental,
-    )
+    from ..schedules.incremental import solve_schedule_grid_incremental
     from ..schedules.vectorized import ScheduleGrid, solve_schedule_grid
 
     axis_pts, axis_rhos = incremental_axis_points(quick=quick)
     grid_pts, grid_rhos = incremental_grid_points(quick=quick)
-    axis_cold = ScheduleGrid.from_points(axis_pts)
-    axis_delta = DeltaScheduleGrid.from_points(axis_pts)
-    grid_cold = ScheduleGrid.from_points(grid_pts)
-    grid_delta = DeltaScheduleGrid.from_points(grid_pts)
+    axis_grid = ScheduleGrid.from_points(axis_pts)
+    two_axis_grid = ScheduleGrid.from_points(grid_pts)
 
     def _cold(grid: ScheduleGrid, rhos: np.ndarray) -> dict[str, float]:
         solve_schedule_grid(grid, rhos)
         return {"rows": float(len(rhos))}
 
-    def _warm(grid: "DeltaScheduleGrid", rhos: np.ndarray) -> dict[str, float]:
+    def _warm(grid: ScheduleGrid, rhos: np.ndarray) -> dict[str, float]:
         stats = solve_schedule_grid_incremental(grid, rhos).stats
         return {
             "rows": float(stats.n),
@@ -416,16 +411,16 @@ def _incremental_suite(quick: bool) -> tuple[Workload, ...]:
         }
 
     return (
-        Workload("sweep_1axis_cold", lambda: _cold(axis_cold, axis_rhos)),
+        Workload("sweep_1axis_cold", lambda: _cold(axis_grid, axis_rhos)),
         Workload(
             "sweep_1axis_incremental",
-            lambda: _warm(axis_delta, axis_rhos),
+            lambda: _warm(axis_grid, axis_rhos),
             baseline="sweep_1axis_cold",
         ),
-        Workload("grid_2axis_cold", lambda: _cold(grid_cold, grid_rhos)),
+        Workload("grid_2axis_cold", lambda: _cold(two_axis_grid, grid_rhos)),
         Workload(
             "grid_2axis_incremental",
-            lambda: _warm(grid_delta, grid_rhos),
+            lambda: _warm(two_axis_grid, grid_rhos),
             baseline="grid_2axis_cold",
         ),
     )

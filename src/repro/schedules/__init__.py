@@ -37,7 +37,6 @@ from .evaluator import (
     time_overhead_schedule,
 )
 from .incremental import (
-    DeltaScheduleGrid,
     IncrementalOptions,
     IncrementalSolution,
     IncrementalStats,
@@ -81,7 +80,6 @@ __all__ = [
     "evaluate_schedule_batch",
     "solve_schedule_batch",
     "solve_schedule_grid",
-    "DeltaScheduleGrid",
     "IncrementalOptions",
     "IncrementalStats",
     "IncrementalSolution",

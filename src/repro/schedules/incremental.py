@@ -1,20 +1,14 @@
 """Incremental (variational) solve tier: warm-started sweep solves.
 
 Dense sweeps are overwhelmingly near-duplicates — neighbouring points
-differ in exactly one parameter — yet :func:`solve_schedule_grid` pays
-the full coarse scan + two 96-step bisections + 72-step golden section
-for every point from scratch.  This module makes sweep cost sublinear
-in grid size by sharing work across similar rows, the way variational
-execution shares work across similar program configurations:
-
-**Delta-evaluation** (:class:`DeltaScheduleGrid`): rows are grouped by
-their full parameter signature (schedule head/tail, rates, platform
-constants, error model).  On *shared-work-axis* evaluations — the
-solver's coarse scan — only the unique rows are evaluated and the
-results gathered back.  Because padded-head evaluation is
-batch-composition independent (see :class:`ScheduleGrid`), the gather
-is byte-identical to evaluating every row.  A rho-only sweep collapses
-the coarse scan to a single row.
+differ in exactly one parameter.  The cold solver
+(:func:`solve_schedule_grid`) already shares the rho-independent part
+of that work: its coarse scan and golden polish run once per distinct
+row, and its bisections stop once no row moves.  What it still pays
+per row are the two crossing bisections (capped at 96 steps) and the
+72-step golden section.  This module shares that per-row work too,
+the way variational execution shares work across similar program
+configurations:
 
 **Warm-started solves** (:func:`solve_schedule_grid_incremental`): rows
 are sorted so that each detected *chain* (consecutive rows differing in
@@ -64,174 +58,23 @@ from collections.abc import Callable
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..quantities import FloatArray, ScalarOrArray
-from .evaluator import ScheduleExpectation
+from ..quantities import ScalarOrArray
 from .vectorized import (
     DEFAULT_SOLVER_OPTIONS,
     ScheduleGrid,
     ScheduleGridSolution,
     SolverOptions,
     _lockstep_golden,
+    _signature_matrix,
     solve_schedule_grid,
 )
 
 __all__ = [
-    "DeltaScheduleGrid",
     "IncrementalOptions",
     "IncrementalStats",
     "IncrementalSolution",
     "solve_schedule_grid_incremental",
 ]
-
-
-# ----------------------------------------------------------------------
-# Row signatures (the delta-evaluation and chain-detection key)
-# ----------------------------------------------------------------------
-def _signature_matrix(grid: ScheduleGrid) -> tuple[np.ndarray, int]:
-    """Per-row numeric signature matrix and its invariant-column count.
-
-    Layout: ``[head_len, head (padding zeroed), tail, model_rank]`` —
-    the *invariant* columns, equal along any sweep chain — followed by
-    the numeric axes ``[lam_f, lam_s, C, V, R, kappa, idle, p_io]``.
-    Distinct renewal models get distinct small-integer ranks (0 =
-    exponential row), so two rows with equal matrix rows evaluate
-    identically at every pattern size.
-    """
-    n = grid.n
-    H = grid.head.shape[1]
-    mask = np.arange(H)[None, :] < grid.head_len
-    head = np.where(mask, grid.head, 0.0)
-    rank = np.zeros((n, 1))
-    if grid.models:
-        ranks: dict = {}
-        for i, model in grid.models:
-            rank[i, 0] = ranks.setdefault(model, len(ranks) + 1)
-    M = np.concatenate(
-        [
-            grid.head_len,
-            head,
-            grid.tail,
-            rank,
-            grid.lam_f,
-            grid.lam_s,
-            grid.C,
-            grid.V,
-            grid.R,
-            grid.kappa,
-            grid.idle,
-            grid.p_io,
-        ],
-        axis=1,
-    )
-    return M, H + 3
-
-
-@dataclass(frozen=True)
-class DeltaScheduleGrid(ScheduleGrid):
-    """A :class:`ScheduleGrid` that deduplicates identical rows on
-    shared-work-axis evaluations.
-
-    Sweep grids repeat the same ``(schedule, platform, error model)``
-    row under many rho values; on a shared work axis those rows produce
-    identical expectation rows.  This tier evaluates only the unique
-    rows and gathers — byte-identical to the full evaluation, because
-    padded-head rows are batch-composition independent — which makes
-    the solver's coarse scan cost scale with the number of *distinct*
-    rows, not grid size.  Per-row evaluations (the lockstep probes)
-    pass through unchanged.  The dedup map is built lazily on the
-    first shared-axis evaluation, so per-row-only sub-grids (the warm
-    path's) never pay for it.
-    """
-
-    _delta_sub: ScheduleGrid | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _delta_inverse: np.ndarray | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _delta_ready: bool = field(
-        init=False, repr=False, compare=False, default=False
-    )
-
-    def _delta_build(self) -> None:
-        object.__setattr__(self, "_delta_ready", True)
-        if self.n < 2:
-            return
-        M, _ = _signature_matrix(self)
-        _, reps, inverse = np.unique(
-            M, axis=0, return_index=True, return_inverse=True
-        )
-        if reps.size < self.n:
-            # Sub-grid rows follow np.unique's sorted order; ``inverse``
-            # gathers them back into input order.
-            object.__setattr__(self, "_delta_sub", self.take(reps))
-            object.__setattr__(
-                self, "_delta_inverse", inverse.reshape(-1)
-            )
-
-    @property
-    def n_unique(self) -> int:
-        """Number of distinct parameter rows."""
-        if not self._delta_ready:
-            self._delta_build()
-        return self.n if self._delta_sub is None else self._delta_sub.n
-
-    def evaluate(
-        self,
-        work: ScalarOrArray,
-        *,
-        components: tuple[str, ...] = ("time", "energy"),
-        max_attempts: int | None = None,
-    ) -> ScheduleExpectation:
-        w = np.asarray(work, dtype=np.float64)
-        # A scalar, 1-D, or (1, m) work array is a *shared* axis: every
-        # row sees the same sizes, so duplicate rows yield duplicate
-        # outputs and a gather suffices.
-        if w.ndim < 2 or w.shape[0] == 1:
-            if not self._delta_ready:
-                self._delta_build()
-            sub = self._delta_sub
-            if sub is not None:
-                ex = sub.evaluate(
-                    work, components=components, max_attempts=max_attempts
-                )
-                inv = self._delta_inverse
-                assert inv is not None
-
-                def g(a: FloatArray | None) -> FloatArray | None:
-                    return None if a is None else a[inv]
-
-                return ScheduleExpectation(
-                    time=g(ex.time),
-                    energy=g(ex.energy),
-                    attempts=g(ex.attempts),
-                    truncated=ex.truncated,
-                    tail_bound_time=g(ex.tail_bound_time),
-                    tail_bound_energy=g(ex.tail_bound_energy),
-                )
-        return super().evaluate(
-            work, components=components, max_attempts=max_attempts
-        )
-
-    @classmethod
-    def from_grid(cls, grid: ScheduleGrid) -> "DeltaScheduleGrid":
-        """Wrap an existing grid's columns in the delta tier."""
-        if isinstance(grid, cls):
-            return grid
-        return cls(
-            head=grid.head,
-            head_len=grid.head_len,
-            tail=grid.tail,
-            lam_f=grid.lam_f,
-            lam_s=grid.lam_s,
-            models=grid.models,
-            C=grid.C,
-            V=grid.V,
-            R=grid.R,
-            kappa=grid.kappa,
-            idle=grid.idle,
-            p_io=grid.p_io,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -615,15 +458,14 @@ def solve_schedule_grid_incremental(
     attached :class:`IncrementalStats` says how each row was decided.
     """
     opt = IncrementalOptions() if options is None else options
-    dgrid = DeltaScheduleGrid.from_grid(grid)
-    n = dgrid.n
+    n = grid.n
     rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,)).astype(
         np.float64
     )
     if np.any(rho_arr <= 0):
         raise InvalidParameterError("rho must be > 0")
 
-    M, inv_k = _signature_matrix(dgrid)
+    M, inv_k = _signature_matrix(grid)
     chains = _detect_chains(M, inv_k, rho_arr)
 
     # Anchor layout: endpoints + every anchor_stride-th chain position;
@@ -679,7 +521,7 @@ def solve_schedule_grid_incremental(
 
     anchor_idx = np.asarray(anchors, dtype=np.intp)
     asol = solve_schedule_grid(
-        dgrid.take(anchor_idx), rho_arr[anchor_idx], options=opt.solver
+        grid.take(anchor_idx), rho_arr[anchor_idx], options=opt.solver
     )
 
     work = np.full(n, np.nan)
@@ -733,7 +575,7 @@ def solve_schedule_grid_incremental(
         if good.any():
             rows_w = rows_s[good]
             res = _warm_solve(
-                dgrid.take(rows_w),
+                grid.take(rows_w),
                 rho_arr[rows_w],
                 v1[good],
                 v2[good],
@@ -758,7 +600,7 @@ def solve_schedule_grid_incremental(
     if cold_rows.size:
         cidx = np.sort(cold_rows)
         csol = solve_schedule_grid(
-            dgrid.take(cidx), rho_arr[cidx], options=opt.solver
+            grid.take(cidx), rho_arr[cidx], options=opt.solver
         )
         scatter(cidx, csol)
 

@@ -74,10 +74,12 @@ _W_LO = 1e-3
 _W_HI = 1e12
 _COARSE = 200
 
-#: Lockstep iteration budgets.  Bisection halves the bracket each step
-#: (96 steps shrink any bracket inside the search window to well below
-#: one ulp); golden section contracts by ~0.618 (72 steps ~ 8e-16 of
-#: the bracket, tighter than the scalar solver's SciPy tolerances).
+#: Lockstep iteration budgets.  Bisection halves the bracket each step;
+#: 96 is a cap (enough to shrink any bracket inside the search window to
+#: below one ulp), and the loop stops earlier once no row's bracket
+#: moves.  Golden section contracts by ~0.618 and always runs its 72
+#: steps (~8e-16 of the bracket, tighter than the scalar solver's SciPy
+#: tolerances).
 _BISECT_ITERS = 96
 _GOLDEN_ITERS = 72
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -292,12 +294,17 @@ class ScheduleGrid:
 
         Rows are evaluated independently (padded heads are masked per
         row), so a taken row's expectations are byte-identical to the
-        same row inside the parent grid — the property the incremental
+        same row inside the parent grid — the property the cold
+        solver's once-per-distinct-row stage 1 and the incremental
         tier's anchor/fallback sub-solves rely on.  ``models`` row
         indices are remapped to the subset's positions.
         """
         idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-        if idx.size != np.unique(idx).size:
+        # Sorted neighbours, not a 1-D np.unique: that imports numpy.ma
+        # on first use (~2 MB per process), and every cold solve with a
+        # repeated row takes a sub-grid.
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidParameterError("take() indices must be unique")
         model_map = dict(self.models)
         models = tuple(
@@ -504,14 +511,29 @@ def _lockstep_bisect(
     All rows iterate together; each iteration is one batched ``fn``
     call.  Rows whose bracket is degenerate (``a == b``) simply stay
     put, so callers can pre-collapse rows that need no root find.
+
+    ``iters`` is a cap: the step is a deterministic map of each row's
+    ``(a, b, fa)``, so once an iteration leaves every row's state
+    bitwise unchanged every later one would too, and the loop stops
+    there with the result the full budget returns.  The states are
+    compared as bit patterns, so NaN and signed zeros neither end the
+    loop early nor keep it going.
     """
     for _ in range(iters):
         mid = 0.5 * (a + b)
         fm = fn(mid)
         same = np.sign(fm) == np.sign(fa)
-        a = np.where(same, mid, a)
-        fa = np.where(same, fm, fa)
-        b = np.where(same, b, mid)
+        a_next = np.where(same, mid, a)
+        fa_next = np.where(same, fm, fa)
+        b_next = np.where(same, b, mid)
+        fixed = (
+            np.array_equal(a_next.view(np.uint64), a.view(np.uint64))
+            and np.array_equal(b_next.view(np.uint64), b.view(np.uint64))
+            and np.array_equal(fa_next.view(np.uint64), fa.view(np.uint64))
+        )
+        a, b, fa = a_next, b_next, fa_next
+        if fixed:
+            break
     return 0.5 * (a + b)
 
 
@@ -554,6 +576,71 @@ def _lockstep_golden(
     return x, fn(x)
 
 
+def _signature_matrix(grid: ScheduleGrid) -> tuple[np.ndarray, int]:
+    """Per-row numeric signature matrix and its invariant-column count.
+
+    Layout: ``[head_len, head (padding zeroed), tail, model_rank]`` —
+    the *invariant* columns, equal along any sweep chain — followed by
+    the numeric axes ``[lam_f, lam_s, C, V, R, kappa, idle, p_io]``.
+    Distinct renewal models get distinct small-integer ranks (0 =
+    exponential row), so two rows with equal matrix rows evaluate
+    identically at every pattern size.
+    """
+    n = grid.n
+    H = grid.head.shape[1]
+    mask = np.arange(H)[None, :] < grid.head_len
+    head = np.where(mask, grid.head, 0.0)
+    rank = np.zeros((n, 1))
+    if grid.models:
+        ranks: dict[ErrorModel, int] = {}
+        for i, model in grid.models:
+            rank[i, 0] = ranks.setdefault(model, len(ranks) + 1)
+    M = np.concatenate(
+        [
+            grid.head_len,
+            head,
+            grid.tail,
+            rank,
+            grid.lam_f,
+            grid.lam_s,
+            grid.C,
+            grid.V,
+            grid.R,
+            grid.kappa,
+            grid.idle,
+            grid.p_io,
+        ],
+        axis=1,
+    )
+    return M, H + 3
+
+
+def _min_time_overhead(
+    grid: ScheduleGrid, opt: SolverOptions
+) -> tuple[FloatArray, FloatArray]:
+    """Each row's ``(w_star, rho_min)``: the pattern size minimising
+    ``T(W)/W`` and that minimum, by a coarse scan on the shared
+    log-spaced grid (one broadcast evaluation) plus a lockstep golden
+    polish between the argmin's neighbours."""
+    w_grid = np.logspace(math.log10(opt.w_lo), math.log10(opt.w_hi), opt.coarse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_grid = grid.evaluate(w_grid, components=("time",)).time / w_grid
+    t_grid = np.where(np.isfinite(t_grid), t_grid, np.inf)
+    k = np.argmin(t_grid, axis=1)
+    left = w_grid[np.maximum(k - 1, 0)]
+    right = w_grid[np.minimum(k + 1, opt.coarse - 1)]
+    w_star, t_polish = _lockstep_golden(
+        grid.time_overhead, left, right, iters=opt.golden_iters
+    )
+    # Keep the better of grid/polish, as minimize_unimodal does.
+    t_coarse = t_grid[np.arange(grid.n), k]
+    use_polish = t_polish <= t_coarse
+    return (
+        np.where(use_polish, w_star, w_grid[k]),
+        np.where(use_polish, t_polish, t_coarse),
+    )
+
+
 def solve_schedule_grid(
     grid: ScheduleGrid,
     rho: ScalarOrArray,
@@ -565,13 +652,14 @@ def solve_schedule_grid(
     The batched analogue of :func:`repro.schedules.solver.solve_schedule`
     (same three stages, all in lockstep):
 
-    1. **masked coarse scan** — the time overhead of every point on the
-       shared log-spaced work grid in one broadcast pass; per-row
-       argmin + golden polish gives ``rho_min``; rows with
-       ``rho_min > rho`` are masked infeasible;
+    1. **masked coarse scan** — the time overhead of every *distinct*
+       row on the shared log-spaced work grid in one broadcast pass;
+       per-row argmin + golden polish gives ``rho_min``, gathered back
+       to every row that repeats it; rows with ``rho_min > rho`` are
+       masked infeasible;
     2. **crossing brackets** — lockstep bisection for the two
        ``T(W)/W = rho`` crossings (the right bracket grows by lockstep
-       doubling, as in the scalar path);
+       doubling, as in the scalar path), stopped once no row moves;
     3. **masked energy argmin** — lockstep golden section of
        ``E(W)/W`` on each row's feasible interval, then the same
        interior/endpoint candidate rule as the scalar solver.
@@ -586,23 +674,19 @@ def solve_schedule_grid(
     if np.any(rho <= 0):
         raise InvalidParameterError("rho must be > 0")
 
-    # Stage 1: coarse scan (shared grid, one broadcast evaluation).
-    w_grid = np.logspace(math.log10(opt.w_lo), math.log10(opt.w_hi), opt.coarse)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_grid = grid.evaluate(w_grid, components=("time",)).time / w_grid
-    t_grid = np.where(np.isfinite(t_grid), t_grid, np.inf)
-    k = np.argmin(t_grid, axis=1)
-    rows = np.arange(n)
-    left = w_grid[np.maximum(k - 1, 0)]
-    right = w_grid[np.minimum(k + 1, opt.coarse - 1)]
-    w_star, t_polish = _lockstep_golden(
-        grid.time_overhead, left, right, iters=opt.golden_iters
+    # Stage 1 does not depend on rho: run it once per distinct row
+    # (a rho sweep repeats each row many times) and gather back.  Rows
+    # evaluate independently of their batch, so the gather is exact.
+    M, _ = _signature_matrix(grid)
+    _, reps, inverse = np.unique(
+        M.view(np.uint64), axis=0, return_index=True, return_inverse=True
     )
-    # Keep the better of grid/polish, as minimize_unimodal does.
-    t_coarse = t_grid[rows, k]
-    use_polish = t_polish <= t_coarse
-    w_star = np.where(use_polish, w_star, w_grid[k])
-    rho_min = np.where(use_polish, t_polish, t_coarse)
+    if reps.size == n:
+        w_star, rho_min = _min_time_overhead(grid, opt)
+    else:
+        w_star, rho_min = _min_time_overhead(grid.take(reps), opt)
+        inverse = inverse.reshape(-1)
+        w_star, rho_min = w_star[inverse], rho_min[inverse]
     feasible = rho_min <= rho
 
     def shifted(w: np.ndarray) -> np.ndarray:
@@ -648,6 +732,7 @@ def solve_schedule_grid(
     cand_w = np.stack([x_e, b_lo, b_hi])
     cand_e = np.stack([f_e, e1, e2])
     j = np.argmin(cand_e, axis=0)
+    rows = np.arange(n)
     work = cand_w[j, rows]
     energy = cand_e[j, rows]
     t_at = grid.time_overhead(np.where(feasible, work, 1.0))

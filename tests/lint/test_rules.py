@@ -197,8 +197,8 @@ _BACKEND_INDIRECT_SUBCLASS_OK = """
         name = "mine-grid"
         modes = ("silent",)
 
-        def _build_grid(self, points):
-            return DeltaScheduleGrid.from_points(points)
+        def _solve_grid(self, grid, rhos):
+            return solve_schedule_grid(grid, rhos)
 """
 
 _BACKEND_INDIRECT_ASSIGNS_BATCHED = """

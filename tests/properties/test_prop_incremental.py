@@ -27,10 +27,7 @@ from hypothesis import strategies as st
 from repro.errors import CombinedErrors, parse_error_model
 from repro.platforms import get_configuration
 from repro.schedules import Constant, Escalating, Geometric, TwoSpeed
-from repro.schedules.incremental import (
-    DeltaScheduleGrid,
-    solve_schedule_grid_incremental,
-)
+from repro.schedules.incremental import solve_schedule_grid_incremental
 from repro.schedules.vectorized import ScheduleGrid, solve_schedule_grid
 
 ENERGY_ATOL = 1e-9
@@ -73,10 +70,9 @@ def any_errors(draw):
 
 
 def _assert_warm_matches_cold(points, rhos):
-    cold = solve_schedule_grid(ScheduleGrid.from_points(points), rhos)
-    warm = solve_schedule_grid_incremental(
-        DeltaScheduleGrid.from_points(points), rhos
-    )
+    grid = ScheduleGrid.from_points(points)
+    cold = solve_schedule_grid(grid, rhos)
+    warm = solve_schedule_grid_incremental(grid, rhos)
     assert np.array_equal(cold.feasible, warm.feasible)
     feasible = cold.feasible
     err = np.abs(

@@ -1,11 +1,9 @@
-"""The incremental solve tier: delta grids, warm starts, fallbacks.
+"""The incremental solve tier: sub-grids, warm starts, fallbacks.
 
 Unit-level pins of PR 9 (the property suite in
 ``tests/properties/test_prop_incremental.py`` fuzzes the same
 warm-equals-cold contract over random scenarios):
 
-* :class:`DeltaScheduleGrid` dedups shared-axis evaluations
-  byte-identically and passes per-row evaluations through;
 * ``ScheduleGrid.take`` sub-grids evaluate byte-identically to the
   parent rows (the property the anchor sub-solves rely on);
 * warm-started solves agree with the cold pass to ``1e-9`` absolute
@@ -22,12 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CombinedErrors
 from repro.exceptions import InvalidParameterError
 from repro.platforms import configuration_names, get_configuration
 from repro.schedules import TwoSpeed, parse_schedule
 from repro.schedules.incremental import (
-    DeltaScheduleGrid,
     IncrementalOptions,
     IncrementalStats,
     solve_schedule_grid_incremental,
@@ -49,10 +45,9 @@ def _sweep_points(cfg, n, schedule=SCHEDULE, errors=None):
 
 
 def _assert_matches_cold(points, rhos):
-    cold = solve_schedule_grid(ScheduleGrid.from_points(points), rhos)
-    warm = solve_schedule_grid_incremental(
-        DeltaScheduleGrid.from_points(points), rhos
-    )
+    grid = ScheduleGrid.from_points(points)
+    cold = solve_schedule_grid(grid, rhos)
+    warm = solve_schedule_grid_incremental(grid, rhos)
     assert np.array_equal(cold.feasible, warm.feasible)
     err = np.abs(
         np.where(cold.feasible, warm.energy_overhead - cold.energy_overhead, 0.0)
@@ -66,51 +61,6 @@ def _assert_matches_cold(points, rhos):
     assert stats.warm + stats.anchors + stats.boundary + stats.fallback == stats.n
     assert stats.n == len(rhos)
     return warm
-
-
-class TestDeltaScheduleGrid:
-    def test_dedups_repeated_rows(self, hera_xscale):
-        grid = DeltaScheduleGrid.from_points(_sweep_points(hera_xscale, 40))
-        assert grid.n == 40
-        assert grid.n_unique == 1
-
-    def test_distinct_rows_not_collapsed(self, hera_xscale):
-        points = [
-            (hera_xscale, TwoSpeed(0.4, 0.8 + 0.01 * i), None) for i in range(6)
-        ]
-        grid = DeltaScheduleGrid.from_points(points)
-        assert grid.n_unique == 6
-
-    def test_shared_axis_evaluation_byte_identical(self, hera_xscale):
-        points = _sweep_points(hera_xscale, 25) + [
-            (hera_xscale, TwoSpeed(0.5, 0.9), CombinedErrors(2e-5, 0.3))
-        ]
-        plain = ScheduleGrid.from_points(points)
-        delta = DeltaScheduleGrid.from_points(points)
-        assert delta.n_unique == 2
-        work = np.logspace(2, 5, 17)
-        for w in (work, work[None, :], 1234.5):
-            a = plain.evaluate(w)
-            b = delta.evaluate(w)
-            assert np.array_equal(a.time, b.time)
-            assert np.array_equal(a.energy, b.energy)
-
-    def test_per_row_evaluation_passes_through(self, hera_xscale):
-        points = _sweep_points(hera_xscale, 8)
-        plain = ScheduleGrid.from_points(points)
-        delta = DeltaScheduleGrid.from_points(points)
-        # One work column per row: not a shared axis, no gather.
-        work = np.linspace(500.0, 5000.0, 8)[:, None]
-        a = plain.evaluate(work)
-        b = delta.evaluate(work)
-        assert np.array_equal(a.time, b.time)
-        assert np.array_equal(a.energy, b.energy)
-
-    def test_from_grid_wraps_and_is_idempotent(self, hera_xscale):
-        plain = ScheduleGrid.from_points(_sweep_points(hera_xscale, 4))
-        delta = DeltaScheduleGrid.from_grid(plain)
-        assert isinstance(delta, DeltaScheduleGrid)
-        assert DeltaScheduleGrid.from_grid(delta) is delta
 
 
 class TestGridTake:
@@ -230,7 +180,7 @@ class TestWarmEqualsCold:
         n = 30
         rhos = np.linspace(2.8, 4.5, n)
         sol = solve_schedule_grid_incremental(
-            DeltaScheduleGrid.from_points(_sweep_points(hera_xscale, n)),
+            ScheduleGrid.from_points(_sweep_points(hera_xscale, n)),
             rhos,
             options=IncrementalOptions(min_chain=n + 1),
         )
@@ -240,11 +190,10 @@ class TestWarmEqualsCold:
     def test_small_stride_still_correct(self, hera_xscale):
         n = 40
         rhos = np.linspace(2.8, 4.5, n)
-        cold = solve_schedule_grid(
-            ScheduleGrid.from_points(_sweep_points(hera_xscale, n)), rhos
-        )
+        grid = ScheduleGrid.from_points(_sweep_points(hera_xscale, n))
+        cold = solve_schedule_grid(grid, rhos)
         sol = solve_schedule_grid_incremental(
-            DeltaScheduleGrid.from_points(_sweep_points(hera_xscale, n)),
+            grid,
             rhos,
             options=IncrementalOptions(anchor_stride=4),
         )
@@ -253,7 +202,7 @@ class TestWarmEqualsCold:
 
     def test_scalar_rho_broadcasts(self, hera_xscale):
         sol = solve_schedule_grid_incremental(
-            DeltaScheduleGrid.from_points(_sweep_points(hera_xscale, 12)), 3.0
+            ScheduleGrid.from_points(_sweep_points(hera_xscale, 12)), 3.0
         )
         assert sol.stats.n == 12
         assert np.all(sol.feasible)
@@ -261,7 +210,7 @@ class TestWarmEqualsCold:
     def test_nonpositive_rho_rejected(self, hera_xscale):
         with pytest.raises(InvalidParameterError, match="rho"):
             solve_schedule_grid_incremental(
-                DeltaScheduleGrid.from_points(_sweep_points(hera_xscale, 4)),
+                ScheduleGrid.from_points(_sweep_points(hera_xscale, 4)),
                 np.array([3.0, -1.0, 3.0, 3.0]),
             )
 
