@@ -28,7 +28,6 @@ over these verbs; equivalence tests pin their outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -108,13 +107,11 @@ def _write_rows(path: str | Path, fieldnames: Sequence[str], rows: Iterable[dict
 
 
 def _json_dump(payload: dict, path: str | Path | None) -> str | Path:
-    text = json.dumps(payload, indent=2)
+    from ..reporting.jsonio import encode_json, write_json
+
     if path is None:
-        return text
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    return path
+        return encode_json(payload)
+    return write_json(path, payload, end="\n")
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ..errors.combined import CombinedErrors
@@ -55,6 +56,15 @@ _COMBINED_MODES = frozenset({"combined", "failstop"})
 
 #: Instance-dict key of :meth:`Scenario.resolved_config`'s memo.
 _CONFIG_MEMO = "_resolved_config"
+
+
+@lru_cache(maxsize=256, typed=True)
+def _catalog_config(name: str, error_rate: float | None) -> Configuration:
+    """Catalog configuration ``name`` with the ``error_rate`` override
+    applied, built once per (name, rate): a grid's rows share one
+    frozen :class:`Configuration` instead of resolving it per row."""
+    cfg = get_configuration(name)
+    return cfg if error_rate is None else cfg.with_error_rate(error_rate)
 
 
 def _resolve_cache(
@@ -220,15 +230,19 @@ class Scenario:
         Resolved once per instance and memoised outside the dataclass
         fields (the catalog is fixed and the scenario frozen), so the
         memo stays out of ``==``, ``hash``, ``repr`` and pickles; a
-        ``dataclasses.replace`` copy resolves afresh.
+        ``dataclasses.replace`` copy resolves afresh.  Catalog names
+        resolve through a bounded process-wide memo keyed on (name,
+        ``error_rate``), so scenarios that agree on both share one
+        configuration object; a :class:`Configuration` passed in
+        directly is used (or copied with the rate) per instance.
         """
         memo: Configuration | None = self.__dict__.get(_CONFIG_MEMO)
         if memo is not None:
             return memo
         cfg = self.config
         if isinstance(cfg, str):
-            cfg = get_configuration(cfg)
-        if self.error_rate is not None:
+            cfg = _catalog_config(cfg, self.error_rate)
+        elif self.error_rate is not None:
             cfg = cfg.with_error_rate(self.error_rate)
         self.__dict__[_CONFIG_MEMO] = cfg
         return cfg

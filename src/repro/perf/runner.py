@@ -138,7 +138,9 @@ class BenchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        from ..reporting.jsonio import encode_json
+
+        return encode_json(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BenchReport":
@@ -168,10 +170,9 @@ class BenchReport:
 
     def write(self, directory: str | Path) -> Path:
         """Write ``BENCH_<name>.json`` under ``directory``; returns the path."""
-        out = Path(directory) / f"BENCH_{self.name}.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(self.to_json(), encoding="utf-8")
-        return out
+        from ..reporting.jsonio import write_json
+
+        return write_json(Path(directory) / f"BENCH_{self.name}.json", self.to_dict(), end="\n")
 
 
 def _environment() -> dict[str, Any]:

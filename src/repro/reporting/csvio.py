@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..sweep.runner import SweepSeries
 from ..sweep.tables import SpeedPairTable
@@ -161,6 +161,19 @@ def write_results_csv(path: str | Path, results: "Iterable[Result]") -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # Rows of one axis value share their error-model and schedule
+    # objects: render each object's spec once.  The memo holds the
+    # objects too, so an id is never reused within the call.
+    specs: dict[int, tuple[object, str]] = {}
+
+    def spec_of(model: Any) -> str:
+        if model is None:
+            return ""
+        hit = specs.get(id(model))
+        if hit is None:
+            hit = specs[id(model)] = (model, model.spec())
+        return hit[1]
+
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RESULT_FIELDS)
@@ -177,8 +190,8 @@ def write_results_csv(path: str | Path, results: "Iterable[Result]") -> Path:
                 if sc.mode in ("combined", "failstop")
                 else "",
                 "" if sc.error_rate is None else f"{sc.error_rate:.10g}",
-                "" if sc.errors is None else sc.errors.spec(),
-                "" if sc.schedule is None else sc.schedule.spec(),
+                spec_of(sc.errors),
+                spec_of(sc.schedule),
                 sc.label or "",
                 r.provenance.backend,
                 "1" if r.provenance.cache_hit else "0",

@@ -15,6 +15,7 @@ from typing import Any
 from ..core.solution import PatternSolution
 from ..sweep.runner import SweepPoint, SweepSeries
 from ..exceptions import InvalidParameterError
+from .jsonio import write_json
 
 __all__ = [
     "solution_to_dict",
@@ -157,11 +158,13 @@ def result_to_dict(result: Any) -> dict[str, Any]:
 
 
 def dump_json(path: str | Path, payload: dict[str, Any]) -> Path:
-    """Write a payload dict as pretty-printed JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
+    """Write a payload dict as pretty-printed JSON (``indent=2``, sorted
+    keys, the bytes of ``json.dumps``); returns the path.
+
+    The file is replaced whole (see :func:`~repro.reporting.jsonio.write_json`):
+    a failed write leaves an existing file as it was.
+    """
+    return write_json(path, payload, sort_keys=True)
 
 
 def load_json(path: str | Path) -> dict[str, Any]:

@@ -43,6 +43,7 @@ from ..api.backends import available_backends
 from ..api.cache import DEFAULT_CACHE, SolveCache
 from ..exceptions import InvalidParameterError, InvalidSpecError, ReproError
 from ..platforms.catalog import configuration_names, get_configuration
+from ..reporting.jsonio import encode_json
 from .artifacts import (
     ArtifactNotFoundError,
     ArtifactStore,
@@ -131,7 +132,7 @@ class ServiceResponse:
         status: int = 200,
         headers: tuple[tuple[str, str], ...] = (),
     ) -> "ServiceResponse":
-        body = json.dumps(payload, indent=2).encode() + b"\n"
+        body = encode_json(payload).encode() + b"\n"
         return cls(
             status=status,
             headers=(("Content-Type", "application/json"), *headers),

@@ -22,7 +22,6 @@ writing and analysis export.
 
 from __future__ import annotations
 
-import json
 import queue
 import tempfile
 import threading
@@ -34,6 +33,7 @@ from typing import TYPE_CHECKING, Any
 from ..api.experiment import PlanProgress
 from ..exceptions import ReproError, WorkerCrashError
 from ..reporting.csvio import write_results_csv
+from ..reporting.jsonio import encode_json
 from .jobs import Job, JobState
 from .jsonlog import get_logger, log_event
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -313,7 +313,7 @@ class JobQueue:
                 "results": results.to_dicts(),
             }
             exports.append(
-                ("results.json", json.dumps(payload, indent=2).encode())
+                ("results.json", encode_json(payload).encode())
             )
         for verb in spec.analyses:
             exports.append((f"{verb}.json", _analysis_json_bytes(results, verb)))

@@ -17,7 +17,7 @@ from repro.core.solution import BiCritSolution
 from repro.errors import CombinedErrors
 from repro.exceptions import InfeasibleBoundError, InvalidParameterError
 from repro.failstop.solver import solve_bicrit_combined, solve_pair_combined
-from repro.platforms import configuration_names
+from repro.platforms import configuration_names, get_configuration
 
 RHO = 3.0
 
@@ -203,6 +203,7 @@ class TestResolvedConfigMemo:
     def test_paper_grid_solve_resolves_each_scenario_once(self, monkeypatch):
         import repro.api.scenario
 
+        repro.api.scenario._catalog_config.cache_clear()
         experiment = Experiment.over(
             configs=tuple(configuration_names()),
             rhos=tuple(1.3 + i * (3.5 - 1.3) / 39 for i in range(40)),
@@ -218,7 +219,8 @@ class TestResolvedConfigMemo:
         monkeypatch.setattr(repro.api.scenario, "get_configuration", counting)
         results = experiment.solve(cache=SolveCache())
         assert len(results) == 960
-        assert 0 < len(calls) <= 960
+        # One catalog resolution per (config, error rate): 8 x 3.
+        assert 0 < len(calls) <= 24
 
     def test_memo_stays_out_of_identity(self):
         sc = Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
@@ -228,6 +230,22 @@ class TestResolvedConfigMemo:
         assert (pickle.dumps(sc), hash(sc), repr(sc)) == before
         assert sc == Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
         assert pickle.loads(pickle.dumps(sc)).resolved_config() == cfg
+
+    def test_same_name_and_rate_share_one_configuration(self):
+        a = Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)
+        b = Scenario(config="hera-xscale", rho=2.0, error_rate=1e-5, mode="single-speed")
+        assert a.resolved_config() is b.resolved_config()
+        assert a.resolved_config().lam == 1e-5
+        plain = Scenario(config="hera-xscale", rho=3.0)
+        assert plain.resolved_config() is Scenario(config="hera-xscale", rho=1.5).resolved_config()
+        assert plain.resolved_config() is not a.resolved_config()
+        # Directly passed configurations are not pooled.
+        cfg = get_configuration("hera-xscale")
+        assert Scenario(config=cfg, rho=3.0).resolved_config() is cfg
+        assert (
+            Scenario(config=cfg, rho=3.0, error_rate=1e-5).resolved_config()
+            == a.resolved_config()
+        )
 
     def test_replace_resolves_again(self):
         sc = Scenario(config="hera-xscale", rho=3.0, error_rate=1e-5)

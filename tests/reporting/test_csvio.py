@@ -59,3 +59,46 @@ class TestTableCsv:
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["best_sigma2"] == ""  # sigma1 = 0.15 infeasible
+
+
+class TestResultsCsv:
+    """``write_results_csv`` renders each schedule / error-model object's
+    spec once per call, with the bytes of the per-row rendering."""
+
+    def test_spec_rendered_once_per_object(self, tmp_path, monkeypatch):
+        import csv
+
+        from repro.api import Experiment
+        from repro.api.cache import SolveCache
+        from repro.errors.models import ErrorModel
+        from repro.reporting.csvio import write_results_csv
+        from repro.schedules.base import Geometric
+
+        results = Experiment.over(
+            configs=("hera-xscale",),
+            rhos=(2.8, 3.5, 4.0, 5.0),
+            schedules=("geom:0.4,1.5,1", "geom:0.8,0.5,1,0.2"),
+            error_models=("exp:mtbf=3e5", "weibull:shape=0.7,mtbf=3e5"),
+        ).solve(cache=SolveCache())
+        assert len(results) == 16
+        path = write_results_csv(tmp_path / "results.csv", results)
+        rows = list(csv.DictReader(path.open(newline="")))
+        for row, r in zip(rows, results, strict=True):
+            assert row["schedule"] == r.scenario.schedule.spec()
+            assert row["errors"] == r.scenario.errors.spec()
+
+        calls: list[str] = []
+        for cls in (Geometric, ErrorModel):
+            real = cls.spec
+
+            def counting(self, _real=real):
+                calls.append(type(self).__name__)
+                return _real(self)
+
+            monkeypatch.setattr(cls, "spec", counting)
+        again = write_results_csv(tmp_path / "again.csv", results)
+        assert again.read_bytes() == path.read_bytes()
+        distinct = {id(r.scenario.schedule) for r in results} | {
+            id(r.scenario.errors) for r in results
+        }
+        assert len(calls) == len(distinct) < 2 * len(results)

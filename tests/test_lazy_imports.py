@@ -3,8 +3,12 @@
 The two-speed model is closed-form NumPy, so importing the package and
 running a ``firstorder`` study must leave SciPy unloaded; the numeric
 solvers (``exact`` backend, renewal error models) import it when they
-first run.  Checked in a fresh interpreter, since this test process
-has long since loaded SciPy.
+first run.  Likewise ``repro.reporting`` (and the JSON encoder in it)
+loads with the first export, and a whole two-speed batch with its
+exports never touches ``numpy.ma`` (a 1-D *integer* ``np.unique``
+imports it; the batch's float ``np.unique`` does not).  Checked in
+fresh interpreters, since this test process has long since loaded
+all of them.
 """
 
 from __future__ import annotations
@@ -42,12 +46,38 @@ print("ok")
 """
 
 
-def test_scipy_is_imported_on_first_use():
+BATCH_SCRIPT = """
+import sys
+import tempfile
+from pathlib import Path
+
+import repro
+assert "repro.reporting" not in sys.modules
+
+rhos = tuple(1.3 + i * (3.5 - 1.3) / 39 for i in range(40))
+results = repro.Experiment.over(
+    configs=tuple(repro.configuration_names()), rhos=rhos, error_rates=(None, 1e-5, 1e-4)
+).solve(cache=False)
+assert len(results) == 960
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    results.frontier().to_json(out / "frontier.json")
+    results.sensitivity().to_json(out / "sensitivity.json")
+    results.to_csv(out / "results.csv")
+    from repro.reporting.serialize import dump_json
+
+    dump_json(out / "results.json", {"results": results.to_dicts()})
+assert "numpy.ma" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy.ma"))
+print("ok")
+"""
+
+
+def _run(script: str) -> None:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -55,3 +85,11 @@ def test_scipy_is_imported_on_first_use():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_scipy_is_imported_on_first_use():
+    _run(SCRIPT)
+
+
+def test_paper_grid_batch_and_exports_leave_numpy_ma_unloaded():
+    _run(BATCH_SCRIPT)
