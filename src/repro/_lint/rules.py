@@ -102,15 +102,6 @@ def _attr_names_used(node: ast.AST) -> set[str]:
     }
 
 
-def _identifiers_used(node: ast.AST) -> set[str]:
-    """Attribute names *and* bare identifiers under ``node`` — the
-    sweep-capability needle must see function references like
-    ``solve_schedule_grid_incremental``, which are Names, not attributes."""
-    return _attr_names_used(node) | {
-        sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)
-    }
-
-
 # ----------------------------------------------------------------------
 # RPR001 — registered-policy contract
 # ----------------------------------------------------------------------
@@ -263,18 +254,13 @@ def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
       ``True``/``False`` (the registry reads them off the class), and a
       ``True`` declaration obliges the class body to actually touch
       ``schedule`` / ``errors`` (``resolved_errors``);
-    * ``sweep_aware = True`` (the marker ExecutionPlan reads to order
-      a group's shards along detected sweep axes) obliges the class
-      body to reference an incremental/sweep solve path — claiming
-      sweep ordering without the warm-started tier just scrambles the
-      plan for nothing;
     * every concrete subclass must declare its registry ``name`` and
       accepted ``modes``.
 
     The rule matches indirect subclasses too — any class whose base
-    list names ``SolverBackend`` *or* ends in ``Backend`` (e.g. the
-    incremental tier deriving from ``ScheduleGridBackend``) carries the
-    same routing contract.
+    list names ``SolverBackend`` *or* ends in ``Backend`` (e.g. a tier
+    deriving from ``ScheduleGridBackend``) carries the same routing
+    contract.
     """
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
@@ -335,43 +321,6 @@ def check_backend_capabilities(ctx: LintContext) -> Iterator[Diagnostic]:
                     "handle the capability in _solve/solve_batch or drop the "
                     "declaration",
                 )
-
-        sweep_stmt = attrs.get("sweep_aware")
-        if sweep_stmt is not None:
-            value = (
-                sweep_stmt.value
-                if isinstance(sweep_stmt, (ast.Assign, ast.AnnAssign))
-                else None
-            )
-            literal = isinstance(value, ast.Constant) and isinstance(
-                value.value, bool
-            )
-            if not literal:
-                yield ctx.diagnostic(
-                    sweep_stmt,
-                    "RPR003",
-                    f"backend {node.name!r} sets `sweep_aware` to a "
-                    f"non-literal value; ExecutionPlan reads it off the class",
-                    "assign a literal True/False",
-                )
-            elif value.value is True and not abstract:
-                sweep_used: set[str] = set()
-                for method in _class_methods(node).values():
-                    sweep_used |= _identifiers_used(method)
-                if not any(
-                    "incremental" in s.lower() or "sweep" in s.lower()
-                    for s in sweep_used
-                ):
-                    yield ctx.diagnostic(
-                        sweep_stmt,
-                        "RPR003",
-                        f"backend {node.name!r} declares `sweep_aware = True` "
-                        f"but its body never references an incremental/sweep "
-                        f"solve path",
-                        "solve through the incremental tier "
-                        "(solve_schedule_grid_incremental) or drop the "
-                        "declaration",
-                    )
 
 
 # ----------------------------------------------------------------------

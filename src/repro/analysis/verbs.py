@@ -36,10 +36,12 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from ..errors.combined import CombinedErrors
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.result import Result, ResultSet
+    from ..api.scenario import Scenario
 
 __all__ = [
     "AnalysisProvenance",
@@ -790,8 +792,6 @@ class DiffResult:
     onto a feasibility crossing, how the feasible pattern-size interval
     shifted, whether the winning speed pair flipped — explain the
     sweep's shape far more directly than the two absolute solutions.
-    This is the introspection twin of the incremental solve tier, which
-    exploits exactly this similarity for warm starts.
 
     ``regime_before``/``regime_after`` classify where each optimum sits:
     ``interior`` (the unconstrained energy minimum), ``at-w-lo`` /
@@ -925,13 +925,63 @@ def _regime(result: "Result") -> str:
     return "interior"
 
 
+#: The numeric scenario axes a diff reports, in the order of
+#: :func:`_scenario_features`'s numeric part.
+_AXES = ("error_rate", "failstop_fraction", "rho")
+
+
+def _scenario_features(
+    sc: "Scenario",
+) -> tuple[tuple, tuple[float, float, float]]:
+    """Split a scenario into (invariant key, numeric axes).
+
+    The invariant key holds what stays constant along a sweep: platform
+    constants (minus the error rate, which is a numeric axis even when
+    it arrives folded into the configuration), the canonical schedule,
+    the renewal model identity for non-memoryless families, mode and
+    speed restrictions.  The numeric part is ``(total error rate,
+    fail-stop fraction, rho)``.
+    """
+    cfg = sc.resolved_config()
+    errors = sc.resolved_errors()
+    if isinstance(errors, CombinedErrors):
+        rate = errors.total_rate
+        frac = errors.failstop_fraction
+        model_key: object = None
+    elif errors is None:
+        # Silent-only: the solve reads the configuration's own rate.
+        rate = cfg.lam
+        frac = 0.0
+        model_key = None
+    else:
+        # General renewal family: the model is part of the invariant
+        # identity (rates live inside its parameters).
+        rate = 0.0
+        frac = 0.0
+        model_key = errors
+    invariant = (
+        sc.mode,
+        cfg.checkpoint_time,
+        cfg.verification_time,
+        cfg.recovery_time,
+        cfg.processor,
+        cfg.io_power,
+        cfg.speeds,
+        sc.speeds,
+        sc.sigma2_choices,
+        sc.schedule,
+        model_key,
+    )
+    return invariant, (float(rate), float(frac), float(sc.rho))
+
+
 def build_diff(results: "ResultSet", a: int, b: int) -> DiffResult:
     """Explain why results ``a`` and ``b`` of a set differ.
 
     Indices follow the result order (negative indices allowed).  The
     scenario-side deltas name the numeric sweep axes that moved (total
-    error rate, fail-stop fraction, rho — the same features the sweep
-    planner chains by); the solution-side deltas cover the optimum
+    error rate, fail-stop fraction, rho); the solution-side deltas
+    cover the optimum
     (pattern size, energy/time overheads) and the feasible interval's
     crossings, with the binding-regime classification saying whether a
     feasibility crossing started or stopped pinning the optimum.
@@ -941,10 +991,8 @@ def build_diff(results: "ResultSet", a: int, b: int) -> DiffResult:
     rb: "Result" = results[b]
     ia, ib = a % n if n else a, b % n if n else b
 
-    from ..api.sweep_planner import _AXES, scenario_features
-
-    inv_a, ax_a = scenario_features(ra.scenario)
-    inv_b, ax_b = scenario_features(rb.scenario)
+    inv_a, ax_a = _scenario_features(ra.scenario)
+    inv_b, ax_b = _scenario_features(rb.scenario)
     scenario_changes = tuple(
         _numeric_delta(_AXES[j], ax_a[j], ax_b[j])
         for j in range(len(_AXES))

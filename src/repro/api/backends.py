@@ -1,7 +1,7 @@
 """Pluggable solver backends behind a process-wide registry.
 
 A backend turns a :class:`~repro.api.scenario.Scenario` into a
-:class:`~repro.api.result.Result`.  Five ship by default, and
+:class:`~repro.api.result.Result`.  Four ship by default, and
 :attr:`Scenario.default_backend <repro.api.scenario.Scenario.default_backend>`
 routes to one of two: ``firstorder`` for the paper's two-speed model,
 ``schedule-grid`` for everything else.
@@ -35,21 +35,15 @@ routes to one of two: ``firstorder`` for the paper's two-speed model,
     :class:`~repro.schedules.vectorized.ScheduleGrid`
     (:mod:`repro.schedules.vectorized`) and solve in lockstep
     broadcast passes.
-``schedule-grid-incremental``
-    The incremental (variational) tier
-    (:mod:`repro.schedules.incremental`): identical batch splitting to
-    ``schedule-grid`` but the lockstep solve runs through
-    :func:`~repro.schedules.incremental.solve_schedule_grid_incremental`,
-    which chains the batch along its detected sweep axes and
-    warm-starts each point from interpolated anchor optima — validated
-    seeds only, cold fallback otherwise.  The sweep-aware planner
-    orders ``ExecutionPlan`` shards so chains stay contiguous for this
-    backend.  Opt-in only.
 
 The retired names stay in the registry as aliases of the instances
-that replaced them — ``grid`` of ``firstorder``, ``combined`` and
-``schedule-grid-jit`` of ``schedule-grid`` — so old specs, cache keys
-and ``--backend`` arguments still resolve.
+that replaced them — ``grid`` of ``firstorder``; ``combined``,
+``schedule-grid-jit`` and ``schedule-grid-incremental`` of
+``schedule-grid`` — so old specs and ``--backend`` arguments still
+resolve.  An alias is only a name: scenarios resolve it to the
+instance's canonical ``name`` before planning and caching
+(:meth:`~repro.api.scenario.Scenario.resolve_backend_name`), so every
+spelling of one backend shares one plan group and one cache entry.
 
 Registering a new backend (``register_backend``) is the single
 extension point for new solve strategies; every consumer (legacy
@@ -81,7 +75,6 @@ from ..exceptions import (
 from ..failstop.solver import CombinedSolution, solve_pair_combined
 from ..platforms.configuration import Configuration
 from ..schedules.base import TwoSpeed
-from ..schedules.incremental import solve_schedule_grid_incremental
 from ..schedules.solver import ScheduleSolution, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
 from ..sweep.vectorized import config_columns, evaluate_pair_grid, exact_overheads
@@ -96,7 +89,6 @@ __all__ = [
     "ExactBackend",
     "ScheduleBackend",
     "ScheduleGridBackend",
-    "ScheduleGridIncrementalBackend",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -125,11 +117,6 @@ class SolverBackend(abc.ABC):
     #: evaluator dispatches through the model's renewal primitives —
     #: opt in.
     handles_error_models: bool = False
-    #: Whether this backend's batch path benefits from sweep-ordered
-    #: input: ``ExecutionPlan`` keeps detected sweep chains contiguous
-    #: (via :mod:`repro.api.sweep_planner`) when sharding to a
-    #: sweep-aware backend, so warm state survives shard boundaries.
-    sweep_aware: bool = False
 
     @property
     def batched(self) -> bool:
@@ -596,7 +583,7 @@ class ScheduleGridBackend(SolverBackend):
                 rhos.extend([sc.rho] * len(pairs))
             if points:
                 grid = ScheduleGrid.from_points(points)
-                sol = self._solve_grid(grid, np.asarray(rhos))
+                sol = solve_schedule_grid(grid, np.asarray(rhos))
                 for pos, i in enumerate(general):
                     results[i] = self._materialise(scenarios[i], sol, pos)
                 for i, start, pairs in blocks:
@@ -615,17 +602,6 @@ class ScheduleGridBackend(SolverBackend):
             )
             for r in results
         ]
-
-    def _solve_grid(
-        self, grid: ScheduleGrid, rhos: np.ndarray
-    ) -> ScheduleGridSolution:
-        """Run the lockstep solve over the stacked batch.
-
-        The solver override point of the kernel tiers: the incremental
-        backend swaps in the warm-started sweep solver here and
-        inherits the batch splitting and materialisation unchanged.
-        """
-        return solve_schedule_grid(grid, rhos)
 
     def _materialise(
         self, scenario: "Scenario", sol: ScheduleGridSolution, pos: int
@@ -697,38 +673,6 @@ class ScheduleGridBackend(SolverBackend):
         )
 
 
-class ScheduleGridIncrementalBackend(ScheduleGridBackend):
-    """``schedule-grid`` with the incremental (variational) solve tier.
-
-    Identical batch splitting and materialisation to
-    :class:`ScheduleGridBackend` — only the lockstep solve differs:
-    batches run through
-    :func:`~repro.schedules.incremental.solve_schedule_grid_incremental`,
-    which chains the batch along its detected sweep axes, solves
-    anchors cold and warm-starts everything in between from
-    interpolated anchor optima.  Every warm seed is validated by sign
-    and convergence certificates, so rows fall back to the exact cold
-    path rather than ever returning an uncertified optimum: cold-solved
-    rows are byte-identical to ``schedule-grid``, warm rows agree to
-    ``<= 1e-9`` absolute on the energy objective (pinned by the
-    property suite).  Sweep-shaped batches get sublinear solve cost;
-    scattered batches degrade to roughly the cold path plus a small
-    chaining overhead, so choosing this backend is always safe.
-    """
-
-    name = "schedule-grid-incremental"
-    modes = frozenset({"silent", "combined", "failstop"})
-    # handles_schedules / handles_error_models are inherited — this
-    # tier accepts exactly what schedule-grid accepts.
-    sweep_aware = True
-
-    def _solve_grid(
-        self, grid: ScheduleGrid, rhos: np.ndarray
-    ) -> ScheduleGridSolution:
-        """Warm-started sweep solve (exact cold fallback per row)."""
-        return solve_schedule_grid_incremental(grid, rhos)
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -781,7 +725,7 @@ register_backend(FirstOrderBackend())
 register_backend(ExactBackend())
 register_backend(ScheduleBackend())
 register_backend(ScheduleGridBackend())
-register_backend(ScheduleGridIncrementalBackend())
 _REGISTRY["grid"] = _REGISTRY["firstorder"]
 _REGISTRY["combined"] = _REGISTRY["schedule-grid"]
 _REGISTRY["schedule-grid-jit"] = _REGISTRY["schedule-grid"]
+_REGISTRY["schedule-grid-incremental"] = _REGISTRY["schedule-grid"]

@@ -97,10 +97,11 @@ class SolveCache:
         """Per-backend ``{backend: (hits, misses)}`` breakdown.
 
         Backends appear in first-lookup order; the totals across all
-        backends equal :meth:`stats`.  This is how the incremental
-        tier's cache behaviour stays observable: a sweep rerun should
-        show its hits under ``schedule-grid-incremental``, not merged
-        into a global counter.
+        backends equal :meth:`stats`.  A sweep rerun shows its hits
+        under the backend that solved it, not merged into a global
+        counter.  Callers pass canonical names
+        (:meth:`~repro.api.scenario.Scenario.resolve_backend_name`), so
+        an alias such as ``grid`` is counted under ``firstorder``.
         """
         return {name: (h, m) for name, (h, m) in self._by_backend.items()}
 

@@ -365,15 +365,6 @@ class ExecutionPlan:
                 continue
             solver = get_backend(group.backend)
             if solver.batched:
-                if solver.sweep_aware and len(misses) > 1:
-                    # Sweep-aware backends warm-start along detected
-                    # sweep chains: reorder the misses so chains are
-                    # contiguous and monotone before the contiguous
-                    # sharding below, so each chain is cut at most once
-                    # per worker instead of scattered across shards.
-                    from .sweep_planner import order_for_sweeps
-
-                    misses = order_for_sweeps(self.unique, misses)
                 specs.extend(
                     (group.backend, chunk)
                     for chunk in _shard(misses, tp.parallelism if fan_out else 1)

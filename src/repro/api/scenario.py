@@ -41,6 +41,7 @@ from ..platforms.catalog import get_configuration
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
 from ..schedules.base import SpeedSchedule, as_schedule
+from .backends import get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cache import SolveCache
@@ -301,8 +302,19 @@ class Scenario:
         return "schedule-grid"
 
     def resolve_backend_name(self, override: str | None = None) -> str:
-        """The backend this scenario will be solved with."""
-        return override or self.backend or self.default_backend
+        """The canonical registry name of the backend this scenario will
+        be solved with.
+
+        An alias (e.g. ``grid``) resolves to the ``name`` of the
+        instance it points at, so plans group and caches key every
+        spelling of one backend together.
+
+        Raises
+        ------
+        UnknownBackendError
+            When the name is not registered.
+        """
+        return get_backend(override or self.backend or self.default_backend).name
 
     def cache_key(self) -> tuple:
         """The solve-relevant identity of this scenario.
@@ -383,7 +395,6 @@ class Scenario:
         UnknownBackendError, UnsupportedScenarioError
             On bad routing.
         """
-        from .backends import get_backend
         from .cache import DEFAULT_CACHE
 
         name = self.resolve_backend_name(backend)

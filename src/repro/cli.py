@@ -447,7 +447,7 @@ def _cmd_backends(_: argparse.Namespace) -> int:
 
     print(
         f"{'backend':26s} {'modes':29s} {'schedules':>9s} "
-        f"{'errors':>7s} {'batched':>8s} {'sweep':>6s}"
+        f"{'errors':>7s} {'batched':>8s}"
     )
     for name in available_backends():
         backend = get_backend(name)
@@ -457,16 +457,13 @@ def _cmd_backends(_: argparse.Namespace) -> int:
         modes = ", ".join(sorted(backend.modes))
         print(
             f"{name:26s} {modes:29s} {yn(backend.handles_schedules):>9s} "
-            f"{yn(backend.handles_error_models):>7s} {yn(backend.batched):>8s} "
-            f"{yn(backend.sweep_aware):>6s}"
+            f"{yn(backend.handles_error_models):>7s} {yn(backend.batched):>8s}"
         )
     print()
     print("batched backends solve whole Experiment groups in one")
     print("broadcast pass.  Unless --backend forces one, schedule-less")
     print("silent/single-speed scenarios without --errors solve on")
     print("firstorder and every other scenario on schedule-grid.")
-    print("sweep-aware backends get their plan shards ordered along")
-    print("detected sweep axes (warm-started incremental solves)")
     return 0
 
 
@@ -1222,9 +1219,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     Like the warm pool, the cache is process-local state: a bare
     ``stats`` in a fresh CLI process reports empty counters.  The
-    per-backend breakdown is the observable face of the incremental
-    tier — a repeated sweep should show its replays under the backend
-    that solved it, not folded into one global number.
+    per-backend breakdown shows a repeated sweep's replays under the
+    canonical backend that solved it (aliases are counted under the
+    name they resolve to), not folded into one global number.
     """
     from .api.cache import DEFAULT_CACHE, clear_default_cache
 

@@ -9,7 +9,7 @@ baseline workload their speedup is measured against (in-run, on the
 same machine — which is what makes the speedup columns of a committed
 ``BENCH_*.json`` comparable across machines).
 
-Four suites mirror the legacy bench scripts:
+Six suites, each a legacy bench script or a dispatch path:
 
 ``schedule_grid``
     The per-scenario ``schedule`` loop vs the batched
@@ -34,14 +34,6 @@ Four suites mirror the legacy bench scripts:
     down by the call (``processes=2``), vs the persistent process-wide
     pool (``transport="warm"``) — the per-plan spawn/teardown cost a
     long-lived pool amortises.
-``incremental``
-    The cold lockstep solve vs the incremental (warm-started) tier on
-    the two sweep shapes the tier is specified against: a dense 1-axis
-    rho sweep (10k points full; the >= 5x acceptance shape) and a
-    2-axis error-rate x rho grid (64 x 96 full; the >= 2x shape).
-    Grids are stacked eagerly so the timed calls measure solving only,
-    mirroring how the ``schedule-grid-incremental`` backend reuses one
-    stacked batch per plan shard.
 ``service_dispatch``
     The solver service's job-layer overhead: the same rho grid solved
     directly (an inline :class:`~repro.api.experiment.Experiment`) vs
@@ -79,8 +71,6 @@ __all__ = [
     "study_batch_loop",
     "study_batch_study",
     "dispatch_scenarios",
-    "incremental_axis_points",
-    "incremental_grid_points",
 ]
 
 
@@ -205,55 +195,6 @@ def dispatch_scenarios(*, quick: bool = False) -> "list[Scenario]":
 
     rhos = np.linspace(2.9, 3.6, 4 if quick else 12)
     return [Scenario(config=_CONFIG, rho=float(rho)) for rho in rhos]
-
-
-def incremental_axis_points(
-    *, quick: bool = False
-) -> tuple[list[tuple], np.ndarray]:
-    """The ``incremental`` 1-axis shape: a dense rho sweep.
-
-    One (config, schedule) row repeated along 10k bounds (quick: 1200)
-    — the shape where the cold solver's stage 1 collapses to a single
-    row's scan and every non-anchor point of the incremental tier is a
-    warm-started solve.  Returns ``(points, rhos)`` ready for
-    ``ScheduleGrid.from_points``.
-    """
-    from ..platforms.catalog import get_configuration
-    from ..schedules import parse_schedule
-
-    cfg = get_configuration(_CONFIG)
-    schedule = parse_schedule("geom:0.4,1.5,1")
-    n = 1200 if quick else 10_000
-    rhos = np.linspace(2.8, 5.5, n)
-    return [(cfg, schedule, None)] * n, rhos
-
-
-def incremental_grid_points(
-    *, quick: bool = False
-) -> tuple[list[tuple], np.ndarray]:
-    """The ``incremental`` 2-axis shape: error rate x rho.
-
-    64 rates x 96 bounds full (quick: 24 x 64), rho fastest — each
-    rate contributes one warm chain, so the tier pays one anchor
-    ladder per rate plus warm refinements.  The quick grid stays above
-    the tier's fixed-overhead crossover (a too-small grid is dominated
-    by the anchor sub-solve and shows no speedup).  Returns
-    ``(points, rhos)``.
-    """
-    from ..platforms.catalog import get_configuration
-    from ..schedules import parse_schedule
-
-    cfg = get_configuration(_CONFIG)
-    schedule = parse_schedule("geom:0.4,1.5,1")
-    n_rates, n_rhos = (24, 64) if quick else (64, 96)
-    rates = np.logspace(-6, -4, n_rates)
-    rhos = np.linspace(2.8, 5.5, n_rhos)
-    points = [
-        (cfg.with_error_rate(float(rate)), schedule, None)
-        for rate in rates
-        for _ in rhos
-    ]
-    return points, np.tile(rhos, n_rates)
 
 
 def study_batch_study(*, quick: bool = False) -> "Experiment":
@@ -388,44 +329,6 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
     )
 
 
-def _incremental_suite(quick: bool) -> tuple[Workload, ...]:
-    from ..schedules.incremental import solve_schedule_grid_incremental
-    from ..schedules.vectorized import ScheduleGrid, solve_schedule_grid
-
-    axis_pts, axis_rhos = incremental_axis_points(quick=quick)
-    grid_pts, grid_rhos = incremental_grid_points(quick=quick)
-    axis_grid = ScheduleGrid.from_points(axis_pts)
-    two_axis_grid = ScheduleGrid.from_points(grid_pts)
-
-    def _cold(grid: ScheduleGrid, rhos: np.ndarray) -> dict[str, float]:
-        solve_schedule_grid(grid, rhos)
-        return {"rows": float(len(rhos))}
-
-    def _warm(grid: ScheduleGrid, rhos: np.ndarray) -> dict[str, float]:
-        stats = solve_schedule_grid_incremental(grid, rhos).stats
-        return {
-            "rows": float(stats.n),
-            "warm": float(stats.warm),
-            "anchors": float(stats.anchors),
-            "fallback": float(stats.fallback),
-        }
-
-    return (
-        Workload("sweep_1axis_cold", lambda: _cold(axis_grid, axis_rhos)),
-        Workload(
-            "sweep_1axis_incremental",
-            lambda: _warm(axis_grid, axis_rhos),
-            baseline="sweep_1axis_cold",
-        ),
-        Workload("grid_2axis_cold", lambda: _cold(two_axis_grid, grid_rhos)),
-        Workload(
-            "grid_2axis_incremental",
-            lambda: _warm(two_axis_grid, grid_rhos),
-            baseline="grid_2axis_cold",
-        ),
-    )
-
-
 def _service_dispatch_suite(quick: bool) -> tuple[Workload, ...]:
     from ..api.cache import SolveCache
     from ..api.experiment import Experiment
@@ -499,7 +402,6 @@ _SUITES: dict[str, Callable[[bool], tuple[Workload, ...]]] = {
     "experiment_plan": _experiment_plan_suite,
     "study_batch": _study_batch_suite,
     "dispatch_overhead": _dispatch_overhead_suite,
-    "incremental": _incremental_suite,
     "service_dispatch": _service_dispatch_suite,
 }
 

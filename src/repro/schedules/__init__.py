@@ -8,11 +8,8 @@ expectation evaluator for arbitrary schedules
 (:mod:`repro.schedules.evaluator`), a numeric constrained solver
 (:mod:`repro.schedules.solver`), and a vectorised batch kernel that
 evaluates/solves whole schedule grids in broadcast NumPy ops
-(:mod:`repro.schedules.vectorized`), plus an incremental (variational)
-tier (:mod:`repro.schedules.incremental`) that warm-starts sweep-shaped
-grids from neighbouring optima with validated seeds and cold fallback.
-The ``schedule``, ``schedule-grid`` and ``schedule-grid-incremental``
-backends of :mod:`repro.api` plug all of this into
+(:mod:`repro.schedules.vectorized`).  The ``schedule`` and
+``schedule-grid`` backends of :mod:`repro.api` plug all of this into
 ``Scenario(schedule=...)`` and ``Experiment`` batches.
 """
 
@@ -35,12 +32,6 @@ from .evaluator import (
     expected_reexecutions_schedule,
     expected_time_schedule,
     time_overhead_schedule,
-)
-from .incremental import (
-    IncrementalOptions,
-    IncrementalSolution,
-    IncrementalStats,
-    solve_schedule_grid_incremental,
 )
 from .solver import ScheduleSolution, schedule_min_bound, solve_schedule
 from .vectorized import (
@@ -80,8 +71,4 @@ __all__ = [
     "evaluate_schedule_batch",
     "solve_schedule_batch",
     "solve_schedule_grid",
-    "IncrementalOptions",
-    "IncrementalStats",
-    "IncrementalSolution",
-    "solve_schedule_grid_incremental",
 ]

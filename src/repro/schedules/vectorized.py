@@ -92,9 +92,9 @@ class SolverOptions:
     The defaults reproduce the historical module-level constants
     exactly (the regression tests pin that a default-constructed
     options object changes nothing), so existing callers are
-    unaffected; the incremental tier (:mod:`repro.schedules.incremental`)
-    passes reduced budgets for its warm-started cold fallbacks, and
-    tests can shrink the coarse scan to exercise fallback ladders.
+    unaffected; tests pass small budgets (a short coarse scan, few
+    bisection steps) to exercise the solver's early stops and edge
+    cases cheaply.
 
     Parameters
     ----------
@@ -295,9 +295,8 @@ class ScheduleGrid:
         Rows are evaluated independently (padded heads are masked per
         row), so a taken row's expectations are byte-identical to the
         same row inside the parent grid — the property the cold
-        solver's once-per-distinct-row stage 1 and the incremental
-        tier's anchor/fallback sub-solves rely on.  ``models`` row
-        indices are remapped to the subset's positions.
+        solver's once-per-distinct-row stage 1 relies on.  ``models``
+        row indices are remapped to the subset's positions.
         """
         idx = np.asarray(indices, dtype=np.intp).reshape(-1)
         # Sorted neighbours, not a 1-D np.unique: that imports numpy.ma

@@ -13,9 +13,10 @@ from repro.analysis.verbs import (
     FrontierResult,
     SavingsResult,
     SensitivityResult,
+    _scenario_features,
     percent_savings,
 )
-from repro.api import Experiment
+from repro.api import Experiment, Scenario
 from repro.reporting.csvio import read_series_csv_rows
 
 
@@ -321,3 +322,52 @@ class TestDiffVerb:
         d = results.diff(0, 1)
         assert not d.invariants_equal
         assert "not sweep neighbours" in d.describe()
+
+
+class TestScenarioFeatures:
+    """The (invariant key, numeric axes) split that ``diff`` reads."""
+
+    SCHEDULE = "geom:0.4,1.5,1"
+
+    def _rho_scenarios(self, rhos):
+        return [
+            Scenario(config="hera-xscale", rho=float(r), schedule=self.SCHEDULE)
+            for r in rhos
+        ]
+
+    def test_rho_is_the_only_moving_axis_on_a_rho_sweep(self):
+        a, b = self._rho_scenarios([3.0, 4.0])
+        inv_a, ax_a = _scenario_features(a)
+        inv_b, ax_b = _scenario_features(b)
+        assert inv_a == inv_b
+        assert ax_a[:2] == ax_b[:2]
+        assert ax_a[2] == 3.0 and ax_b[2] == 4.0
+
+    def test_silent_rate_read_from_configuration(self):
+        sc = self._rho_scenarios([3.0])[0]
+        _, axes = _scenario_features(sc)
+        assert axes[0] == sc.resolved_config().lam
+        assert axes[1] == 0.0
+
+    def test_combined_mode_exposes_rate_and_fraction(self):
+        sc = Scenario(
+            config="hera-xscale", rho=3.0, mode="combined",
+            failstop_fraction=0.4, error_rate=2e-5, schedule=self.SCHEDULE,
+        )
+        _, axes = _scenario_features(sc)
+        assert axes[0] == pytest.approx(2e-5)
+        assert axes[1] == pytest.approx(0.4)
+
+    def test_renewal_model_part_of_invariant_key(self):
+        spec = "gamma:shape=2,mtbf=3e5"
+        a = Scenario(config="hera-xscale", rho=3.0, errors=spec,
+                     schedule=self.SCHEDULE)
+        b = Scenario(config="hera-xscale", rho=3.0, schedule=self.SCHEDULE)
+        inv_a, _ = _scenario_features(a)
+        inv_b, _ = _scenario_features(b)
+        assert inv_a != inv_b
+
+    def test_different_schedules_break_the_invariant(self):
+        a = Scenario(config="hera-xscale", rho=3.0, schedule="geom:0.4,1.5,1")
+        b = Scenario(config="hera-xscale", rho=3.0, schedule="two:0.4,0.8")
+        assert _scenario_features(a)[0] != _scenario_features(b)[0]

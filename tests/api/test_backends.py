@@ -28,6 +28,67 @@ class TestRegistry:
             get_backend("simulated-annealing")
         assert "firstorder" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "name, canonical",
+        [
+            ("exact", "exact"),
+            ("grid", "firstorder"),
+            ("combined", "schedule-grid"),
+            ("schedule-grid-jit", "schedule-grid"),
+            ("schedule-grid-incremental", "schedule-grid"),
+        ],
+    )
+    def test_scenario_resolves_the_canonical_name(self, name, canonical):
+        """Plans group and caches key by the instance's own name, so
+        every spelling of one backend resolves to it, whether it comes
+        from the scenario or from an override."""
+        sc = Scenario(config="hera-xscale", rho=3.0, backend=name)
+        assert sc.resolve_backend_name() == canonical
+        assert Scenario(config="hera-xscale", rho=3.0).resolve_backend_name(
+            name
+        ) == canonical
+        assert get_backend(name) is get_backend(canonical)
+
+    def test_resolving_an_unknown_name_raises(self):
+        sc = Scenario(config="hera-xscale", rho=3.0)
+        with pytest.raises(UnknownBackendError):
+            sc.resolve_backend_name("simulated-annealing")
+
+    def test_incremental_tier_modules_are_gone(self):
+        """The retired tier survives only as a registry alias."""
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.schedules.incremental") is None
+        assert importlib.util.find_spec("repro.api.sweep_planner") is None
+        assert get_backend("schedule-grid-incremental") is get_backend("schedule-grid")
+
+    def test_replacing_a_backend_reroutes_its_aliases(self):
+        """Re-registering ``schedule-grid`` drops the default cache's
+        entries made under any of its spellings, and the aliases then
+        solve on the replacement."""
+        from repro.api.backends import ScheduleGridBackend
+
+        calls: list[int] = []
+
+        class Counting(ScheduleGridBackend):
+            def solve_batch(self, scenarios):
+                calls.append(len(scenarios))
+                return super().solve_batch(scenarios)
+
+        original = get_backend("schedule-grid")
+        sc = Scenario(config="hera-xscale", rho=3.07, schedule="geom:0.4,1.5,1")
+        sc.solve(backend="combined")
+        assert sc.solve(backend="schedule-grid-jit").provenance.cache_hit
+        try:
+            register_backend(Counting(), replace=True)
+            fresh = sc.solve(backend="combined")
+            assert not fresh.provenance.cache_hit
+            assert fresh.provenance.backend == "schedule-grid"
+            assert calls == [1]
+        finally:
+            register_backend(original, replace=True)
+        assert get_backend("schedule-grid") is original
+
     def test_register_and_replace(self):
         class Toy(SolverBackend):
             name = "toy-test-backend"

@@ -7,6 +7,11 @@ import pytest
 from repro.api import Experiment, Scenario, SolveCache
 from repro.api.cache import DEFAULT_CACHE
 
+#: Every registry name of the ``schedule-grid`` instance.
+GRID_SPELLINGS = (
+    "schedule-grid", "combined", "schedule-grid-jit", "schedule-grid-incremental",
+)
+
 
 @pytest.fixture
 def cache() -> SolveCache:
@@ -28,9 +33,25 @@ class TestProvenance:
     def test_key_includes_backend(self, hera_xscale, cache):
         sc = Scenario(config=hera_xscale, rho=2.3456)
         sc.solve(backend="firstorder", cache=cache)
-        grid = sc.solve(backend="grid", cache=cache)
-        assert not grid.provenance.cache_hit  # different backend, fresh solve
+        exact = sc.solve(backend="exact", cache=cache)
+        assert not exact.provenance.cache_hit  # different backend, fresh solve
         assert len(cache) == 2
+
+    @pytest.mark.parametrize("first", GRID_SPELLINGS)
+    def test_alias_shares_the_canonical_entry(self, cache, first):
+        """An alias is a name, not a second cache namespace: whichever
+        spelling of ``schedule-grid`` solves first, the others replay
+        its entry, and invalidating the canonical name drops it."""
+        sc = Scenario(config="hera-xscale", rho=3.0, schedule="geom:0.4,1.5,1")
+        assert not sc.solve(backend=first, cache=cache).provenance.cache_hit
+        for name in GRID_SPELLINGS:
+            if name == first:
+                continue
+            assert sc.solve(backend=name, cache=cache).provenance.cache_hit
+        assert len(cache) == 1
+        assert cache.stats_by_backend() == {"schedule-grid": (3, 1)}
+        assert cache.invalidate_backend("schedule-grid") == 1
+        assert len(cache) == 0
 
     def test_key_includes_scenario_fields(self, hera_xscale, cache):
         Scenario(config=hera_xscale, rho=2.3456).solve(cache=cache)
@@ -129,11 +150,11 @@ class TestSolveCacheMechanics:
         cache = SolveCache()
         sc = Scenario(config=hera_xscale, rho=2.4)
         sc.solve(backend="firstorder", cache=cache)
-        sc.solve(backend="grid", cache=cache)
+        sc.solve(backend="exact", cache=cache)
         assert cache.invalidate_backend("firstorder") == 1
         assert len(cache) == 1
         assert not sc.solve(backend="firstorder", cache=cache).provenance.cache_hit
-        assert sc.solve(backend="grid", cache=cache).provenance.cache_hit
+        assert sc.solve(backend="exact", cache=cache).provenance.cache_hit
 
     def test_replacing_a_backend_invalidates_default_cache(self, hera_xscale):
         from repro.api import backends as mod
@@ -179,10 +200,10 @@ class TestPerBackendStats:
         sc = Scenario(config=hera_xscale, rho=2.3456)
         sc.solve(backend="firstorder", cache=cache)
         sc.solve(backend="firstorder", cache=cache)  # hit
-        sc.solve(backend="grid", cache=cache)
+        sc.solve(backend="exact", cache=cache)
         assert cache.stats_by_backend() == {
             "firstorder": (1, 1),
-            "grid": (0, 1),
+            "exact": (0, 1),
         }
 
     def test_breakdown_totals_match_stats(self, hera_xscale, cache):
@@ -195,10 +216,10 @@ class TestPerBackendStats:
 
     def test_breakdown_preserves_first_lookup_order(self, hera_xscale, cache):
         sc = Scenario(config=hera_xscale, rho=2.3456)
-        sc.solve(backend="grid", cache=cache)
+        sc.solve(backend="exact", cache=cache)
         sc.solve(backend="firstorder", cache=cache)
-        sc.solve(backend="grid", cache=cache)
-        assert list(cache.stats_by_backend()) == ["grid", "firstorder"]
+        sc.solve(backend="exact", cache=cache)
+        assert list(cache.stats_by_backend()) == ["exact", "firstorder"]
 
     def test_clear_resets_breakdown(self, hera_xscale, cache):
         Scenario(config=hera_xscale, rho=2.3456).solve(cache=cache)

@@ -86,8 +86,33 @@ class TestPlanCompilation:
 
     def test_forced_backend_applies_to_all(self, hera_xscale):
         exp = Experiment.over(configs=(hera_xscale,), rhos=(2.5, 3.0))
-        plan = exp.plan(backend="grid")
-        assert all(g.backend == "grid" for g in plan.groups)
+        plan = exp.plan(backend="exact")
+        assert all(g.backend == "exact" for g in plan.groups)
+
+    def test_alias_spellings_share_one_row_group_and_entry(self):
+        """An alias is a name: one scenario under the four spellings of
+        ``schedule-grid`` is one unique row in one plan group, solved
+        once and cached under one key."""
+        spellings = (
+            "schedule-grid", "combined", "schedule-grid-jit",
+            "schedule-grid-incremental",
+        )
+        scenarios = [
+            Scenario(config="hera-xscale", rho=3.0, schedule="geom:0.4,1.5,1",
+                     backend=name)
+            for name in spellings
+        ]
+        plan = Experiment.from_scenarios(scenarios).plan()
+        assert plan.n_unique == 1
+        assert [g.backend for g in plan.groups] == ["schedule-grid"]
+        cache = SolveCache()
+        results = plan.execute(cache=cache)
+        assert len(cache) == 1
+        assert cache.stats() == (0, 1)
+        assert {r.provenance.backend for r in results} == {"schedule-grid"}
+        for name in spellings:
+            forced = Experiment.from_scenarios(scenarios[:1]).plan(backend=name)
+            assert [g.backend for g in forced.groups] == ["schedule-grid"]
 
     def test_forced_backend_validated_at_plan_time(self, hera_xscale):
         exp = Experiment.over(configs=(hera_xscale,), rhos=(3.0,), modes=("combined",),

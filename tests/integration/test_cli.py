@@ -187,23 +187,22 @@ class TestVersionFlag:
 
 
 class TestBackendsListing:
-    def test_batched_and_sweep_columns_exposed(self, capsys):
+    def test_batched_column_and_aliases_exposed(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         header = out.splitlines()[0]
-        for column in ("backend", "modes", "schedules", "errors", "batched",
-                       "sweep"):
+        for column in ("backend", "modes", "schedules", "errors", "batched"):
             assert column in header
+        assert "sweep" not in header
         rows = {line.split()[0]: line for line in out.splitlines()[1:9]}
-        # Last two cells per row: (batched, sweep).
-        assert rows["schedule-grid"].split()[-2:] == ["yes", "no"]
-        assert rows["schedule-grid-incremental"].split()[-2:] == ["yes", "yes"]
-        assert rows["firstorder"].split()[-2:] == ["yes", "no"]
+        # Last cell per row: batched.
+        assert rows["schedule-grid"].split()[-1] == "yes"
+        assert rows["firstorder"].split()[-1] == "yes"
+        assert rows["schedule"].split()[-1] == "no"
         assert rows["grid"].split()[1:] == ["alias", "of", "firstorder"]
-        assert rows["combined"].split()[1:] == ["alias", "of", "schedule-grid"]
-        assert rows["schedule-grid-jit"].split()[1:] == \
-            ["alias", "of", "schedule-grid"]
-        assert "sweep-aware backends" in out
+        for alias in ("combined", "schedule-grid-jit", "schedule-grid-incremental"):
+            assert rows[alias].split()[1:] == ["alias", "of", "schedule-grid"]
+        assert "sweep-aware" not in out
 
 
 class TestFrontierCommand:
@@ -287,11 +286,14 @@ class TestSavingsCommand:
 
 
 class TestSolveAnalyze:
-    def test_retired_backend_name_matches_schedule_grid(self, capsys):
-        """``--backend schedule-grid-jit`` still runs, and prints exactly
+    @pytest.mark.parametrize(
+        "alias", ["combined", "schedule-grid-jit", "schedule-grid-incremental"]
+    )
+    def test_retired_backend_name_matches_schedule_grid(self, capsys, alias):
+        """``--backend <retired tier>`` still runs, and prints exactly
         what ``--backend schedule-grid`` prints (the name is an alias)."""
         outputs = []
-        for backend in ("schedule-grid", "schedule-grid-jit"):
+        for backend in ("schedule-grid", alias):
             assert main([
                 "solve", "--schedule", "esc:0.4,0.6,0.8",
                 "--schedule", "geom:0.4,1.5,1", "--backend", backend,

@@ -197,8 +197,8 @@ _BACKEND_INDIRECT_SUBCLASS_OK = """
         name = "mine-grid"
         modes = ("silent",)
 
-        def _solve_grid(self, grid, rhos):
-            return solve_schedule_grid(grid, rhos)
+        def _solve(self, scenario):
+            return solve(scenario)
 """
 
 _BACKEND_INDIRECT_ASSIGNS_BATCHED = """
@@ -209,39 +209,6 @@ _BACKEND_INDIRECT_ASSIGNS_BATCHED = """
 
         def _solve(self, scenario):
             return solve(scenario)
-"""
-
-# The incremental tier's shape (ScheduleGridIncrementalBackend): a
-# grid-tier subclass declaring sweep_aware and solving through the
-# warm-started incremental path.
-_BACKEND_SWEEP_AWARE_OK = """
-    class IncrementalTierBackend(ScheduleGridBackend):
-        name = "mine-incremental"
-        modes = ("silent",)
-        sweep_aware = True
-
-        def _solve_grid(self, grid, rhos):
-            return solve_schedule_grid_incremental(grid, rhos)
-"""
-
-_BACKEND_SWEEP_FLAG_WITHOUT_SOLVER = """
-    class IncrementalTierBackend(ScheduleGridBackend):
-        name = "mine-incremental"
-        modes = ("silent",)
-        sweep_aware = True
-
-        def _solve_grid(self, grid, rhos):
-            return solve_schedule_grid(grid, rhos)
-"""
-
-_BACKEND_SWEEP_FLAG_NON_LITERAL = """
-    class IncrementalTierBackend(ScheduleGridBackend):
-        name = "mine-incremental"
-        modes = ("silent",)
-        sweep_aware = compute_flag()
-
-        def _solve_grid(self, grid, rhos):
-            return solve_schedule_grid_incremental(grid, rhos)
 """
 
 
@@ -276,19 +243,6 @@ class TestBackendCapabilities:
         diags = run(_BACKEND_INDIRECT_ASSIGNS_BATCHED, select="RPR003")
         assert codes_of(diags) == ["RPR003"]
         assert "solve_batch" in diags[0].message
-
-    def test_sweep_aware_backend_clean(self):
-        assert run(_BACKEND_SWEEP_AWARE_OK, select="RPR003") == []
-
-    def test_sweep_aware_without_incremental_solver_flagged(self):
-        diags = run(_BACKEND_SWEEP_FLAG_WITHOUT_SOLVER, select="RPR003")
-        assert codes_of(diags) == ["RPR003"]
-        assert "sweep_aware" in diags[0].message
-
-    def test_sweep_aware_non_literal_flagged(self):
-        diags = run(_BACKEND_SWEEP_FLAG_NON_LITERAL, select="RPR003")
-        assert codes_of(diags) == ["RPR003"]
-        assert "non-literal" in diags[0].message
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_committed_baselines_cover_every_gated_workload() -> None:
 def test_suite_registry() -> None:
     assert suite_names() == (
         "schedule_grid", "error_models", "experiment_plan", "study_batch",
-        "dispatch_overhead", "incremental", "service_dispatch",
+        "dispatch_overhead", "service_dispatch",
     )
     for name in suite_names():
         suite = build_suite(name, quick=True)

@@ -6,6 +6,8 @@ per-scenario ``schedule`` backend — to ``1e-12`` relative error on the
 energy objective for general schedules (the optimiser placement
 tolerance bounds ``work``/``time`` near ``1e-8``), and byte-identically
 for two-speed schedules, which keep the legacy closed-form fast paths.
+Also here: ``ScheduleGrid.take`` sub-grids, ``SolverOptions``
+validation, and threads sharing the registered backend instance.
 """
 
 from __future__ import annotations
@@ -18,19 +20,27 @@ from hypothesis import strategies as st
 from repro.api import Experiment, Scenario, SolveCache, available_backends
 from repro.api.backends import get_backend
 from repro.errors import CombinedErrors, parse_error_model
-from repro.exceptions import InfeasibleBoundError, UnsupportedScenarioError
+from repro.exceptions import (
+    InfeasibleBoundError,
+    InvalidParameterError,
+    UnsupportedScenarioError,
+)
 from repro.platforms import configuration_names, get_configuration
 from repro.schedules import (
+    DEFAULT_SOLVER_OPTIONS,
     Constant,
     Escalating,
     Geometric,
     ScheduleGrid,
     ScheduleSolution,
+    SolverOptions,
     TwoSpeed,
     evaluate_schedule,
     evaluate_schedule_batch,
+    parse_schedule,
     schedule_min_bound,
     solve_schedule_batch,
+    solve_schedule_grid,
 )
 
 RHO = 3.0
@@ -341,10 +351,13 @@ class TestRoutingAndExperiment:
         assert "schedule-grid" in available_backends()
         assert get_backend("schedule-grid").batched
 
-    def test_retired_jit_name_is_an_alias(self):
-        """``schedule-grid-jit`` resolves to the ``schedule-grid``
+    @pytest.mark.parametrize(
+        "alias", ["combined", "schedule-grid-jit", "schedule-grid-incremental"]
+    )
+    def test_retired_name_is_an_alias(self, alias):
+        """The retired tiers' names resolve to the ``schedule-grid``
         instance, so old specs solve bit-identically on it."""
-        assert get_backend("schedule-grid-jit") is get_backend("schedule-grid")
+        assert get_backend(alias) is get_backend("schedule-grid")
         scenarios = [
             Scenario(config="hera-xscale", rho=3.2, error_rate=1e-5,
                      schedule="esc:0.4,0.6,0.8"),
@@ -355,8 +368,8 @@ class TestRoutingAndExperiment:
                      schedule="two:0.8,1.1"),
         ]
         grid = [sc.solve(backend="schedule-grid", cache=False) for sc in scenarios]
-        alias = [sc.solve(backend="schedule-grid-jit", cache=False) for sc in scenarios]
-        for g, a in zip(grid, alias):
+        aliased = [sc.solve(backend=alias, cache=False) for sc in scenarios]
+        for g, a in zip(grid, aliased):
             assert a.feasible and g.feasible
             assert a.best == g.best
             assert a.provenance.backend == "schedule-grid"
@@ -472,3 +485,131 @@ class TestProcessSharding:
                 s.best.energy_overhead, rel=ENERGY_RTOL
             )
             assert f.best.work == pytest.approx(s.best.work, rel=PLACEMENT_RTOL)
+
+
+class TestGridTake:
+    def test_subset_rows_byte_identical(self, hera_xscale):
+        points = [
+            (hera_xscale, TwoSpeed(0.4, 0.8 + 0.02 * i), None) for i in range(7)
+        ]
+        grid = ScheduleGrid.from_points(points)
+        idx = np.array([5, 1, 3])
+        sub = grid.take(idx)
+        assert sub.n == 3
+        work = np.logspace(2, 4, 9)
+        full = grid.evaluate(work)
+        part = sub.evaluate(work)
+        assert np.array_equal(full.time[idx], part.time)
+        assert np.array_equal(full.energy[idx], part.energy)
+
+    def test_duplicate_indices_rejected(self, hera_xscale):
+        sched = parse_schedule("geom:0.4,1.5,1")
+        grid = ScheduleGrid.from_points([(hera_xscale, sched, None)] * 4)
+        with pytest.raises(InvalidParameterError, match="unique"):
+            grid.take([1, 1, 2])
+
+
+class TestSolverOptions:
+    def test_defaults_change_nothing(self, hera_xscale):
+        """A default-constructed options object is the historical solver."""
+        sched = parse_schedule("geom:0.4,1.5,1")
+        grid = ScheduleGrid.from_points([(hera_xscale, sched, None)] * 12)
+        rhos = np.linspace(2.8, 5.0, 12)
+        base = solve_schedule_grid(grid, rhos)
+        explicit = solve_schedule_grid(grid, rhos, options=SolverOptions())
+        assert SolverOptions() == DEFAULT_SOLVER_OPTIONS
+        for field in ("work", "energy_overhead", "time_overhead",
+                      "w_lo", "w_hi", "rho_min", "feasible"):
+            assert np.array_equal(getattr(base, field), getattr(explicit, field))
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"w_lo": 0.0}, "w_lo"),
+            ({"w_lo": float("inf")}, "w_lo"),
+            ({"w_hi": 1.0, "w_lo": 2.0}, "w_hi"),
+            ({"coarse": 2}, "coarse"),
+            ({"bisect_iters": 0}, "bisect_iters"),
+            ({"golden_iters": 1}, "golden_iters"),
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            SolverOptions(**kwargs)
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize(
+        "name", ["schedule-grid", "schedule-grid-incremental"]
+    )
+    def test_concurrent_sweeps_match_serial_solves(self, name):
+        """Threads share a registered backend instance (as the service's
+        job workers do): each thread's sweep must come back exactly as
+        its serial solve did."""
+        import os
+        import sys
+        import threading
+
+        backend = get_backend(name)
+        sweeps = [
+            [
+                Scenario(config="hera-xscale", rho=float(r),
+                         schedule="geom:0.4,1.5,1")
+                for r in np.linspace(2.8, 4.5, 40)
+            ],
+            [
+                Scenario(
+                    config="atlas-crusoe",
+                    rho=float(r),
+                    error_rate=3e-5,
+                    schedule="esc:0.4,0.6,0.8",
+                )
+                for r in np.linspace(3.0, 6.0, 30)
+            ],
+        ]
+
+        def fields(results):
+            return [
+                (
+                    r.feasible,
+                    r.rho_min,
+                    None
+                    if r.best is None
+                    else (
+                        r.best.work,
+                        r.best.energy_overhead,
+                        r.best.time_overhead,
+                        r.best.interval,
+                    ),
+                )
+                for r in results
+            ]
+
+        serial = [fields(backend.solve_batch(sweep)) for sweep in sweeps]
+        assert any(f[0] for f in serial[0]) and any(f[0] for f in serial[1])
+        # More threads than cores and a short switch interval, so the
+        # batches interleave finely inside the shared instance.
+        n_threads = min(2 * (os.cpu_count() or 2), 8)
+        start = threading.Barrier(n_threads)
+        threaded: list[list] = [[] for _ in range(n_threads)]
+
+        def worker(k: int) -> None:
+            start.wait(timeout=60)
+            for _ in range(2):
+                threaded[k].append(fields(backend.solve_batch(sweeps[k % 2])))
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, runs in enumerate(threaded):
+            assert runs == [serial[k % 2]] * 2

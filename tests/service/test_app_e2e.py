@@ -127,13 +127,15 @@ def test_duplicate_submission_hits_cache(served, client):
         assert ra["best"] == rb["best"]
 
 
-def test_retired_backend_name_solves_on_schedule_grid(client):
-    """A spec naming the deleted ``schedule-grid-jit`` tier is accepted
-    (202, not 422) and solves on ``schedule-grid``, which the old name
-    now aliases."""
+@pytest.mark.parametrize(
+    "alias", ["combined", "schedule-grid-jit", "schedule-grid-incremental"]
+)
+def test_retired_backend_name_solves_on_schedule_grid(client, alias):
+    """A spec naming a deleted tier is accepted (202, not 422) and
+    solves on ``schedule-grid``, which the old name now aliases."""
     spec = {
         "name": "retired-backend",
-        "backend": "schedule-grid-jit",
+        "backend": alias,
         "grid": {
             "configs": ["hera-xscale"],
             "rhos": [2.9, 3.4],

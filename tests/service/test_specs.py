@@ -222,18 +222,21 @@ class TestScenarioListSpecs:
         )
         assert spec.scenarios[0].backend == "firstorder"
 
-    def test_retired_jit_backend_name_accepted(self):
-        """``schedule-grid-jit`` specs still parse (no 422) and solve on
+    @pytest.mark.parametrize(
+        "alias", ["combined", "schedule-grid-jit", "schedule-grid-incremental"]
+    )
+    def test_retired_backend_name_accepted(self, alias):
+        """Specs naming a retired tier still parse (no 422) and solve on
         ``schedule-grid``, which the old name now aliases."""
         spec = parse_experiment_spec(
             {
-                "backend": "schedule-grid-jit",
+                "backend": alias,
                 "scenarios": [
                     {"config": "hera-xscale", "rho": 3.0, "schedule": "geom:0.4,1.5,1"}
                 ],
             }
         )
-        assert spec.scenarios[0].backend == "schedule-grid-jit"
+        assert spec.scenarios[0].backend == alias
         (result,) = spec.experiment().solve(cache=False)
         assert result.feasible
         assert result.provenance.backend == "schedule-grid"
