@@ -137,7 +137,12 @@ class SolveCache:
     def invalidate_backend(self, backend: str) -> int:
         """Drop every entry produced under ``backend``; returns the
         count.  Used when a backend is re-registered under the same
-        name so the replacement is actually consulted."""
+        name so the replacement is actually consulted.  An alias
+        resolves to the canonical name its entries are keyed by."""
+        from .backends import available_backends, get_backend
+
+        if backend in available_backends():
+            backend = get_backend(backend).name
         keys = [key for key in self._entries if key[1] == backend]
         for key in keys:
             del self._entries[key]

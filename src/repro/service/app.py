@@ -177,7 +177,7 @@ class ServiceApp:
             self.artifacts = InMemoryArtifactStore()
         self.auth = TokenAuthenticator.from_tokens(self.config.tokens)
         self.registry = MetricsRegistry()
-        self.store = JobStore()
+        self.store = JobStore(self.artifacts)
         self.metrics = ServiceMetrics.create(self.registry)
         self.queue = JobQueue(
             self.store,
@@ -285,27 +285,29 @@ class ServiceApp:
     def _dispatch_v1(
         self, request: ServiceRequest, parts: tuple[str, ...]
     ) -> tuple[str, ServiceResponse]:
+        # HEAD is a GET whose body the carrier drops.
+        method = "GET" if request.method == "HEAD" else request.method
         match parts:
             case ("jobs",):
-                if request.method == "POST":
+                if method == "POST":
                     return "jobs.submit", self._submit_job(request)
-                if request.method == "GET":
+                if method == "GET":
                     return "jobs.list", self._list_jobs(request)
                 return "jobs", _method_not_allowed(("GET", "POST"))
             case ("jobs", job_id):
-                if request.method != "GET":
+                if method != "GET":
                     return "jobs.get", _method_not_allowed(("GET",))
                 return "jobs.get", ServiceResponse.json(self.store.get(job_id).snapshot())
             case ("jobs", job_id, "events"):
-                if request.method != "GET":
+                if method != "GET":
                     return "jobs.events", _method_not_allowed(("GET",))
                 return "jobs.events", self._job_events(request, job_id)
             case ("jobs", job_id, "artifacts"):
-                if request.method != "GET":
+                if method != "GET":
                     return "jobs.artifacts", _method_not_allowed(("GET",))
                 return "jobs.artifacts", self._list_artifacts(job_id)
             case ("jobs", job_id, "artifacts", name):
-                if request.method != "GET":
+                if method != "GET":
                     return "jobs.artifact", _method_not_allowed(("GET",))
                 return "jobs.artifact", self._get_artifact(job_id, name)
             case ("backends",):

@@ -103,6 +103,9 @@ class ArtifactStore(abc.ABC):
     def list(self, job_id: str) -> tuple[ArtifactInfo, ...]:
         """All artifacts of one job, name order (empty when none)."""
 
+    def discard(self, job_id: str) -> None:
+        """The job store evicted ``job_id``; by default keep its files."""
+
     def info(self, job_id: str, name: str) -> ArtifactInfo:
         """Metadata of one artifact; raises :class:`ArtifactNotFoundError`."""
         for row in self.list(job_id):
@@ -188,3 +191,8 @@ class InMemoryArtifactStore(ArtifactStore):
                 )
                 for name, data in sorted(rows.items())
             )
+
+    def discard(self, job_id: str) -> None:
+        """Drop the evicted job's bytes."""
+        with self._lock:
+            self._data.pop(job_id, None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -26,9 +27,14 @@ from typing import TYPE_CHECKING, Any
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .artifacts import ArtifactStore
     from .specs import ExperimentSpec
 
 __all__ = ["Job", "JobEvent", "JobNotFoundError", "JobState", "JobStore"]
+
+#: Finished jobs a :class:`JobStore` keeps (~80 KB each for a 50-row
+#: grid; a pool worker forked later copies the server's heap).
+MAX_FINISHED_JOBS = 64
 
 
 class JobState(Enum):
@@ -216,11 +222,15 @@ class Job:
 
 
 class JobStore:
-    """The in-memory registry of all jobs this process accepted."""
+    """The in-memory registry of this process's live jobs and its last
+    :data:`MAX_FINISHED_JOBS` finished ones (older ones are evicted,
+    with their ``artifacts`` entries)."""
 
-    def __init__(self) -> None:
+    def __init__(self, artifacts: "ArtifactStore | None" = None) -> None:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
+        self._artifacts = artifacts
 
     def create(self, spec: "ExperimentSpec") -> Job:
         """Register a new queued job for ``spec``."""
@@ -229,6 +239,18 @@ class JobStore:
         with self._lock:
             self._jobs[job_id] = job
         return job
+
+    def finish(self, job: Job) -> None:
+        """Count ``job`` as finished; evict past the retention bound."""
+        with self._lock:
+            self._finished.append(job.id)
+            evicted = [
+                self._jobs.pop(self._finished.popleft())
+                for _ in range(len(self._finished) - MAX_FINISHED_JOBS)
+            ]
+        for old in evicted:
+            if self._artifacts is not None:
+                self._artifacts.discard(old.id)
 
     def get(self, job_id: str) -> Job:
         """The job, or :class:`JobNotFoundError`."""
@@ -239,12 +261,12 @@ class JobStore:
                 raise JobNotFoundError(job_id) from None
 
     def list(self) -> tuple[Job, ...]:
-        """All jobs, oldest first."""
+        """All held jobs, oldest first."""
         with self._lock:
             return tuple(self._jobs.values())
 
     def counts(self) -> dict[str, int]:
-        """Jobs per state (the ``repro_service_jobs`` gauge source)."""
+        """Held jobs per state (the ``repro_service_jobs`` gauge source)."""
         out = dict.fromkeys((s.value for s in JobState), 0)
         with self._lock:
             for job in self._jobs.values():

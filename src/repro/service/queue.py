@@ -234,6 +234,7 @@ class JobQueue:
         error: BaseException | None = None,
     ) -> None:
         elapsed = time.monotonic() - started
+        self.store.finish(job)
         if self.metrics is not None:
             self.metrics.jobs_inflight.dec()
             self.metrics.jobs_completed.inc(state=state.value)

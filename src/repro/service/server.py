@@ -10,6 +10,7 @@ This is the carrier behind ``repro serve`` and behind the e2e test
 suite — the full submit → stream → download path runs over a real
 socket with zero third-party packages.
 
+Each response leaves in one write on a ``TCP_NODELAY`` socket.
 Streaming responses are framed by connection close (``Connection:
 close``, no ``Content-Length``): the universally-compatible SSE
 framing for an HTTP/1.1 server without chunked-encoding support.
@@ -17,6 +18,8 @@ framing for an HTTP/1.1 server without chunked-encoding support.
 
 from __future__ import annotations
 
+import io
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
@@ -27,9 +30,32 @@ from .jsonlog import get_logger, log_event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Iterator
 
+    from _typeshed import ReadableBuffer
+
 __all__ = ["ServiceServer", "make_server", "serve"]
 
 _log = get_logger("http")
+
+
+class _ResponseWriter(io.BufferedIOBase):
+    """A handler's ``wfile``: sends what was written in one ``sendall``
+    per :meth:`flush` (once per response, once per SSE frame).  Written
+    apart, a keep-alive body waits for the client's delayed ACK."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__()
+        self._sock = sock
+        self._parts: list[bytes] = []
+
+    def write(self, data: "ReadableBuffer") -> int:
+        self._parts.append(bytes(data))
+        return len(self._parts[-1])
+
+    def flush(self) -> None:
+        if self._parts:
+            payload = b"".join(self._parts)
+            self._parts.clear()
+            self._sock.sendall(payload)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -37,7 +63,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    disable_nagle_algorithm = True  # no response or SSE frame waits for Nagle
     app: ServiceApp  # injected by make_server via subclassing
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
 
     def _dispatch(self) -> None:
         try:
@@ -53,6 +84,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             response = self.app.handle(request)
             self._send(response)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away mid-stream; nothing to answer
 
@@ -76,11 +108,13 @@ class _Handler(BaseHTTPRequestHandler):
             # and flush each event as it is produced.
             self.send_header("Connection", "close")
             self.end_headers()
+            self.close_connection = True
+            if self.command == "HEAD":
+                return
             body: "Iterator[bytes]" = iter(response.body)  # type: ignore[arg-type]
             for chunk in body:
                 self.wfile.write(chunk)
                 self.wfile.flush()
-            self.close_connection = True
         else:
             assert isinstance(response.body, bytes)
             self.send_header("Content-Length", str(len(response.body)))

@@ -53,6 +53,20 @@ class TestProvenance:
         assert cache.invalidate_backend("schedule-grid") == 1
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("spelling", GRID_SPELLINGS)
+    def test_invalidate_by_any_spelling_drops_the_entry(self, cache, spelling):
+        sc = Scenario(config="hera-xscale", rho=3.0, schedule="geom:0.4,1.5,1")
+        sc.solve(backend="combined", cache=cache)
+        assert cache.invalidate_backend(spelling) == 1
+        assert len(cache) == 0
+
+    def test_invalidate_alias_of_firstorder_and_unregistered_name(self, cache):
+        Scenario(config="hera-xscale", rho=3.0).solve(backend="firstorder", cache=cache)
+        cache.put(("sentinel",), "not-a-backend", object())
+        assert cache.invalidate_backend("grid") == 1
+        assert cache.invalidate_backend("not-a-backend") == 1
+        assert len(cache) == 0
+
     def test_key_includes_scenario_fields(self, hera_xscale, cache):
         Scenario(config=hera_xscale, rho=2.3456).solve(cache=cache)
         other = Scenario(config=hera_xscale, rho=2.5678).solve(cache=cache)
