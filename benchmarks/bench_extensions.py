@@ -1,8 +1,10 @@
 """Bench: the extension studies (beyond the paper's evaluated scope).
 
-1. **Vectorised sweep speedup** — the broadcast Theorem-1 path vs the
-   scalar reference on a figure-resolution sweep (equivalence is tested
-   in ``tests/sweep/test_vectorized.py``; here we measure the gain).
+1. **Batched sweep speedup** — ``run_sweep`` (one batched pass of the
+   Theorem-1 kernel) vs one standalone scalar solve per point on a
+   figure-resolution sweep (equivalence is pinned in
+   ``tests/analysis/test_pipeline_equivalence.py``; here we measure the
+   gain).
 2. **Multi-verification ablation** — how much energy can q > 1
    verifications per checkpoint save as the error rate grows.
 3. **Pareto frontier** — frontier size/knee per configuration.
@@ -16,27 +18,48 @@ import csv
 
 import numpy as np
 
-from repro.analysis.pareto import pareto_frontier
+from repro.api import Experiment, Scenario
+from repro.api.cache import clear_default_cache
+from repro.core.feasibility import min_performance_bound_config
 from repro.core.numeric import solve_bicrit_exact
 from repro.extensions.multiverif import solve_bicrit_multiverif
 from repro.platforms import configuration_names, get_configuration
 from repro.sweep.axes import checkpoint_axis
 from repro.sweep.fraction import sweep_failstop_fraction
 from repro.sweep.runner import run_sweep
-from repro.sweep.vectorized import run_sweep_fast
+
+
+def _scalar_sweep(cfg, rho, axis):
+    """One standalone two-speed and one-speed solve per axis value."""
+    out = []
+    for value in axis.values:
+        cfg_v, rho_v = axis.apply(cfg, rho, value)
+        out.append(tuple(
+            Scenario(config=cfg_v, rho=rho_v, mode=mode).solve(cache=False).best
+            for mode in ("silent", "single-speed")
+        ))
+    return out
 
 
 class TestVectorisedSweep:
     def test_fast_path(self, benchmark):
         cfg = get_configuration("atlas-crusoe")
         axis = checkpoint_axis(n=200)
-        out = benchmark(run_sweep_fast, cfg, 3.0, axis)
+        # run_sweep solves through the process-wide solve cache: clear
+        # it so every round solves the whole batch.
+        def solve():
+            clear_default_cache()
+            return run_sweep(cfg, 3.0, axis)
+
+        out = benchmark(solve)
         assert out.feasible_mask().all()
 
     def test_scalar_reference(self, benchmark):
         cfg = get_configuration("atlas-crusoe")
         axis = checkpoint_axis(n=200)
-        out = benchmark.pedantic(run_sweep, args=(cfg, 3.0, axis), rounds=1, iterations=1)
+        out = benchmark.pedantic(
+            _scalar_sweep, args=(cfg, 3.0, axis), rounds=1, iterations=1
+        )
         assert len(out) == 200
 
 
@@ -72,12 +95,16 @@ def test_multiverif_ablation(benchmark, results_dir):
     print(f"\nbest multi-verif gain: {max(r[6] for r in rows):.2f}%")
 
 
-def test_pareto_frontiers(benchmark, results_dir):
+def test_frontier_per_configuration(benchmark, results_dir):
     """Frontier per configuration: size, range, knee."""
 
+    def frontier(name):
+        cfg = get_configuration(name)
+        rhos = np.linspace(min_performance_bound_config(cfg) * 1.0001, 10.0, 60)
+        return Experiment.over(configs=(cfg,), rhos=rhos).solve().frontier(prune=False)
+
     def run_all():
-        return {name: pareto_frontier(get_configuration(name), n=60)
-                for name in configuration_names()}
+        return {name: frontier(name) for name in configuration_names()}
 
     frontiers = benchmark.pedantic(run_all, rounds=1, iterations=1)
     with (results_dir / "extension_pareto.csv").open("w", newline="") as fh:

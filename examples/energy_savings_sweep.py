@@ -13,40 +13,41 @@ Run:
 
 from __future__ import annotations
 
-import repro
-from repro.analysis import series_savings, summarize_savings, find_pair_changes
-from repro.sweep import checkpoint_axis, run_sweep
+from repro import Experiment, get_configuration
+from repro.sweep import checkpoint_axis
 
 
 def main() -> None:
-    cfg = repro.get_configuration("atlas-crusoe")
+    cfg = get_configuration("atlas-crusoe")
     rho = 3.0
     axis = checkpoint_axis(lo=50.0, hi=5000.0, n=34)
     print(f"sweeping C over [{axis.values[0]:g}, {axis.values[-1]:g}] s "
           f"on {cfg.name} at rho = {rho} ...\n")
-    series = run_sweep(cfg, rho, axis)
-    savings = series_savings(series)
+    # One batch per problem: the two-speed optimum and the one-speed
+    # baseline at every axis value.
+    two = Experiment.over_axis(cfg, rho, axis).solve()
+    one = Experiment.over_axis(cfg, rho, axis, modes=("single-speed",)).solve()
+    savings = two.savings(one, values=axis.values, axis=axis.name)
 
     print(f"{'C':>7}  {'s1':>5} {'s2':>5} | {'s':>5}  "
           f"{'W(s1,s2)':>9} {'W(s,s)':>9}  {'E2/W':>8} {'E1/W':>8}  {'saving':>7}")
-    for i, p in enumerate(series.points):
-        two, one = p.two_speed, p.single_speed
+    for value, r2, r1, pct in zip(axis.values, two, one, savings.percent):
         print(
-            f"{p.value:>7.0f}  {two.sigma1:>5.2f} {two.sigma2:>5.2f} | "
-            f"{one.sigma1:>5.2f}  {two.work:>9.0f} {one.work:>9.0f}  "
-            f"{two.energy_overhead:>8.1f} {one.energy_overhead:>8.1f}  "
-            f"{savings[i]:>6.1f}%"
+            f"{value:>7.0f}  {r2.best.sigma1:>5.2f} {r2.best.sigma2:>5.2f} | "
+            f"{r1.best.sigma1:>5.2f}  {r2.work:>9.0f} {r1.work:>9.0f}  "
+            f"{r2.energy_overhead:>8.1f} {r1.energy_overhead:>8.1f}  "
+            f"{pct:>6.1f}%"
         )
 
     print()
-    summary = summarize_savings(series)
-    print(f"maximum saving: {summary.max_savings_percent:.1f}% at C = {summary.argmax_value:g} s")
+    print(f"maximum saving: {savings.max_savings_percent:.1f}% "
+          f"at C = {savings.argmax_value:g} s")
     print("(paper's Section 4.3.1 claim: 'up to 35% improvement')")
 
     print("\noptimal-pair crossovers along the sweep:")
-    for ch in find_pair_changes(series):
-        print(f"  C in ({ch.value_before:.0f}, {ch.value_after:.0f}]: "
-              f"{ch.pair_before} -> {ch.pair_after}")
+    for ev in two.crossover(values=axis.values, axis=axis.name).events:
+        print(f"  C in ({ev.value_before:.0f}, {ev.value_after:.0f}]: "
+              f"{ev.pair_before} -> {ev.pair_after}")
 
 
 if __name__ == "__main__":

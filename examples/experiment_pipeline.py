@@ -26,6 +26,7 @@ import numpy as np
 
 import repro
 from repro.api import Experiment
+from repro.core.feasibility import min_performance_bound_config
 
 
 def main() -> None:
@@ -104,11 +105,14 @@ def main() -> None:
     print(f"renewal frontier (weibull x geometric): {len(fr)} trade-offs "
           f"via {', '.join(fr.provenance.backends)}, monotone={fr.is_monotone()}")
 
-    # Legacy entry points ride the same pipeline underneath.
-    legacy = repro.pareto_frontier(
-        repro.get_configuration("hera-xscale"), n=20, rho_hi=6.0
-    )
-    print(f"legacy pareto_frontier still works: {len(legacy)} points")
+    # prune=False keeps the bound order and collapses only repeated
+    # optima: one point per distinct trade-off along a bound sweep.
+    edge = min_performance_bound_config(repro.get_configuration("hera-xscale"))
+    sweep = Experiment.over(
+        configs=("hera-xscale",), rhos=np.linspace(edge * 1.0001, 6.0, 20)
+    ).solve()
+    print(f"bound sweep: {len(sweep.frontier(prune=False))} distinct optima, "
+          f"{len(sweep.frontier())} on the pruned staircase")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.analysis import map_regions, pareto_frontier
+from repro.analysis import map_regions
+from repro.core.feasibility import min_performance_bound_config
 from repro.core.numeric import solve_bicrit_exact
 from repro.extensions import solve_bicrit_multiverif
 from repro.sweep import checkpoint_axis, error_rate_axis, sweep_failstop_fraction
@@ -32,12 +33,18 @@ from repro.sweep import checkpoint_axis, error_rate_axis, sweep_failstop_fractio
 def show_pareto() -> None:
     print("=== 1. Pareto frontier (Hera/XScale) ===")
     cfg = repro.get_configuration("hera-xscale")
-    frontier = pareto_frontier(cfg, n=60)
+    # Sweep the bound from just above the feasibility edge; each
+    # distinct optimum is one trade-off.
+    rhos = np.linspace(min_performance_bound_config(cfg) * 1.0001, 10.0, 60)
+    frontier = (
+        repro.Experiment.over(configs=(cfg,), rhos=rhos).solve().frontier(prune=False)
+    )
     knee = frontier.knee()
     for p in frontier.points:
         marker = "   <- knee (diminishing returns beyond here)" if p is knee else ""
+        s1, s2 = p.result.speed_pair
         print(f"  T/W = {p.time_overhead:6.3f}  E/W = {p.energy_overhead:8.1f}  "
-              f"pair = ({p.solution.sigma1}, {p.solution.sigma2}){marker}")
+              f"pair = ({s1}, {s2}){marker}")
 
 
 def show_fraction_sweep() -> None:

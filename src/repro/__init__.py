@@ -148,13 +148,11 @@ from .power import PowerModel
 from .analysis import (
     CrossoverResult,
     FrontierResult,
-    ParetoFrontier,
     SavingsResult,
     SensitivityResult,
     fit_power_law,
     map_regions,
     optimal_pairs_by_rho,
-    pareto_frontier,
     summarize_savings,
 )
 from .failstop import (
@@ -171,7 +169,6 @@ from .simulation import (
 from .sweep import (
     run_figure,
     run_sweep,
-    run_sweep_fast,
     speed_pair_table,
     sweep_failstop_fraction,
 )
@@ -284,13 +281,10 @@ __all__ = [
     "simulate_until",
     # sweeps / experiments
     "run_sweep",
-    "run_sweep_fast",
     "run_figure",
     "speed_pair_table",
     "sweep_failstop_fraction",
     # analysis
-    "pareto_frontier",
-    "ParetoFrontier",
     "FrontierResult",
     "SavingsResult",
     "SensitivityResult",

@@ -1,17 +1,18 @@
-"""Derived analyses: savings, crossovers, scaling, Pareto, regions, breakdown.
+"""Derived analyses: savings, crossovers, scaling, regions, breakdown.
 
-Since v1.5 the analyses are *verbs* on a solved
-:class:`~repro.api.result.ResultSet` (:mod:`repro.analysis.verbs`);
-the module-level helpers here are thin adapters kept for their legacy
-signatures, all riding the :class:`~repro.api.experiment.Experiment`
-pipeline and its batched backends underneath.
+Every analysis is a *verb* on a solved
+:class:`~repro.api.result.ResultSet` (:mod:`repro.analysis.verbs`):
+``frontier``, ``savings``, ``sensitivity``, ``crossover`` and ``diff``.
+The module-level helpers here (``summarize_savings``,
+``optimal_pairs_by_rho``, ``parameter_elasticities``, ``map_regions``)
+build one :class:`~repro.api.experiment.Experiment` batch and read the
+answer off it with those verbs or the same rules.
 """
 
 from .breakdown import EnergyBreakdown, energy_breakdown
-from .crossover import Crossover, PairInterval, find_pair_changes, optimal_pairs_by_rho
-from .pareto import ParetoFrontier, ParetoPoint, pareto_frontier
+from .crossover import PairInterval, optimal_pairs_by_rho
 from .regions import RegionMap, map_regions
-from .savings import SavingsSummary, savings_percent, series_savings, summarize_savings
+from .savings import SavingsSummary, summarize_savings
 from .scaling import PowerLawFit, fit_power_law
 from .sensitivity import Elasticities, parameter_elasticities
 from .verbs import (
@@ -36,19 +37,12 @@ __all__ = [
     "CrossoverResult",
     "FieldDelta",
     "DiffResult",
-    "savings_percent",
-    "series_savings",
     "SavingsSummary",
     "summarize_savings",
-    "Crossover",
     "PairInterval",
-    "find_pair_changes",
     "optimal_pairs_by_rho",
     "PowerLawFit",
     "fit_power_law",
-    "ParetoPoint",
-    "ParetoFrontier",
-    "pareto_frontier",
     "RegionMap",
     "map_regions",
     "EnergyBreakdown",

@@ -1,14 +1,11 @@
-"""Crossover analysis: where does the optimal speed pair switch?
+"""Crossover analysis: which speed pair wins over which ``rho`` range?
 
-Two observations of the paper are quantified here:
-
-* along every sweep the optimal pair changes at discrete crossover
-  values ("the execution speeds are adapted — first sigma2 and then
-  sigma1", Section 4.3.1): :func:`find_pair_changes` locates them;
-* "it is possible, for a well-chosen rho, to have almost any speed pair
-  as the optimal solution" (Section 4.2): :func:`optimal_pairs_by_rho`
-  maps each speed pair to the ``rho`` ranges where it wins, making that
-  statement checkable.
+The paper observes that "it is possible, for a well-chosen rho, to have
+almost any speed pair as the optimal solution" (Section 4.2):
+:func:`optimal_pairs_by_rho` maps each speed pair to the ``rho`` ranges
+where it wins, making that statement checkable.  The switches along any
+sweep ("the execution speeds are adapted — first sigma2 and then
+sigma1", Section 4.3.1) are the ``ResultSet.crossover()`` verb.
 """
 
 from __future__ import annotations
@@ -18,41 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..platforms.configuration import Configuration
-from ..sweep.runner import SweepSeries
 
-__all__ = ["Crossover", "find_pair_changes", "optimal_pairs_by_rho", "PairInterval"]
-
-
-@dataclass(frozen=True)
-class Crossover:
-    """A change of optimal pair between two consecutive sweep values."""
-
-    value_before: float
-    value_after: float
-    pair_before: tuple[float, float] | None
-    pair_after: tuple[float, float] | None
-
-
-def find_pair_changes(series: SweepSeries) -> tuple[Crossover, ...]:
-    """All consecutive optimal-pair changes along a sweep series.
-
-    Feasibility transitions (pair <-> ``None``) count as crossovers too,
-    which captures the feasibility frontier of the ``rho`` sweeps.
-    """
-    pairs = series.speed_pairs()
-    values = series.values
-    out = []
-    for i in range(1, len(pairs)):
-        if pairs[i] != pairs[i - 1]:
-            out.append(
-                Crossover(
-                    value_before=float(values[i - 1]),
-                    value_after=float(values[i]),
-                    pair_before=pairs[i - 1],
-                    pair_after=pairs[i],
-                )
-            )
-    return tuple(out)
+__all__ = ["optimal_pairs_by_rho", "PairInterval"]
 
 
 @dataclass(frozen=True)
@@ -76,12 +40,9 @@ def optimal_pairs_by_rho(
     reported interval ends are grid values, accurate to the grid step
     (``(rho_hi - rho_lo) / (n - 1)``).
 
-    .. note:: Legacy-shaped adapter.  The whole rho grid compiles into
-       one :class:`repro.api.Experiment` plan (one batch through the
-       ``firstorder`` backend and the solve cache, instead of ``n``
-       sequential ``solve_bicrit`` calls) and the interval scan reads
-       the ``.crossover()`` verb's per-point winners — byte-identical
-       pairs to the historical loop.
+    The whole rho grid is one :class:`repro.api.Experiment` batch and
+    the interval scan reads the ``.crossover()`` verb's per-point
+    winners — the pairs a per-point ``solve_bicrit`` loop finds.
 
     Examples
     --------

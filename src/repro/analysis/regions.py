@@ -11,14 +11,17 @@ speed pair and the two-speed savings per cell, from which the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.singlespeed import solve_single_speed
-from ..core.solver import solve_bicrit
-from ..exceptions import InfeasibleBoundError, InvalidParameterError
+from ..exceptions import InvalidParameterError
 from ..platforms.configuration import Configuration
 from ..sweep.axes import SweepAxis
+from .verbs import percent_savings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.result import ResultSet
 
 __all__ = ["RegionMap", "map_regions"]
 
@@ -80,9 +83,11 @@ def map_regions(
 ) -> RegionMap:
     """Solve both problems over the full 2-D grid of two axes.
 
-    Axes compose: the x-axis value is applied first, the y-axis second
-    (ordering matters only if both touch the same parameter, which is
-    rejected).
+    The grid is one two-speed :class:`repro.api.Experiment` batch plus
+    one single-speed batch; each cell equals a per-cell
+    ``solve_bicrit`` / ``solve_single_speed`` pair.  Axes compose: the
+    x-axis value is applied first, the y-axis second (ordering matters
+    only if both touch the same parameter, which is rejected).
 
     Raises
     ------
@@ -100,27 +105,27 @@ def map_regions(
     """
     if x_axis.name == y_axis.name:
         raise InvalidParameterError(f"both axes address {x_axis.name!r}")
-    nx, ny = len(x_axis), len(y_axis)
-    sigma1 = np.full((nx, ny), np.nan)
-    sigma2 = np.full((nx, ny), np.nan)
-    savings = np.full((nx, ny), np.nan)
+    from ..api.experiment import Experiment
+    from ..api.scenario import Scenario
 
-    for i, xv in enumerate(x_axis.values):
-        cfg_x, rho_x = x_axis.apply(cfg, rho, xv)
-        for j, yv in enumerate(y_axis.values):
-            cfg_xy, rho_xy = y_axis.apply(cfg_x, rho_x, yv)
-            try:
-                two = solve_bicrit(cfg_xy, rho_xy).best
-            except InfeasibleBoundError:
-                continue
-            sigma1[i, j] = two.sigma1
-            sigma2[i, j] = two.sigma2
-            try:
-                one = solve_single_speed(cfg_xy, rho_xy).best
-                savings[i, j] = (1.0 - two.energy_overhead / one.energy_overhead) * 100.0
-            except InfeasibleBoundError:
-                savings[i, j] = np.nan
+    cells = [
+        y_axis.apply(*x_axis.apply(cfg, rho, xv), yv)
+        for xv in x_axis.values
+        for yv in y_axis.values
+    ]
 
+    def solve(mode: str) -> "ResultSet":
+        return Experiment.from_scenarios(
+            (Scenario(config=c, rho=r, mode=mode) for c, r in cells),
+            name=f"regions:{cfg.name}:{mode}",
+        ).solve()
+
+    two, one = solve("silent"), solve("single-speed")
+    shape = (len(x_axis), len(y_axis))
+    pairs = np.array(
+        [p or (np.nan, np.nan) for p in two.speed_pairs()], dtype=float
+    ).reshape(*shape, 2)
+    savings = percent_savings(two.energy_overheads(), one.energy_overheads())
     return RegionMap(
         config_name=cfg.name,
         rho=rho,
@@ -128,7 +133,7 @@ def map_regions(
         y_name=y_axis.name,
         x_values=np.asarray(x_axis.values),
         y_values=np.asarray(y_axis.values),
-        sigma1=sigma1,
-        sigma2=sigma2,
-        savings=savings,
+        sigma1=pairs[..., 0],
+        sigma2=pairs[..., 1],
+        savings=savings.reshape(shape),
     )

@@ -3,8 +3,9 @@
 The paper's headline claim: "up to 35% of the energy consumption can be
 saved by using a different re-execution speed while meeting a prescribed
 performance constraint" (Section 4.3.5, observed on the Atlas/Crusoe
-checkpoint-cost sweep).  These helpers compute per-point and per-series
-savings and locate the maximum.
+checkpoint-cost sweep).  :func:`summarize_savings` locates the maximum
+along one sweep series with the same NaN-propagating per-point rule as
+the ``ResultSet.savings`` verb (:func:`~repro.analysis.verbs.percent_savings`).
 """
 
 from __future__ import annotations
@@ -17,31 +18,7 @@ from ..sweep.runner import SweepSeries
 from .verbs import percent_savings
 from ..exceptions import InvalidParameterError
 
-__all__ = ["savings_percent", "series_savings", "SavingsSummary", "summarize_savings"]
-
-
-def savings_percent(two_speed_energy: float, single_speed_energy: float) -> float:
-    """Relative saving ``(1 - E_two / E_one) * 100`` in percent.
-
-    Positive means the two-speed solution is cheaper; by construction it
-    is never negative when both solvers saw the same candidate set (the
-    diagonal is a subset of the pair grid), so a negative value flags a
-    solver inconsistency.
-    """
-    if single_speed_energy <= 0:
-        raise InvalidParameterError("single_speed_energy must be > 0")
-    return (1.0 - two_speed_energy / single_speed_energy) * 100.0
-
-
-def series_savings(series: SweepSeries) -> np.ndarray:
-    """Per-point savings (%) along a sweep; NaN where either is infeasible.
-
-    .. note:: Legacy adapter over
-       :func:`repro.analysis.verbs.percent_savings` — the same
-       NaN-propagating element-wise rule the ``ResultSet.savings``
-       verb applies.
-    """
-    return percent_savings(series.energy_two(), series.energy_single())
+__all__ = ["SavingsSummary", "summarize_savings"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +50,7 @@ def summarize_savings(series: SweepSeries, *, threshold: float = 0.01) -> Saving
         If no sweep point is feasible for both solvers (nothing to
         compare).
     """
-    s = series_savings(series)
+    s = percent_savings(series.energy_two(), series.energy_single())
     finite = np.isfinite(s)
     if not finite.any():
         raise InvalidParameterError("no sweep point is feasible for both solvers")

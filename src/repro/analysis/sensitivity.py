@@ -26,19 +26,12 @@ from dataclasses import dataclass
 
 from ..platforms.configuration import Configuration
 from ..exceptions import InvalidParameterError
+from ..sweep.axes import axis_by_name
 
 __all__ = ["Elasticities", "parameter_elasticities"]
 
-#: Parameter name -> (cfg, rho, value) applier, mirroring the sweep axes.
-_APPLIERS = {
-    "C": lambda cfg, rho, v: (cfg.with_checkpoint_time(v), rho),
-    "V": lambda cfg, rho, v: (cfg.with_verification_time(v), rho),
-    "lambda": lambda cfg, rho, v: (cfg.with_error_rate(v), rho),
-    "Pidle": lambda cfg, rho, v: (cfg.with_idle_power(v), rho),
-    "Pio": lambda cfg, rho, v: (cfg.with_io_power(v), rho),
-    "rho": lambda cfg, rho, v: (cfg, v),
-}
-
+#: Parameter name -> its base value; the names are sweep axes, whose
+#: ``apply`` rule makes each perturbation.
 _BASE_VALUES = {
     "C": lambda cfg, rho: cfg.checkpoint_time,
     "V": lambda cfg, rho: cfg.verification_time,
@@ -85,13 +78,10 @@ def parameter_elasticities(
 ) -> Elasticities:
     """Central-difference elasticities of the optimal energy overhead.
 
-    .. note:: Legacy-shaped adapter.  The base point and every ±step
-       perturbation compile into a single
-       :class:`repro.api.Experiment` plan — one deduplicated batch
-       through the backend registry (and the solve cache) instead of
-       2k+1 sequential ``solve_bicrit`` calls — with the same
-       ``firstorder`` solver underneath, so the elasticities are
-       byte-identical to the historical loop.
+    The base point and every ±step perturbation (each made by the
+    parameter's sweep axis, ``axis_by_name(name).apply``) compile into
+    a single deduplicated :class:`repro.api.Experiment` batch, so the
+    elasticities equal those of a sequential ``solve_bicrit`` loop.
 
     Parameters
     ----------
@@ -116,8 +106,8 @@ def parameter_elasticities(
 
     if not 0 < rel_step < 0.5:
         raise InvalidParameterError("rel_step must be in (0, 0.5)")
-    names = tuple(_APPLIERS) if parameters is None else tuple(parameters)
-    unknown = set(names) - set(_APPLIERS)
+    names = tuple(_BASE_VALUES) if parameters is None else tuple(parameters)
+    unknown = set(names) - set(_BASE_VALUES)
     if unknown:
         raise KeyError(f"unknown parameters: {sorted(unknown)}")
 
@@ -129,8 +119,9 @@ def parameter_elasticities(
         base = _BASE_VALUES[name](cfg, rho)
         if base <= 0:
             continue  # log-derivative undefined at zero
-        cfg_hi, rho_hi = _APPLIERS[name](cfg, rho, base * (1 + rel_step))
-        cfg_lo, rho_lo = _APPLIERS[name](cfg, rho, base * (1 - rel_step))
+        axis = axis_by_name(name)
+        cfg_hi, rho_hi = axis.apply(cfg, rho, base * (1 + rel_step))
+        cfg_lo, rho_lo = axis.apply(cfg, rho, base * (1 - rel_step))
         scenarios.append(Scenario(config=cfg_hi, rho=rho_hi, label=f"{name}+"))
         scenarios.append(Scenario(config=cfg_lo, rho=rho_lo, label=f"{name}-"))
         perturbable.append(name)

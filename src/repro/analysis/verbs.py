@@ -21,9 +21,11 @@ expressible as the paper's exponential two-speed case, and rides the
 same batched solve the :class:`~repro.api.experiment.Experiment`
 pipeline produced.
 
-The legacy helpers (:func:`repro.analysis.pareto.pareto_frontier`,
-:func:`repro.analysis.savings.summarize_savings`, …) are thin adapters
-over these verbs; equivalence tests pin their outputs.
+They are the only implementation of each analysis: the CLI, the
+service and the helpers that answer one paper question
+(:func:`repro.analysis.crossover.optimal_pairs_by_rho`,
+:func:`repro.analysis.savings.summarize_savings`, …) all read their
+answers off these verbs or :func:`percent_savings`.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ __all__ = [
     "percent_savings",
 ]
 
-#: Collapse tolerance for duplicate trade-off points (matches the
-#: legacy ``pareto_frontier`` plateau collapse).
+#: Collapse tolerance for duplicate trade-off points (the plateau of
+#: identical optima at loose bounds).
 _DUP_ATOL = 1e-12
 
 
@@ -149,8 +151,8 @@ class FrontierResult:
     in ascending-``x`` order; with ``prune=True`` (the verb's default)
     dominated points are dropped so the curve is a true Pareto
     staircase, with ``prune=False`` the source order is kept and only
-    exact duplicates collapse (the legacy ``pareto_frontier``
-    behaviour).
+    consecutive duplicates collapse (on a rho sweep: one point per
+    distinct optimum, as a per-point solve loop would list them).
     """
 
     name: str
@@ -278,8 +280,8 @@ def build_frontier(
 
     Infeasible results are skipped.  ``prune=False`` keeps the result
     order and collapses only *consecutive* duplicate points (both axes
-    within 1e-12) — exactly the legacy ``pareto_frontier`` rule, so the
-    adapter stays byte-identical.  ``prune=True`` additionally sorts by
+    within 1e-12), so a rho sweep lists each distinct optimum once, in
+    bound order.  ``prune=True`` additionally sorts by
     ``x`` and drops dominated points, so arbitrary result sets (not
     just monotone rho sweeps) yield a valid monotone frontier.
     """

@@ -251,8 +251,7 @@ class ResultSet:
         """The x-vs-y trade-off frontier of these results (default:
         achieved time vs energy — the paper's bi-criteria curve), with
         a well-defined knee.  ``prune=False`` keeps the result order
-        and collapses only exact duplicates (the legacy
-        ``pareto_frontier`` rule)."""
+        and collapses only consecutive duplicates."""
         from ..analysis.verbs import build_frontier
 
         return build_frontier(self, x, y, prune=prune)

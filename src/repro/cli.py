@@ -39,12 +39,11 @@ Commands
     (``repro validate --config hera-xscale --work 2764 --sigma1 0.4``).
 ``theorem2``
     Demonstrate the Theta(lambda^{-2/3}) scaling of Theorem 2.
-``pareto``
-    Trace the energy-vs-time Pareto frontier and locate its knee.
-``frontier``
-    The pipeline-native frontier: any schedule x error-model scenario,
-    compiled to one deduplicated Experiment plan over the batched
-    backends, with CSV/JSON export
+``frontier`` (alias ``pareto``)
+    Trace the energy-vs-time Pareto frontier, its winning speed pairs
+    and its knee, for any schedule x error-model scenario: one
+    deduplicated Experiment plan over the batched backends, with
+    CSV/JSON export
     (``repro frontier --errors weibull:shape=0.7,mtbf=3e5 --schedule
     geom:0.4,1.5,1``).
 ``savings``
@@ -226,16 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--sigma", type=float, default=0.5, help="first speed")
     p_t2.add_argument("--points", type=int, default=7)
 
-    p_par = sub.add_parser("pareto", help="energy-vs-time Pareto frontier")
-    p_par.add_argument("--config", default="hera-xscale")
-    p_par.add_argument("--rho-max", type=float, default=10.0)
-    p_par.add_argument("--points", type=int, default=60)
-
     p_fr = sub.add_parser(
         "frontier",
-        help="energy-vs-time frontier through the Experiment pipeline "
+        aliases=["pareto"],
+        help="energy-vs-time Pareto frontier through the Experiment pipeline "
              "(any schedule x error-model scenario, batched backends)",
     )
+    # Dispatch an alias under its canonical name (the subparser's
+    # defaults overwrite the name argparse stores for the alias).
+    p_fr.set_defaults(command="frontier")
     p_fr.add_argument("--config", default="hera-xscale")
     p_fr.add_argument("--rho-min", type=float, default=None,
                       help="tightest bound (default: the feasibility edge)")
@@ -818,23 +816,6 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from .analysis.pareto import pareto_frontier
-
-    cfg = get_configuration(args.config)
-    frontier = pareto_frontier(cfg, rho_hi=args.rho_max, n=args.points)
-    knee = frontier.knee()
-    print(f"{cfg.name}: Pareto frontier ({len(frontier)} distinct trade-offs)")
-    print(f"{'rho':>8}  {'T/W':>8}  {'E/W':>10}  {'pair':>12}")
-    for p in frontier.points:
-        marker = "  <- knee" if p is knee else ""
-        print(
-            f"{p.rho:>8.3f}  {p.time_overhead:>8.4f}  {p.energy_overhead:>10.2f}  "
-            f"({p.solution.sigma1}, {p.solution.sigma2}){marker}"
-        )
-    return 0
-
-
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from .api.experiment import Experiment
     from .core.feasibility import min_performance_bound_config
@@ -879,12 +860,13 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     if args.errors:
         bits.append(f"errors {args.errors}")
     knee = frontier.knee()
-    print(f"{' '.join(bits)}: frontier with {len(frontier)} distinct trade-offs "
-          f"(backends: {', '.join(frontier.provenance.backends)})")
-    print(f"{'rho':>8}  {'T/W':>8}  {'E/W':>10}")
+    print(f"{' '.join(bits)}: Pareto frontier with {len(frontier)} distinct "
+          f"trade-offs (backends: {', '.join(frontier.provenance.backends)})")
+    print(f"{'rho':>8}  {'T/W':>8}  {'E/W':>10}  pair")
     for p in frontier.points:
         marker = "  <- knee" if p is knee else ""
-        print(f"{p.rho:>8.3f}  {p.x:>8.4f}  {p.y:>10.2f}{marker}")
+        s1, s2 = p.result.speed_pair or (np.nan, np.nan)  # points are feasible
+        print(f"{p.rho:>8.3f}  {p.x:>8.4f}  {p.y:>10.2f}  ({s1:g}, {s2:g}){marker}")
     if args.csv:
         print(f"wrote {frontier.to_csv(args.csv)}")
     if args.json:
@@ -1290,7 +1272,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "validate": _cmd_validate,
     "theorem2": _cmd_theorem2,
-    "pareto": _cmd_pareto,
     "frontier": _cmd_frontier,
     "savings": _cmd_savings,
     "fraction": _cmd_fraction,

@@ -1,6 +1,6 @@
 """Output rendering: ASCII tables, traces, CSV/JSON, reproduction reports."""
 
-from .artifacts import write_fraction_csv, write_frontier_csv, write_regions_csv
+from .artifacts import write_fraction_csv, write_regions_csv
 from .csvio import (
     read_series_csv_rows,
     write_results_csv,
@@ -40,7 +40,6 @@ __all__ = [
     "ReportResult",
     "build_report",
     "write_report",
-    "write_frontier_csv",
     "write_fraction_csv",
     "write_regions_csv",
 ]

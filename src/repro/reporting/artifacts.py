@@ -1,8 +1,9 @@
-"""CSV writers for the extension artefacts (frontier, fraction, regions).
+"""CSV writers for the extension artefacts (fraction sweep, region map).
 
 Companions to :mod:`repro.reporting.csvio` for the result types the
 extension studies produce; same conventions (header row, empty cells
-for infeasible entries, parents created on demand).
+for infeasible entries, parents created on demand).  A frontier writes
+itself: ``FrontierResult.to_csv``.
 """
 
 from __future__ import annotations
@@ -12,35 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..analysis.pareto import ParetoFrontier
 from ..analysis.regions import RegionMap
 from ..sweep.fraction import FractionSweep
 
-__all__ = ["write_frontier_csv", "write_fraction_csv", "write_regions_csv"]
+__all__ = ["write_fraction_csv", "write_regions_csv"]
 
 
 def _open(path: str | Path) -> Path:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def write_frontier_csv(path: str | Path, frontier: ParetoFrontier) -> Path:
-    """One row per frontier point: bound, achieved overheads, pair, Wopt."""
-    p = _open(path)
-    with p.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "time_overhead", "energy_overhead", "sigma1", "sigma2", "work"])
-        for point in frontier.points:
-            s = point.solution
-            w.writerow([
-                f"{point.rho:.10g}",
-                f"{point.time_overhead:.10g}",
-                f"{point.energy_overhead:.10g}",
-                f"{s.sigma1:.6g}",
-                f"{s.sigma2:.6g}",
-                f"{s.work:.10g}",
-            ])
     return p
 
 

@@ -22,11 +22,6 @@ from .figures import (
 from .fraction import FractionSweep, sweep_failstop_fraction
 from .runner import SweepPoint, SweepSeries, run_sweep
 from .tables import SpeedPairTable, TableRow, speed_pair_table
-from .vectorized import (
-    GridSolution,
-    run_sweep_fast,
-    solve_bicrit_grid,
-)
 
 __all__ = [
     "SweepAxis",
@@ -52,7 +47,4 @@ __all__ = [
     "run_panel",
     "FractionSweep",
     "sweep_failstop_fraction",
-    "GridSolution",
-    "solve_bicrit_grid",
-    "run_sweep_fast",
 ]

@@ -1,24 +1,21 @@
-"""Vectorised Theorem-1 solver: whole sweeps in a handful of NumPy ops.
+"""The Theorem-1 kernel: whole batches in a handful of NumPy ops.
 
-The reference sweep path (:mod:`repro.sweep.runner`) solves one
-configuration at a time — clear, but Python-loop-bound.  Because the
-entire Theorem-1 pipeline (Eq. 2/3 coefficients -> feasibility quadratic
--> We -> clamp -> energy) is closed-form arithmetic, it vectorises
-perfectly: :func:`evaluate_pair_grid` evaluates *all parameter rows x
-all speed pairs at once* on broadcast arrays, and callers reduce with
-``argmin``.  It is the only Theorem-1 kernel: :func:`solve_bicrit_grid`
-(and through it :func:`run_sweep_fast`) reads the K^2 pair product and
-its diagonal off one pass, and the ``firstorder`` backend's batch path
-reads each scenario's own pair axis off another.  The batch path takes
-its winners' first-order fields straight from the :class:`PairGrid`
-columns and their exact Prop. 2/3 overheads from one
-:func:`exact_overheads` pass over the winners, so a batch row costs no
-scalar solver call.
+The entire Theorem-1 pipeline (Eq. 2/3 coefficients -> feasibility
+quadratic -> We -> clamp -> energy) is closed-form arithmetic, so it
+vectorises perfectly: :func:`evaluate_pair_grid` evaluates *all
+parameter rows x all speed pairs at once* on broadcast arrays, and
+callers reduce with ``argmin``.  It is the only Theorem-1 kernel, and
+its one caller is the ``firstorder`` backend's batch path, which reads
+each scenario's own pair axis off one pass.  That path takes its
+winners' first-order fields straight from the :class:`PairGrid` columns
+and their exact Prop. 2/3 overheads from one :func:`exact_overheads`
+pass over the winners, so a batch row costs no scalar solver call.
+Every sweep (``run_sweep``, ``Experiment.over_axis``, the analysis
+helpers) reaches the kernel through that batch path.
 
 This is the hpc-parallel playbook (vectorise the inner loop, avoid
 Python-level per-item work); the equivalence tests pin it bit-for-bit
-against the scalar solver and the ablation bench measures the speedup
-(typically ~100x on figure-resolution sweeps).
+against the scalar solver.
 
 Schedule axes — many per-attempt speed policies under one
 ``(configuration, rho)`` — batch through the kernel of
@@ -28,53 +25,20 @@ Schedule axes — many per-attempt speed policies under one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..platforms.configuration import Configuration
 from ..quantities import FloatArray, ScalarOrArray
-from ..sweep.axes import SweepAxis
-from ..exceptions import InvalidParameterError
 
 __all__ = [
-    "GridSolution",
     "PairGrid",
     "config_columns",
     "evaluate_pair_grid",
     "exact_overheads",
-    "solve_bicrit_grid",
-    "run_sweep_fast",
 ]
-
-
-@dataclass(frozen=True)
-class GridSolution:
-    """Vectorised solver output: one entry per sweep value.
-
-    All arrays have the sweep's length; NaN marks infeasible values.
-    ``*_single`` fields are the diagonal-restricted (one-speed) optimum.
-    """
-
-    values: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    work: np.ndarray
-    energy: np.ndarray
-    time: np.ndarray
-    sigma_single: np.ndarray = field(repr=False)
-    work_single: np.ndarray = field(repr=False)
-    energy_single: np.ndarray = field(repr=False)
-
-    def feasible_mask(self) -> np.ndarray:
-        """Values where the two-speed problem is feasible."""
-        return np.isfinite(self.energy)
-
-    def savings_percent(self) -> np.ndarray:
-        """Two-speed saving over the one-speed baseline, per value (%)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return (1.0 - self.energy / self.energy_single) * 100.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +65,7 @@ class PairGrid:
 
 def config_columns(configs: Sequence[Configuration]) -> dict[str, FloatArray]:
     """The model parameters of ``configs`` as keyword arrays for
-    :func:`evaluate_pair_grid` / :func:`solve_bicrit_grid`."""
+    :func:`evaluate_pair_grid` / :func:`exact_overheads`."""
     return {
         "lam": np.array([c.lam for c in configs]),
         "checkpoint": np.array([c.checkpoint_time for c in configs]),
@@ -236,63 +200,3 @@ def exact_overheads(
     )
     time = checkpoint + (w + V) / s1 + retry * (recovery + (w + V) / s2)
     return energy / w, time / w
-
-
-def solve_bicrit_grid(*, speeds: tuple[float, ...], **params: ScalarOrArray) -> GridSolution:
-    """Solve BiCrit for arrays of parameters in one broadcast pass.
-
-    ``params`` are the model parameters of :func:`evaluate_pair_grid`
-    (``lam``, ``checkpoint``, ``verification``, ``recovery``, ``kappa``,
-    ``idle_power``, ``io_power``, ``rho``), each a scalar or a 1-D array
-    of length ``n``.  Returns per-value optima over the ``K x K``
-    speed-pair grid and over its diagonal (the single-speed baseline),
-    both read off one kernel pass over the s1-major pair product.
-    """
-    k = len(speeds)
-    grid = evaluate_pair_grid(np.repeat(speeds, k), np.tile(speeds, k), **params)
-    rows = np.arange(grid.energy.shape[0])
-    s = np.asarray(speeds, dtype=np.float64)
-
-    def winner(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row: is any pair among ``columns`` feasible, and the
-        winning pair's column index."""
-        pick = columns[np.argmin(grid.energy[:, columns], axis=1)]
-        return np.isfinite(grid.energy[rows, pick]), pick
-
-    ok, best = winner(np.arange(k * k))
-    ok_d, diag = winner(np.arange(k) * (k + 1))
-    return GridSolution(
-        values=np.arange(rows.size, dtype=float),
-        sigma1=np.where(ok, s[best // k], np.nan),
-        sigma2=np.where(ok, s[best % k], np.nan),
-        work=np.where(ok, grid.work[rows, best], np.nan),
-        energy=np.where(ok, grid.energy[rows, best], np.nan),
-        time=np.where(ok, grid.time[rows, best], np.nan),
-        sigma_single=np.where(ok_d, s[diag // k], np.nan),
-        work_single=np.where(ok_d, grid.work[rows, diag], np.nan),
-        energy_single=np.where(ok_d, grid.energy[rows, diag], np.nan),
-    )
-
-
-def run_sweep_fast(cfg: Configuration, rho: float, axis: SweepAxis) -> GridSolution:
-    """Vectorised equivalent of :func:`repro.sweep.runner.run_sweep`.
-
-    Every axis value's configuration is materialised with the axis's own
-    ``apply`` rule (so any parameter axis works, with no per-axis
-    vectorised mapping to maintain) and the whole axis is solved by one
-    :func:`solve_bicrit_grid` pass.  The numbers are the kernel's, which
-    equal the scalar path's; the equivalence tests pin the output
-    against :func:`~repro.sweep.runner.run_sweep`.
-    """
-    applied = [axis.apply(cfg, rho, value) for value in axis.values]
-    if any(cfg_v.speeds != cfg.speeds for cfg_v, _ in applied):
-        raise InvalidParameterError(
-            f"axis {axis.name!r} changes the DVFS speed set; run_sweep_fast "
-            f"sweeps model parameters over one speed set"
-        )
-    sol = solve_bicrit_grid(
-        **config_columns([cfg_v for cfg_v, _ in applied]),
-        rho=np.array([rho_v for _, rho_v in applied]),
-        speeds=cfg.speeds,
-    )
-    return replace(sol, values=np.asarray(axis.values, dtype=np.float64))

@@ -4,38 +4,52 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.crossover import find_pair_changes, optimal_pairs_by_rho
+from repro.analysis.crossover import optimal_pairs_by_rho
+from repro.api import Experiment
 from repro.sweep.axes import checkpoint_axis, rho_axis
-from repro.sweep.runner import run_sweep
 
 
-class TestFindPairChanges:
+def _crossover(cfg, axis):
+    """The ``.crossover()`` verb along the two-speed sweep of ``axis``."""
+    results = Experiment.over_axis(cfg, 3.0, axis).solve()
+    return results.crossover(values=axis.values, axis=axis.name)
+
+
+class TestCrossoverAlongSweeps:
     def test_fig2_has_crossovers(self, atlas_crusoe):
         # The paper's Figure 2: the pair moves from (0.45,0.45) towards
         # (0.45,0.8) as C grows, so at least one crossover exists.
-        series = run_sweep(atlas_crusoe, 3.0, checkpoint_axis(n=25))
-        changes = find_pair_changes(series)
-        assert len(changes) >= 1
-        first = changes[0]
+        cr = _crossover(atlas_crusoe, checkpoint_axis(n=25))
+        assert len(cr) >= 1
+        first = cr.events[0]
         assert first.pair_before == (0.45, 0.45)
+        assert cr.axis == "C"
 
     def test_crossover_endpoints_are_adjacent(self, atlas_crusoe):
-        series = run_sweep(atlas_crusoe, 3.0, checkpoint_axis(n=25))
-        values = list(series.values)
-        for ch in find_pair_changes(series):
-            i = values.index(ch.value_before)
-            assert values[i + 1] == ch.value_after
+        axis = checkpoint_axis(n=25)
+        values = list(axis.values)
+        for ev in _crossover(atlas_crusoe, axis).events:
+            i = values.index(ev.value_before)
+            assert values[i + 1] == ev.value_after
+            assert (ev.index_before, ev.index_after) == (i, i + 1)
 
     def test_feasibility_transition_counts(self, atlas_crusoe):
-        series = run_sweep(atlas_crusoe, 3.0, rho_axis(lo=1.01, hi=3.5, n=20))
-        changes = find_pair_changes(series)
+        cr = _crossover(atlas_crusoe, rho_axis(lo=1.01, hi=3.5, n=20))
         # At least the infeasible -> feasible boundary.
-        assert any(c.pair_before is None and c.pair_after is not None for c in changes)
+        assert any(e.pair_before is None and e.pair_after is not None for e in cr.events)
 
     def test_no_changes_on_constant_series(self, hera_xscale):
         # Hera/XScale keeps (0.4, 0.4) along a modest C range at rho=3.
-        series = run_sweep(hera_xscale, 3.0, checkpoint_axis(lo=100, hi=500, n=6))
-        assert find_pair_changes(series) == ()
+        cr = _crossover(hera_xscale, checkpoint_axis(lo=100, hi=500, n=6))
+        assert cr.events == ()
+        assert cr.distinct_pairs() == ((0.4, 0.4),)
+
+    def test_pairs_match_run_sweep(self, atlas_crusoe):
+        from repro.sweep.runner import run_sweep
+
+        axis = checkpoint_axis(n=25)
+        series = run_sweep(atlas_crusoe, 3.0, axis)
+        assert list(_crossover(atlas_crusoe, axis).pairs) == series.speed_pairs()
 
 
 class TestOptimalPairsByRho:

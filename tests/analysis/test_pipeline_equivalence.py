@@ -1,11 +1,11 @@
-"""Equivalence pins: legacy analysis entry points vs the pipeline.
+"""Equivalence pins: batched analyses vs per-point scalar loops.
 
-PR 5 rewired ``pareto_frontier``, ``run_sweep``,
-``sweep_failstop_fraction``, ``optimal_pairs_by_rho`` and
-``parameter_elasticities`` as thin adapters over the
-:class:`repro.api.Experiment` pipeline.  These tests pin the adapters
-against per-point scalar loops (the pre-pipeline semantics):
-byte-identical outputs for the exponential two-speed cases.
+The frontier verb, ``run_sweep``, ``sweep_failstop_fraction``,
+``optimal_pairs_by_rho``, ``parameter_elasticities`` and
+``map_regions`` all solve one :class:`repro.api.Experiment` batch.
+These tests pin each of them against a per-point scalar loop (one
+standalone solve per point): byte-identical outputs for the
+exponential two-speed cases.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.crossover import optimal_pairs_by_rho
-from repro.analysis.pareto import pareto_frontier
+from repro.analysis.regions import map_regions
 from repro.analysis.sensitivity import parameter_elasticities
-from repro.api import Scenario
+from repro.api import Experiment, Scenario
 from repro.core.feasibility import min_performance_bound_config
+from repro.core.singlespeed import solve_single_speed
 from repro.core.solver import solve_bicrit
 from repro.exceptions import InfeasibleBoundError
-from repro.sweep.axes import checkpoint_axis, rho_axis
+from repro.sweep.axes import AXIS_NAMES, axis_by_name, checkpoint_axis, error_rate_axis
 from repro.sweep.fraction import sweep_failstop_fraction
 from repro.sweep.runner import run_sweep
 
@@ -30,13 +31,18 @@ from repro.sweep.runner import run_sweep
 class TestParetoEquivalence:
     def test_byte_identical_to_per_point_loop(self, hera_xscale):
         n, rho_hi = 25, 8.0
-        frontier = pareto_frontier(hera_xscale, rho_hi=rho_hi, n=n)
-
-        # The historical construction: one scalar solve per rho, with
-        # the consecutive-duplicate collapse.
         rho_lo = min_performance_bound_config(hera_xscale) * 1.0001
+        rhos = np.linspace(rho_lo, rho_hi, n)
+        frontier = (
+            Experiment.over(configs=(hera_xscale,), rhos=rhos)
+            .solve()
+            .frontier(prune=False)
+        )
+
+        # One scalar solve per rho, with the consecutive-duplicate
+        # collapse.
         expected = []
-        for rho in np.linspace(rho_lo, rho_hi, n):
+        for rho in rhos:
             try:
                 sol = solve_bicrit(hera_xscale, float(rho)).best
             except InfeasibleBoundError:
@@ -53,24 +59,32 @@ class TestParetoEquivalence:
         assert len(frontier.points) == len(expected)
         for point, (rho, sol) in zip(frontier.points, expected):
             assert point.rho == rho
-            assert point.solution.speed_pair == sol.speed_pair
-            assert point.solution.work == sol.work
-            assert point.solution.energy_overhead == sol.energy_overhead
-            assert point.solution.time_overhead == sol.time_overhead
+            best = point.result.best
+            assert best.speed_pair == sol.speed_pair
+            assert best.work == sol.work
+            assert best.energy_overhead == sol.energy_overhead
+            assert best.time_overhead == sol.time_overhead
 
     def test_all_configs_round_trip(self, any_config):
-        frontier = pareto_frontier(any_config, n=20)
+        rho_lo = min_performance_bound_config(any_config) * 1.0001
+        frontier = (
+            Experiment.over(configs=(any_config,), rhos=np.linspace(rho_lo, 10.0, 20))
+            .solve()
+            .frontier(prune=False)
+        )
         assert len(frontier) >= 2
         assert np.all(np.diff(frontier.energies) <= 1e-9)
 
 
 class TestRunSweepEquivalence:
-    @pytest.mark.parametrize("axis_factory", [checkpoint_axis, rho_axis])
-    def test_byte_identical_to_per_point_loop(self, atlas_crusoe, axis_factory):
-        axis = axis_factory(n=9)
-        series = run_sweep(atlas_crusoe, 3.0, axis)
+    @pytest.mark.parametrize("axis_name", AXIS_NAMES)
+    def test_byte_identical_to_per_point_loop(self, any_config, axis_name):
+        """The batched sweep equals the scalar oracle on every axis and
+        every catalog configuration."""
+        axis = axis_by_name(axis_name, n=7)
+        series = run_sweep(any_config, 3.0, axis)
         for i, value in enumerate(axis.values):
-            cfg_v, rho_v = axis.apply(atlas_crusoe, 3.0, value)
+            cfg_v, rho_v = axis.apply(any_config, 3.0, value)
             for mode, point_sol in (
                 ("silent", series.points[i].two_speed),
                 ("single-speed", series.points[i].single_speed),
@@ -89,6 +103,7 @@ class TestRunSweepEquivalence:
                     assert point_sol.speed_pair == expected.speed_pair
                     assert point_sol.work == expected.work
                     assert point_sol.energy_overhead == expected.energy_overhead
+                    assert point_sol.time_overhead == expected.time_overhead
 
 
 class TestFractionEquivalence:
@@ -142,20 +157,30 @@ class TestSensitivityEquivalence:
         rho = 3.0
         got = parameter_elasticities(any_config, rho)
 
-        # The historical sequential loop over solve_bicrit.
-        from repro.analysis.sensitivity import _APPLIERS, _BASE_VALUES
+        # A sequential loop over solve_bicrit, with each perturbation
+        # spelled out here rather than taken from the sweep axes.
+        from repro.analysis.sensitivity import _BASE_VALUES
 
+        perturb = {
+            "C": lambda cfg, rho, v: (cfg.with_checkpoint_time(v), rho),
+            "V": lambda cfg, rho, v: (cfg.with_verification_time(v), rho),
+            "lambda": lambda cfg, rho, v: (cfg.with_error_rate(v), rho),
+            "Pidle": lambda cfg, rho, v: (cfg.with_idle_power(v), rho),
+            "Pio": lambda cfg, rho, v: (cfg.with_io_power(v), rho),
+            "rho": lambda cfg, rho, v: (cfg, v),
+        }
         rel_step = 0.02
         base_energy = solve_bicrit(any_config, rho).best.energy_overhead
         assert got.base_energy == base_energy
-        for name in _APPLIERS:
+        assert tuple(got.values) == tuple(perturb)
+        for name in perturb:
             base = _BASE_VALUES[name](any_config, rho)
             if base <= 0:
                 assert got.values[name] is None
                 continue
             try:
-                cfg_hi, rho_hi = _APPLIERS[name](any_config, rho, base * (1 + rel_step))
-                cfg_lo, rho_lo = _APPLIERS[name](any_config, rho, base * (1 - rel_step))
+                cfg_hi, rho_hi = perturb[name](any_config, rho, base * (1 + rel_step))
+                cfg_lo, rho_lo = perturb[name](any_config, rho, base * (1 - rel_step))
                 e_hi = solve_bicrit(cfg_hi, rho_hi).best.energy_overhead
                 e_lo = solve_bicrit(cfg_lo, rho_lo).best.energy_overhead
             except InfeasibleBoundError:
@@ -165,3 +190,34 @@ class TestSensitivityEquivalence:
                 math.log1p(rel_step) - math.log1p(-rel_step)
             )
             assert got.values[name] == expected
+
+
+class TestRegionsEquivalence:
+    @pytest.mark.parametrize("rho", [1.3, 3.0])
+    def test_byte_identical_to_per_cell_loop(self, any_config, rho):
+        x_axis, y_axis = checkpoint_axis(n=7), error_rate_axis(n=6, hi=1e-3)
+        got = map_regions(any_config, rho, x_axis, y_axis)
+
+        # One solve_bicrit + solve_single_speed pair per cell.
+        shape = (len(x_axis), len(y_axis))
+        sigma1, sigma2, savings = (np.full(shape, np.nan) for _ in range(3))
+        for i, xv in enumerate(x_axis.values):
+            cfg_x, rho_x = x_axis.apply(any_config, rho, xv)
+            for j, yv in enumerate(y_axis.values):
+                cfg_xy, rho_xy = y_axis.apply(cfg_x, rho_x, yv)
+                try:
+                    two = solve_bicrit(cfg_xy, rho_xy).best
+                except InfeasibleBoundError:
+                    continue
+                sigma1[i, j], sigma2[i, j] = two.sigma1, two.sigma2
+                try:
+                    one = solve_single_speed(cfg_xy, rho_xy).best
+                except InfeasibleBoundError:
+                    continue
+                savings[i, j] = (
+                    1.0 - two.energy_overhead / one.energy_overhead
+                ) * 100.0
+
+        assert np.array_equal(got.sigma1, sigma1, equal_nan=True)
+        assert np.array_equal(got.sigma2, sigma2, equal_nan=True)
+        assert np.array_equal(got.savings, savings, equal_nan=True)

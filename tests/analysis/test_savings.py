@@ -5,34 +5,45 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.savings import savings_percent, series_savings, summarize_savings
+from repro.analysis.savings import summarize_savings
+from repro.analysis.verbs import percent_savings
+from repro.api import Experiment
 from repro.sweep.axes import checkpoint_axis, rho_axis
 from repro.sweep.runner import run_sweep
 
 
-class TestSavingsPercent:
+class TestPercentSavings:
     def test_basic(self):
-        assert savings_percent(65.0, 100.0) == pytest.approx(35.0)
+        assert percent_savings(65.0, 100.0) == pytest.approx(35.0)
 
     def test_zero_when_equal(self):
-        assert savings_percent(100.0, 100.0) == 0.0
-
-    def test_invalid_baseline(self):
-        with pytest.raises(ValueError):
-            savings_percent(1.0, 0.0)
+        assert percent_savings(100.0, 100.0) == 0.0
 
 
-class TestSeriesSavings:
+def _sweep_savings(cfg, axis):
+    """The ``.savings()`` verb: two-speed over one-speed along ``axis``."""
+    two = Experiment.over_axis(cfg, 3.0, axis).solve()
+    one = Experiment.over_axis(cfg, 3.0, axis, modes=("single-speed",)).solve()
+    return two.savings(one, values=axis.values, axis=axis.name)
+
+
+class TestSweepSavings:
     def test_nonnegative_where_finite(self, atlas_crusoe):
-        series = run_sweep(atlas_crusoe, 3.0, checkpoint_axis(n=9))
-        s = series_savings(series)
+        s = _sweep_savings(atlas_crusoe, checkpoint_axis(n=9)).percent
         finite = np.isfinite(s)
         assert np.all(s[finite] >= -1e-9)
 
     def test_nan_propagates(self, atlas_crusoe):
-        series = run_sweep(atlas_crusoe, 3.0, rho_axis(lo=1.01, hi=3.5, n=10))
-        s = series_savings(series)
+        s = _sweep_savings(atlas_crusoe, rho_axis(lo=1.01, hi=3.5, n=10)).percent
         assert np.isnan(s[0])  # infeasible head
+
+    def test_verb_matches_series_arrays(self, atlas_crusoe):
+        axis = checkpoint_axis(n=9)
+        series = run_sweep(atlas_crusoe, 3.0, axis)
+        expected = percent_savings(series.energy_two(), series.energy_single())
+        got = _sweep_savings(atlas_crusoe, axis)
+        assert np.array_equal(got.percent, expected, equal_nan=True)
+        assert got.axis == "C"
 
 
 class TestSummarizeSavings:
@@ -48,7 +59,7 @@ class TestSummarizeSavings:
     def test_argmax_is_peak(self, atlas_crusoe):
         series = run_sweep(atlas_crusoe, 3.0, checkpoint_axis(n=25))
         summary = summarize_savings(series)
-        s = series_savings(series)
+        s = percent_savings(series.energy_two(), series.energy_single())
         k = np.nanargmax(s)
         assert summary.argmax_value == pytest.approx(float(series.values[k]))
         assert summary.max_savings_percent == pytest.approx(float(s[k]))

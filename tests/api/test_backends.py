@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import Scenario
@@ -210,23 +211,32 @@ class TestGridBackend:
         assert gr.provenance.backend == "firstorder"
         assert gr.candidates == fo.candidates  # standalone: full payload
 
-    def test_grid_point_payload_through_run_sweep_fast(self, any_config):
-        """The kernel's per-value optimum and diagonal optimum (the old
-        ``GridPoint`` payload) agree with the scalar solves."""
-        from repro.sweep.axes import rho_axis
-        from repro.sweep.vectorized import run_sweep_fast
+    def test_grid_point_payload_through_evaluate_pair_grid(self, any_config):
+        """The kernel's optimum over the pair product and over its
+        diagonal (the old ``GridPoint`` payload) agree with the scalar
+        solves."""
+        from repro.sweep.vectorized import config_columns, evaluate_pair_grid
 
-        fast = run_sweep_fast(any_config, 3.0, rho_axis(lo=3.0, hi=3.0, n=1))
+        k = len(any_config.speeds)
+        s1 = np.repeat(any_config.speeds, k)
+        s2 = np.tile(any_config.speeds, k)
+        grid = evaluate_pair_grid(s1, s2, **config_columns([any_config]), rho=3.0)
+        diag = np.arange(k) * (k + 1)
+        best = int(np.argmin(grid.energy[0]))
+        single = diag[int(np.argmin(grid.energy[0, diag]))]
         two = Scenario(config=any_config, rho=3.0).solve(cache=False).best
         one = Scenario(config=any_config, rho=3.0, mode="single-speed").solve(
             cache=False
         ).best
-        assert fast.feasible_mask()[0]
-        assert (fast.sigma1[0], fast.sigma2[0]) == two.speed_pair
-        assert (fast.work[0], fast.energy[0]) == (two.work, two.energy_overhead)
-        assert fast.time[0] == two.time_overhead
-        assert fast.sigma_single[0] == one.sigma1
-        assert (fast.work_single[0], fast.energy_single[0]) == (
+        assert np.isfinite(grid.energy[0, best])
+        assert (s1[best], s2[best]) == two.speed_pair
+        assert (grid.work[0, best], grid.energy[0, best]) == (
+            two.work,
+            two.energy_overhead,
+        )
+        assert grid.time[0, best] == two.time_overhead
+        assert s1[single] == one.sigma1
+        assert (grid.work[0, single], grid.energy[0, single]) == (
             one.work,
             one.energy_overhead,
         )

@@ -175,6 +175,15 @@ class TestPareto:
         assert main(["pareto", "--config", "atlas-crusoe", "--points", "20"]) == 0
         assert "Atlas" in capsys.readouterr().out
 
+    def test_alias_prints_what_frontier_prints(self, capsys):
+        args = ["--config", "atlas-crusoe", "--points", "12", "--rho-max", "6"]
+        assert main(["pareto", *args]) == 0
+        pareto = capsys.readouterr().out
+        assert main(["frontier", *args]) == 0
+        assert pareto == capsys.readouterr().out
+        assert "Pareto frontier with" in pareto
+        assert "(0.45, 0.45)" in pareto  # each row names its winning pair
+
 
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):

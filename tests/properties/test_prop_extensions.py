@@ -16,7 +16,7 @@ from repro.extensions.multiverif import (
     segment_detection_profile,
 )
 from repro.platforms import Configuration, Platform, Processor
-from repro.sweep.vectorized import solve_bicrit_grid
+from repro.sweep.vectorized import config_columns, evaluate_pair_grid
 
 rates = st.floats(min_value=1e-7, max_value=1e-4)
 works = st.floats(min_value=100.0, max_value=20000.0)
@@ -90,6 +90,15 @@ class TestMultiVerifProperties:
         assert expected_time(cfg, w, q, s1, s1, recall=r) >= floor - 1e-9
 
 
+def _pair_grid(cfg, rho, **overrides):
+    """One kernel pass over the s1-major K x K product of ``cfg.speeds``,
+    plus the product's speed columns and the diagonal's column indices."""
+    k = len(cfg.speeds)
+    s1, s2 = np.repeat(cfg.speeds, k), np.tile(cfg.speeds, k)
+    columns = {**config_columns([cfg]), **overrides}
+    return evaluate_pair_grid(s1, s2, **columns, rho=rho), s1, s2, np.arange(k) * (k + 1)
+
+
 class TestVectorisedProperties:
     @given(cfg=configurations(), rho=st.floats(min_value=1.5, max_value=10.0))
     @settings(max_examples=60, deadline=None)
@@ -97,26 +106,34 @@ class TestVectorisedProperties:
         from repro.core.solver import solve_bicrit
         from repro.exceptions import InfeasibleBoundError
 
-        out = solve_bicrit_grid(
-            lam=cfg.lam,
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=rho,
-            speeds=cfg.speeds,
-        )
+        grid, s1, s2, _ = _pair_grid(cfg, rho)
+        k = int(np.argmin(grid.energy[0]))
         try:
             best = solve_bicrit(cfg, rho).best
         except InfeasibleBoundError:
-            assert np.isnan(out.energy[0])
+            assert np.isinf(grid.energy[0, k])
             return
-        assert out.sigma1[0] == best.sigma1
-        assert out.sigma2[0] == best.sigma2
-        assert out.energy[0] == pytest.approx(best.energy_overhead, rel=1e-9)
-        assert out.work[0] == pytest.approx(best.work, rel=1e-9)
+        assert s1[k] == best.sigma1
+        assert s2[k] == best.sigma2
+        assert grid.energy[0, k] == best.energy_overhead
+        assert grid.work[0, k] == best.work
+
+    @given(cfg=configurations(), rho=st.floats(min_value=1.5, max_value=10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_matches_single_speed_solver(self, cfg, rho):
+        from repro.core.singlespeed import solve_single_speed
+        from repro.exceptions import InfeasibleBoundError
+
+        grid, s1, _, diag = _pair_grid(cfg, rho)
+        k = diag[int(np.argmin(grid.energy[0, diag]))]
+        try:
+            best = solve_single_speed(cfg, rho).best
+        except InfeasibleBoundError:
+            assert np.isinf(grid.energy[0, k])
+            return
+        assert s1[k] == best.sigma1
+        assert grid.energy[0, k] == best.energy_overhead
+        assert grid.work[0, k] == best.work
 
     @given(
         cfg=configurations(),
@@ -125,16 +142,8 @@ class TestVectorisedProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_two_speed_never_loses_elementwise(self, cfg, lams, rho):
-        out = solve_bicrit_grid(
-            lam=np.array(lams),
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=rho,
-            speeds=cfg.speeds,
-        )
-        ok = np.isfinite(out.energy) & np.isfinite(out.energy_single)
-        assert np.all(out.energy[ok] <= out.energy_single[ok] + 1e-9)
+        grid, _, _, diag = _pair_grid(cfg, rho, lam=np.array(lams))
+        two = grid.energy.min(axis=1)
+        one = grid.energy[:, diag].min(axis=1)
+        ok = np.isfinite(two) & np.isfinite(one)
+        assert np.all(two[ok] <= one[ok] + 1e-9)

@@ -7,13 +7,9 @@ import csv
 import numpy as np
 import pytest
 
-from repro.analysis.pareto import pareto_frontier
 from repro.analysis.regions import map_regions
-from repro.reporting.artifacts import (
-    write_fraction_csv,
-    write_frontier_csv,
-    write_regions_csv,
-)
+from repro.api import Experiment
+from repro.reporting.artifacts import write_fraction_csv, write_regions_csv
 from repro.sweep.axes import checkpoint_axis, error_rate_axis
 from repro.sweep.fraction import sweep_failstop_fraction
 
@@ -25,8 +21,12 @@ def _rows(path):
 
 class TestFrontierCsv:
     def test_roundtrip(self, hera_xscale, tmp_path):
-        fr = pareto_frontier(hera_xscale, n=30)
-        path = write_frontier_csv(tmp_path / "fr.csv", fr)
+        fr = (
+            Experiment.over(configs=(hera_xscale,), rhos=np.linspace(1.1, 10.0, 30))
+            .solve()
+            .frontier(prune=False)
+        )
+        path = fr.to_csv(tmp_path / "fr.csv")
         rows = _rows(path)
         assert len(rows) == len(fr)
         assert float(rows[0]["rho"]) == pytest.approx(fr.points[0].rho)

@@ -112,11 +112,11 @@ class TestNaNAccessors:
             else:
                 assert np.isnan(series.work_single()[i])
 
-    def test_nan_propagates_through_series_savings(self, atlas_crusoe):
-        from repro.analysis.savings import series_savings
+    def test_nan_propagates_through_percent_savings(self, atlas_crusoe):
+        from repro.analysis.verbs import percent_savings
 
         series = self._series_with_infeasible_head(atlas_crusoe)
-        s = series_savings(series)
+        s = percent_savings(series.energy_two(), series.energy_single())
         mask = series.feasible_mask()
         assert np.all(np.isnan(s[~mask]))
         assert np.all(np.isfinite(s[mask]))

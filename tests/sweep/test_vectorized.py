@@ -1,126 +1,81 @@
-"""Equivalence tests: vectorised solver vs the scalar reference path."""
+"""The Theorem-1 kernel (``evaluate_pair_grid``) vs the scalar solvers.
+
+``run_sweep`` against the per-point scalar oracle on every axis and
+configuration is pinned in ``tests/analysis/test_pipeline_equivalence.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.sweep.axes import (
-    checkpoint_axis,
-    error_rate_axis,
-    idle_power_axis,
-    io_power_axis,
-    rho_axis,
-    verification_axis,
-)
+from repro.analysis.verbs import percent_savings
+from repro.sweep.axes import checkpoint_axis
 from repro.sweep.runner import run_sweep
-from repro.sweep.vectorized import run_sweep_fast, solve_bicrit_grid
-
-AXES = [
-    checkpoint_axis(n=9),
-    verification_axis(n=9),
-    error_rate_axis(n=9),
-    rho_axis(lo=1.01, hi=3.5, n=9),
-    idle_power_axis(n=9),
-    io_power_axis(n=9),
-]
+from repro.sweep.vectorized import config_columns, evaluate_pair_grid
 
 
-class TestEquivalence:
-    @pytest.mark.parametrize("axis", AXES, ids=lambda a: a.name)
-    def test_matches_scalar_path_on_every_axis(self, any_config, axis):
-        fast = run_sweep_fast(any_config, 3.0, axis)
-        slow = run_sweep(any_config, 3.0, axis)
-        np.testing.assert_allclose(fast.sigma1, slow.sigma1(), equal_nan=True)
-        np.testing.assert_allclose(fast.sigma2, slow.sigma2(), equal_nan=True)
-        np.testing.assert_allclose(
-            fast.work, slow.work_two(), rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(
-            fast.energy, slow.energy_two(), rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(
-            fast.sigma_single, slow.sigma_single(), equal_nan=True
-        )
-        np.testing.assert_allclose(
-            fast.energy_single, slow.energy_single(), rtol=1e-9, equal_nan=True
-        )
+def _pair_product(speeds):
+    """The s1-major K x K pair product and the columns of its diagonal."""
+    k = len(speeds)
+    return np.repeat(speeds, k), np.tile(speeds, k), np.arange(k) * (k + 1)
 
+
+def _best(energy, columns):
+    """Per row: the lowest energy among ``columns`` and its column."""
+    pick = columns[np.argmin(energy[:, columns], axis=1)]
+    return energy[np.arange(energy.shape[0]), pick], pick
+
+
+class TestSavingsFromKernel:
     def test_savings_match(self, atlas_crusoe):
-        from repro.analysis.savings import series_savings
-
+        """Savings read off one kernel pass (pair product vs its
+        diagonal) equal ``run_sweep``'s, bit for bit."""
         axis = checkpoint_axis(n=15)
-        fast = run_sweep_fast(atlas_crusoe, 3.0, axis)
-        slow = run_sweep(atlas_crusoe, 3.0, axis)
-        np.testing.assert_allclose(
-            fast.savings_percent(), series_savings(slow), rtol=1e-9, equal_nan=True
+        configs = [axis.apply(atlas_crusoe, 3.0, v)[0] for v in axis.values]
+        s1, s2, diag = _pair_product(atlas_crusoe.speeds)
+        grid = evaluate_pair_grid(s1, s2, **config_columns(configs), rho=3.0)
+        two, _ = _best(grid.energy, np.arange(s1.size))
+        one, _ = _best(grid.energy, diag)
+        series = run_sweep(atlas_crusoe, 3.0, axis)
+        assert np.array_equal(two, series.energy_two())
+        assert np.array_equal(one, series.energy_single())
+        assert np.array_equal(
+            percent_savings(two, one),
+            percent_savings(series.energy_two(), series.energy_single()),
         )
 
 
 class TestGridSolver:
     def test_scalar_inputs_broadcast(self, hera_xscale):
-        cfg = hera_xscale
-        out = solve_bicrit_grid(
-            lam=cfg.lam,
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=3.0,
-            speeds=cfg.speeds,
-        )
-        assert out.sigma1.shape == (1,)
-        assert out.sigma1[0] == 0.4
-        assert out.work[0] == pytest.approx(2764, abs=1.5)
+        s1, s2, _ = _pair_product(hera_xscale.speeds)
+        grid = evaluate_pair_grid(s1, s2, **config_columns([hera_xscale]), rho=3.0)
+        assert grid.energy.shape == (1, s1.size)
+        _, k = _best(grid.energy, np.arange(s1.size))
+        assert (s1[k[0]], s2[k[0]]) == (0.4, 0.4)
+        assert grid.work[0, k[0]] == pytest.approx(2764, abs=1.5)
 
     def test_mixed_array_scalar_inputs(self, hera_xscale):
         cfg = hera_xscale
-        lams = np.array([1e-6, 1e-5, 1e-4])
-        out = solve_bicrit_grid(
-            lam=lams,
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=3.0,
-            speeds=cfg.speeds,
-        )
-        assert out.sigma1.shape == (3,)
+        s1, s2, _ = _pair_product(cfg.speeds)
+        columns = config_columns([cfg])
+        columns["lam"] = np.array([1e-6, 1e-5, 1e-4])
+        grid = evaluate_pair_grid(s1, s2, **columns, rho=3.0)
+        assert grid.energy.shape == (3, s1.size)
+        _, k = _best(grid.energy, np.arange(s1.size))
+        work = grid.work[np.arange(3), k]
         # Wopt shrinks with the rate.
-        assert out.work[0] > out.work[1] > out.work[2]
+        assert work[0] > work[1] > work[2]
 
-    def test_all_infeasible_is_nan(self, hera_xscale):
-        cfg = hera_xscale
-        out = solve_bicrit_grid(
-            lam=cfg.lam,
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=0.5,  # below 1/sigma_max: nothing feasible
-            speeds=cfg.speeds,
-        )
-        assert np.isnan(out.energy[0])
-        assert np.isnan(out.sigma1[0])
-        assert not out.feasible_mask()[0]
+    def test_all_infeasible_is_inf(self, hera_xscale):
+        s1, s2, _ = _pair_product(hera_xscale.speeds)
+        # Below 1/sigma_max: nothing is feasible.
+        grid = evaluate_pair_grid(s1, s2, **config_columns([hera_xscale]), rho=0.5)
+        assert np.all(np.isinf(grid.energy))
 
     def test_single_speed_is_diagonal_restriction(self, hera_xscale):
-        cfg = hera_xscale
-        out = solve_bicrit_grid(
-            lam=cfg.lam,
-            checkpoint=cfg.checkpoint_time,
-            verification=cfg.verification_time,
-            recovery=cfg.recovery_time,
-            kappa=cfg.processor.kappa,
-            idle_power=cfg.processor.idle_power,
-            io_power=cfg.io_power,
-            rho=3.0,
-            speeds=cfg.speeds,
-        )
-        assert out.energy_single[0] >= out.energy[0] - 1e-12
+        s1, s2, diag = _pair_product(hera_xscale.speeds)
+        grid = evaluate_pair_grid(s1, s2, **config_columns([hera_xscale]), rho=3.0)
+        two, _ = _best(grid.energy, np.arange(s1.size))
+        one, _ = _best(grid.energy, diag)
+        assert one[0] >= two[0]
