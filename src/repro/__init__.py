@@ -70,227 +70,139 @@ See ``docs/api.md`` for the full Scenario/Experiment workflow and the
 legacy-wrapper mapping table.
 """
 
-from .core import (
-    BiCritSolution,
-    CandidateOutcome,
-    Pattern,
-    PatternSolution,
-    energy_optimal_work,
-    energy_overhead,
-    energy_overhead_fo,
-    expected_energy,
-    expected_time,
-    min_performance_bound,
-    optimal_work,
-    solve_bicrit,
-    solve_bicrit_exact,
-    solve_single_speed,
-    time_overhead,
-    time_overhead_fo,
-)
-from .errors import (
-    ArrivalProcess,
-    CombinedErrors,
-    ErrorModel,
-    ExponentialArrivals,
-    ExponentialErrors,
-    GammaArrivals,
-    TraceArrivals,
-    WeibullArrivals,
-    error_model_kinds,
-    parse_error_model,
-)
-from .schedules import (
-    Constant,
-    Escalating,
-    Geometric,
-    ScheduleGridSolution,
-    ScheduleSolution,
-    SpeedSchedule,
-    TwoSpeed,
-    evaluate_schedule,
-    evaluate_schedule_batch,
-    parse_schedule,
-    schedule_kinds,
-    solve_schedule,
-    solve_schedule_batch,
-)
-from .exceptions import (
-    ApproximationDomainError,
-    ConvergenceError,
-    InfeasibleBoundError,
-    InvalidParameterError,
-    InvalidTruncationError,
-    ReproError,
-    SpeedNotAvailableError,
-    UnknownBackendError,
-    UnsupportedErrorModelError,
-    UnsupportedScenarioError,
-)
-from .platforms import (
-    ATLAS,
-    COASTAL,
-    COASTAL_SSD,
-    CRUSOE,
-    HERA,
-    XSCALE,
-    Configuration,
-    Platform,
-    Processor,
-    all_configurations,
-    configuration_names,
-    get_configuration,
-)
-from .power import PowerModel
+from typing import TYPE_CHECKING
 
-# Extension surface (lazy-ish: these are light imports, re-exported for
-# discoverability; the full APIs live in their subpackages).
-from .analysis import (
-    CrossoverResult,
-    FrontierResult,
-    SavingsResult,
-    SensitivityResult,
-    fit_power_law,
-    map_regions,
-    optimal_pairs_by_rho,
-    summarize_savings,
-)
-from .failstop import (
-    solve_bicrit_combined,
-    theorem2_work,
-    time_optimal_work,
-)
-from .simulation import (
-    ApplicationSimulator,
-    PatternSimulator,
-    check_agreement,
-    simulate_until,
-)
-from .sweep import (
-    run_figure,
-    run_sweep,
-    speed_pair_table,
-    sweep_failstop_fraction,
-)
-
-# The unified solve API (imported last: its backends wrap the solver
-# implementations above).
-from .api import (
-    ExecutionPlan,
-    Experiment,
-    Result,
-    ResultSet,
-    Scenario,
-    SolveCache,
-    SolverBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from ._lazy import attach, exports
 
 __version__ = "1.10.0"
 
-__all__ = [
-    "__version__",
+#: The public names, each with the module that defines it.  ``__all__``,
+#: ``dir(repro)`` and the name list in docs/api.md come from this table.
+_EXPORTS = exports({
     # unified solve API
-    "Scenario",
-    "Experiment",
-    "ExecutionPlan",
-    "Result",
-    "ResultSet",
-    "SolverBackend",
-    "SolveCache",
-    "register_backend",
-    "get_backend",
-    "available_backends",
+    ".api.scenario": ("Scenario",),
+    ".api.experiment": ("Experiment", "ExecutionPlan"),
+    ".api.result": ("Result", "ResultSet"),
+    ".api.backends": ("SolverBackend", "register_backend", "get_backend", "available_backends"),
+    ".api.cache": ("SolveCache",),
     # errors / exceptions
-    "ReproError",
-    "InvalidParameterError",
-    "InvalidTruncationError",
-    "InfeasibleBoundError",
-    "SpeedNotAvailableError",
-    "ApproximationDomainError",
-    "ConvergenceError",
-    "UnknownBackendError",
-    "UnsupportedScenarioError",
-    "UnsupportedErrorModelError",
+    ".exceptions": (
+        "ReproError", "InvalidParameterError", "InvalidTruncationError",
+        "InfeasibleBoundError", "SpeedNotAvailableError", "ApproximationDomainError",
+        "ConvergenceError", "UnknownBackendError", "UnsupportedScenarioError",
+        "UnsupportedErrorModelError",
+    ),
     # substrates
-    "ExponentialErrors",
-    "CombinedErrors",
+    ".errors.exponential": ("ExponentialErrors",),
+    ".errors.combined": ("CombinedErrors",),
     # error models (renewal arrival processes)
-    "ArrivalProcess",
-    "ExponentialArrivals",
-    "WeibullArrivals",
-    "GammaArrivals",
-    "TraceArrivals",
-    "ErrorModel",
-    "parse_error_model",
-    "error_model_kinds",
-    "PowerModel",
-    "Platform",
-    "Processor",
-    "Configuration",
-    "HERA",
-    "ATLAS",
-    "COASTAL",
-    "COASTAL_SSD",
-    "XSCALE",
-    "CRUSOE",
-    "all_configurations",
-    "configuration_names",
-    "get_configuration",
+    ".errors.models": (
+        "ArrivalProcess", "ExponentialArrivals", "WeibullArrivals", "GammaArrivals",
+        "TraceArrivals", "ErrorModel", "parse_error_model", "error_model_kinds",
+    ),
+    # platforms and power
+    ".power.model": ("PowerModel",),
+    ".platforms.platform": ("Platform",),
+    ".platforms.processor": ("Processor",),
+    ".platforms.configuration": ("Configuration",),
+    ".platforms.catalog": (
+        "HERA", "ATLAS", "COASTAL", "COASTAL_SSD", "XSCALE", "CRUSOE",
+        "all_configurations", "configuration_names", "get_configuration",
+    ),
     # speed schedules
-    "SpeedSchedule",
-    "TwoSpeed",
-    "Constant",
-    "Escalating",
-    "Geometric",
-    "parse_schedule",
-    "schedule_kinds",
-    "evaluate_schedule",
-    "solve_schedule",
-    "ScheduleSolution",
-    "evaluate_schedule_batch",
-    "solve_schedule_batch",
-    "ScheduleGridSolution",
+    ".schedules.base": (
+        "SpeedSchedule", "TwoSpeed", "Constant", "Escalating", "Geometric",
+        "parse_schedule", "schedule_kinds",
+    ),
+    ".schedules.evaluator": ("evaluate_schedule",),
+    ".schedules.solver": ("solve_schedule", "ScheduleSolution"),
+    ".schedules.vectorized": ("evaluate_schedule_batch", "solve_schedule_batch"),
     # core
-    "Pattern",
-    "PatternSolution",
-    "CandidateOutcome",
-    "BiCritSolution",
-    "expected_time",
-    "expected_energy",
-    "time_overhead",
-    "energy_overhead",
-    "time_overhead_fo",
-    "energy_overhead_fo",
-    "energy_optimal_work",
-    "optimal_work",
-    "min_performance_bound",
-    "solve_bicrit",
-    "solve_bicrit_exact",
-    "solve_single_speed",
+    ".core.pattern": ("Pattern",),
+    ".core.solution": ("PatternSolution", "BiCritSolution"),
+    ".core.exact": ("expected_time", "expected_energy", "time_overhead", "energy_overhead"),
+    ".core.firstorder": ("time_overhead_fo", "energy_overhead_fo"),
+    ".core.optimum": ("energy_optimal_work", "optimal_work"),
+    ".core.feasibility": ("min_performance_bound",),
+    ".core.solver": ("solve_bicrit",),
+    ".core.numeric": ("solve_bicrit_exact",),
+    ".core.singlespeed": ("solve_single_speed",),
     # failstop extensions
-    "solve_bicrit_combined",
-    "theorem2_work",
-    "time_optimal_work",
+    ".failstop.solver": ("solve_bicrit_combined", "time_optimal_work"),
+    ".failstop.secondorder": ("theorem2_work",),
     # simulation
-    "PatternSimulator",
-    "ApplicationSimulator",
-    "check_agreement",
-    "simulate_until",
+    ".simulation.engine": ("PatternSimulator",),
+    ".simulation.application": ("ApplicationSimulator",),
+    ".simulation.estimators": ("check_agreement",),
+    ".simulation.convergence": ("simulate_until",),
     # sweeps / experiments
-    "run_sweep",
-    "run_figure",
-    "speed_pair_table",
-    "sweep_failstop_fraction",
+    ".sweep.runner": ("run_sweep",),
+    ".sweep.figures": ("run_figure",),
+    ".sweep.tables": ("speed_pair_table",),
+    ".sweep.fraction": ("sweep_failstop_fraction",),
     # analysis
-    "FrontierResult",
-    "SavingsResult",
-    "SensitivityResult",
-    "CrossoverResult",
-    "map_regions",
-    "optimal_pairs_by_rho",
-    "summarize_savings",
-    "fit_power_law",
-]
+    ".analysis.verbs": ("FrontierResult", "SavingsResult", "SensitivityResult", "CrossoverResult"),
+    ".analysis.regions": ("map_regions",),
+    ".analysis.crossover": ("optimal_pairs_by_rho",),
+    ".analysis.savings": ("summarize_savings",),
+    ".analysis.scaling": ("fit_power_law",),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS, extra=("__version__",))
+
+if TYPE_CHECKING:
+    from .analysis.crossover import optimal_pairs_by_rho
+    from .analysis.regions import map_regions
+    from .analysis.savings import summarize_savings
+    from .analysis.scaling import fit_power_law
+    from .analysis.verbs import CrossoverResult, FrontierResult, SavingsResult, SensitivityResult
+    from .api.backends import SolverBackend, available_backends, get_backend, register_backend
+    from .api.cache import SolveCache
+    from .api.experiment import ExecutionPlan, Experiment
+    from .api.result import Result, ResultSet
+    from .api.scenario import Scenario
+    from .core.exact import energy_overhead, expected_energy, expected_time, time_overhead
+    from .core.feasibility import min_performance_bound
+    from .core.firstorder import energy_overhead_fo, time_overhead_fo
+    from .core.numeric import solve_bicrit_exact
+    from .core.optimum import energy_optimal_work, optimal_work
+    from .core.pattern import Pattern
+    from .core.singlespeed import solve_single_speed
+    from .core.solution import BiCritSolution, PatternSolution
+    from .core.solver import solve_bicrit
+    from .errors.combined import CombinedErrors
+    from .errors.exponential import ExponentialErrors
+    from .errors.models import (
+        ArrivalProcess, ErrorModel, ExponentialArrivals, GammaArrivals, TraceArrivals,
+        WeibullArrivals, error_model_kinds, parse_error_model,
+    )
+    from .exceptions import (
+        ApproximationDomainError, ConvergenceError, InfeasibleBoundError,
+        InvalidParameterError, InvalidTruncationError, ReproError, SpeedNotAvailableError,
+        UnknownBackendError, UnsupportedErrorModelError, UnsupportedScenarioError,
+    )
+    from .failstop.secondorder import theorem2_work
+    from .failstop.solver import solve_bicrit_combined, time_optimal_work
+    from .platforms.catalog import (
+        ATLAS, COASTAL, COASTAL_SSD, CRUSOE, HERA, XSCALE, all_configurations,
+        configuration_names, get_configuration,
+    )
+    from .platforms.configuration import Configuration
+    from .platforms.platform import Platform
+    from .platforms.processor import Processor
+    from .power.model import PowerModel
+    from .schedules.base import (
+        Constant, Escalating, Geometric, SpeedSchedule, TwoSpeed, parse_schedule,
+        schedule_kinds,
+    )
+    from .schedules.evaluator import evaluate_schedule
+    from .schedules.solver import ScheduleSolution, solve_schedule
+    from .schedules.vectorized import evaluate_schedule_batch, solve_schedule_batch
+    from .simulation.application import ApplicationSimulator
+    from .simulation.convergence import simulate_until
+    from .simulation.engine import PatternSimulator
+    from .simulation.estimators import check_agreement
+    from .sweep.figures import run_figure
+    from .sweep.fraction import sweep_failstop_fraction
+    from .sweep.runner import run_sweep
+    from .sweep.tables import speed_pair_table

@@ -18,17 +18,19 @@ entry point through the main CLI.  The rule catalog lives in
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic
-from .engine import LintContext, Rule, all_rules, lint_file, lint_paths, lint_source
-from .cli import main
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Diagnostic",
-    "LintContext",
-    "Rule",
-    "all_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "main",
-]
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".diagnostics": ("Diagnostic",),
+    ".engine": ("LintContext", "Rule", "all_rules", "lint_file", "lint_paths", "lint_source"),
+    ".cli": ("main",),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .cli import main
+    from .diagnostics import Diagnostic
+    from .engine import LintContext, Rule, all_rules, lint_file, lint_paths, lint_source

@@ -9,44 +9,35 @@ build one :class:`~repro.api.experiment.Experiment` batch and read the
 answer off it with those verbs or the same rules.
 """
 
-from .breakdown import EnergyBreakdown, energy_breakdown
-from .crossover import PairInterval, optimal_pairs_by_rho
-from .regions import RegionMap, map_regions
-from .savings import SavingsSummary, summarize_savings
-from .scaling import PowerLawFit, fit_power_law
-from .sensitivity import Elasticities, parameter_elasticities
-from .verbs import (
-    AnalysisProvenance,
-    CrossoverEvent,
-    CrossoverResult,
-    DiffResult,
-    FieldDelta,
-    FrontierPoint,
-    FrontierResult,
-    SavingsResult,
-    SensitivityResult,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AnalysisProvenance",
-    "FrontierPoint",
-    "FrontierResult",
-    "SavingsResult",
-    "SensitivityResult",
-    "CrossoverEvent",
-    "CrossoverResult",
-    "FieldDelta",
-    "DiffResult",
-    "SavingsSummary",
-    "summarize_savings",
-    "PairInterval",
-    "optimal_pairs_by_rho",
-    "PowerLawFit",
-    "fit_power_law",
-    "RegionMap",
-    "map_regions",
-    "EnergyBreakdown",
-    "energy_breakdown",
-    "Elasticities",
-    "parameter_elasticities",
-]
+from typing import TYPE_CHECKING
+
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".verbs": (
+        "AnalysisProvenance", "FrontierPoint", "FrontierResult", "SavingsResult",
+        "SensitivityResult", "CrossoverEvent", "CrossoverResult", "FieldDelta", "DiffResult",
+    ),
+    ".savings": ("SavingsSummary", "summarize_savings"),
+    ".crossover": ("PairInterval", "optimal_pairs_by_rho"),
+    ".scaling": ("PowerLawFit", "fit_power_law"),
+    ".regions": ("RegionMap", "map_regions"),
+    ".breakdown": ("EnergyBreakdown", "energy_breakdown"),
+    ".sensitivity": ("Elasticities", "parameter_elasticities"),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .breakdown import EnergyBreakdown, energy_breakdown
+    from .crossover import PairInterval, optimal_pairs_by_rho
+    from .regions import RegionMap, map_regions
+    from .savings import SavingsSummary, summarize_savings
+    from .scaling import PowerLawFit, fit_power_law
+    from .sensitivity import Elasticities, parameter_elasticities
+    from .verbs import (
+        AnalysisProvenance, CrossoverEvent, CrossoverResult, DiffResult, FieldDelta, FrontierPoint,
+        FrontierResult, SavingsResult, SensitivityResult,
+    )

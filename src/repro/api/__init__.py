@@ -24,40 +24,31 @@ The legacy entry points (``solve_bicrit``, ``solve_bicrit_exact``,
 remain available as thin wrappers over this package.
 """
 
-from .backends import (
-    ExactBackend,
-    FirstOrderBackend,
-    ScheduleBackend,
-    ScheduleGridBackend,
-    SolverBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .cache import DEFAULT_CACHE, SolveCache, clear_default_cache
-from .experiment import ExecutionPlan, Experiment, PlanGroup, PlanProgress
-from .result import Provenance, Result, ResultSet
-from .scenario import MODES, Scenario
+from __future__ import annotations
 
-__all__ = [
-    "MODES",
-    "Scenario",
-    "Experiment",
-    "ExecutionPlan",
-    "PlanGroup",
-    "PlanProgress",
-    "Result",
-    "ResultSet",
-    "Provenance",
-    "SolverBackend",
-    "FirstOrderBackend",
-    "ExactBackend",
-    "ScheduleBackend",
-    "ScheduleGridBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "SolveCache",
-    "DEFAULT_CACHE",
-    "clear_default_cache",
-]
+from typing import TYPE_CHECKING
+
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".scenario": ("MODES", "Scenario"),
+    ".experiment": ("Experiment", "ExecutionPlan", "PlanGroup", "PlanProgress"),
+    ".result": ("Result", "ResultSet", "Provenance"),
+    ".backends": (
+        "SolverBackend", "FirstOrderBackend", "ExactBackend", "ScheduleBackend",
+        "ScheduleGridBackend", "register_backend", "get_backend", "available_backends",
+    ),
+    ".cache": ("SolveCache", "DEFAULT_CACHE", "clear_default_cache"),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .backends import (
+        ExactBackend, FirstOrderBackend, ScheduleBackend, ScheduleGridBackend, SolverBackend,
+        available_backends, get_backend, register_backend,
+    )
+    from .cache import DEFAULT_CACHE, SolveCache, clear_default_cache
+    from .experiment import ExecutionPlan, Experiment, PlanGroup, PlanProgress
+    from .result import Provenance, Result, ResultSet
+    from .scenario import MODES, Scenario

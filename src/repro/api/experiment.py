@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 from ..exceptions import InfeasibleBoundError, WorkerCrashError
-from ..exec.base import Shard, ShardOutcome, Transport, resolve_transport
-from ..exec.warm import WarmWorkerPool
+from ..exec.base import InlineTransport, Shard, ShardOutcome, Transport, resolve_transport
 from ..errors.models import as_error_model
 from ..platforms.catalog import configuration_names
 from ..schedules.base import as_schedule
@@ -57,6 +56,7 @@ from .scenario import Scenario, _resolve_cache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..errors.combined import CombinedErrors
     from ..errors.models import ArrivalProcess, ErrorModel
+    from ..exec.warm import WarmWorkerPool
     from ..platforms.configuration import Configuration
     from ..schedules.base import SpeedSchedule
     from ..sweep.axes import SweepAxis
@@ -335,9 +335,12 @@ class ExecutionPlan:
         tp = resolve_transport(transport, processes)
         fan_out = tp.parallelism > 1
         # ``processes=N`` alone gets a pool of its own: no worker
-        # outlives this call.
+        # outlives this call.  (Only that case and ``transport="warm"``
+        # import the warm pool, and with it ``multiprocessing``.)
         owned_pool = (
-            tp if transport is None and isinstance(tp, WarmWorkerPool) else None
+            cast("WarmWorkerPool", tp)
+            if transport is None and not isinstance(tp, InlineTransport)
+            else None
         )
 
         # Cache replay per unique scenario (dedup means one lookup per

@@ -85,41 +85,31 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+# The parser is built from light modules only: each handler imports
+# what its command needs, so ``--help`` and ``configs`` load no NumPy.
 from . import __version__
-from .api.backends import available_backends, get_backend
-from .api.scenario import Scenario
+from .exceptions import (
+    InfeasibleBoundError,
+    InvalidParameterError,
+    UnknownBackendError,
+    UnsupportedScenarioError,
+)
+from .platforms.catalog import configuration_names, get_configuration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api.result import ResultSet
-from .analysis.savings import summarize_savings
-from .analysis.scaling import fit_power_law
-from .errors.combined import CombinedErrors
-from .failstop.secondorder import theorem2_work
-from .failstop.solver import time_optimal_work
-from .platforms.catalog import configuration_names, get_configuration
-from .platforms.configuration import Configuration
-from .platforms.platform import Platform
-from .platforms.catalog import XSCALE
-from .reporting.csvio import write_series_csv, write_table_csv
-from .reporting.tables import (
-    format_savings_line,
-    format_speed_pair_table,
-    format_sweep_series,
-)
-from .schedules import parse_schedule, schedule_kinds
-from .simulation.estimators import check_agreement
-from .sweep.axes import AXIS_NAMES, axis_by_name
-from .sweep.figures import FIGURES, run_figure
-from .sweep.runner import run_sweep
-from .sweep.tables import speed_pair_table
 
 __all__ = ["main", "build_parser"]
+
+#: ``repro.sweep.axes.AXIS_NAMES`` and the ids of ``repro.sweep.figures.FIGURES``
+#: (pinned equal by the CLI tests), spelled out so the parser needs neither.
+AXIS_NAMES = ("C", "V", "lambda", "rho", "Pidle", "Pio")
+FIGURE_IDS = tuple(f"fig{i}" for i in range(2, 15))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser("figure", help="run all panels of one paper figure")
-    p_fig.add_argument("figure_id", choices=sorted(FIGURES, key=lambda f: int(f[3:])))
+    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--rho", type=float, default=3.0)
     p_fig.add_argument("--points", type=int, default=None)
     p_fig.add_argument("--csv-dir", default=None, help="write one CSV per panel here")
@@ -440,6 +430,8 @@ def _cmd_configs(_: argparse.Namespace) -> int:
 
 
 def _cmd_backends(_: argparse.Namespace) -> int:
+    from .api.backends import available_backends, get_backend
+
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"
 
@@ -466,6 +458,8 @@ def _cmd_backends(_: argparse.Namespace) -> int:
 
 
 def _cmd_schedules(_: argparse.Namespace) -> int:
+    from .schedules.base import schedule_kinds
+
     print("re-execution speed-schedule policies (spec grammar: kind:args)")
     print()
     examples = {
@@ -485,7 +479,7 @@ def _cmd_schedules(_: argparse.Namespace) -> int:
 
 
 def _cmd_errors(_: argparse.Namespace) -> int:
-    from .errors import error_model_kinds
+    from .errors.models import error_model_kinds
 
     print("pluggable error-model families (spec grammar: kind:key=value,...)")
     print()
@@ -513,11 +507,8 @@ def _cmd_errors(_: argparse.Namespace) -> int:
 def _solve_schedule_axis(args: argparse.Namespace, specs: list[str]) -> int:
     """Several ``--schedule`` flags: one batched solve over the axis."""
     from .api.experiment import Experiment
-    from .exceptions import (
-        InvalidParameterError,
-        UnknownBackendError,
-        UnsupportedScenarioError,
-    )
+    from .api.scenario import Scenario
+    from .schedules.base import parse_schedule
 
     try:
         scenarios = tuple(
@@ -578,7 +569,8 @@ def _solve_schedule_axis(args: argparse.Namespace, specs: list[str]) -> int:
 def _print_schedule_savings(args: argparse.Namespace, results: "ResultSet") -> None:
     """``solve --analyze savings``: each scheduled row vs the
     schedule-less pair enumeration of the same scenario."""
-    from .exceptions import InfeasibleBoundError
+    from .api.result import ResultSet
+    from .api.scenario import Scenario
 
     try:
         baseline = Scenario(
@@ -592,27 +584,22 @@ def _print_schedule_savings(args: argparse.Namespace, results: "ResultSet") -> N
     except InfeasibleBoundError:
         print("savings         : baseline pair enumeration infeasible")
         return
-    from .api.result import ResultSet
-
     base_set = ResultSet(results=(baseline,) * len(results), name="pair-baseline")
     savings = results.savings(base_set, values=range(len(results)), axis="index")
     print(f"savings vs pair enumeration (E/W = "
           f"{baseline.best.energy_overhead:.2f} mJ/work):")
     for res, pct in zip(results, savings.percent):
         spec = res.scenario.schedule.spec() if res.scenario.schedule else "-"
-        if np.isnan(pct):
+        if math.isnan(pct):
             print(f"  {spec:24s} infeasible")
         else:
             print(f"  {spec:24s} {pct:+7.2f}%")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .exceptions import (
-        InfeasibleBoundError,
-        InvalidParameterError,
-        UnknownBackendError,
-        UnsupportedScenarioError,
-    )
+    from .api.result import ResultSet
+    from .api.scenario import Scenario
+    from .schedules.base import parse_schedule
 
     specs = args.schedule or []
     if len(specs) > 1:
@@ -658,14 +645,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print("(--analyze savings compares a schedule against the pair "
                   "enumeration; nothing to compare without --schedule)")
         else:
-            from .api.result import ResultSet
-
             _print_schedule_savings(
                 args, ResultSet(results=(result,), name="solve")
             )
     if args.csv:
-        from .api.result import ResultSet
-
         path = ResultSet(results=(result,), name="solve").to_csv(args.csv)
         print(f"wrote {path}")
     if args.simulate > 0:
@@ -682,8 +665,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .exceptions import InfeasibleBoundError
-    from .sweep.tables import infeasible_table
+    from .api.scenario import Scenario
+    from .reporting.csvio import write_table_csv
+    from .reporting.tables import format_speed_pair_table
+    from .sweep.tables import infeasible_table, speed_pair_table
 
     cfg = get_configuration(args.config)
     try:
@@ -701,6 +686,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis.savings import summarize_savings
+    from .reporting.csvio import write_series_csv
+    from .reporting.tables import format_savings_line, format_sweep_series
+    from .sweep.axes import axis_by_name
+    from .sweep.runner import run_sweep
+
     cfg = get_configuration(args.config)
     kwargs = {"n": args.points} if args.points else {}
     axis = axis_by_name(args.axis, **kwargs)
@@ -719,6 +710,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .analysis.savings import summarize_savings
+    from .reporting.csvio import write_series_csv
+    from .reporting.tables import format_savings_line, format_sweep_series
+    from .sweep.figures import run_figure
+
     panels = run_figure(args.figure_id, rho=args.rho, n=args.points, backend=args.backend)
     for panel, series in panels.items():
         print(format_sweep_series(series, max_rows=16))
@@ -737,14 +733,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .exceptions import InvalidParameterError
+    from .errors.combined import CombinedErrors
+    from .schedules.base import parse_schedule
+    from .simulation.estimators import check_agreement
 
     cfg = get_configuration(args.config)
     errors = None
     if args.failstop_fraction > 0:
         errors = CombinedErrors(cfg.lam, args.failstop_fraction)
     if args.errors:
-        from .errors import parse_error_model
+        from .errors.models import parse_error_model
 
         try:
             errors = parse_error_model(args.errors)
@@ -795,6 +793,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .analysis.scaling import fit_power_law
+    from .errors.combined import CombinedErrors
+    from .failstop.secondorder import theorem2_work
+    from .failstop.solver import time_optimal_work
+    from .platforms.catalog import XSCALE
+    from .platforms.configuration import Configuration
+    from .platforms.platform import Platform
+
     lams = np.logspace(-6, -3, args.points)
     works = []
     print(f"{'lambda':>10}  {'W numeric':>12}  {'W theorem2':>12}  {'ratio':>7}")
@@ -817,13 +825,10 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .api.experiment import Experiment
     from .core.feasibility import min_performance_bound_config
-    from .exceptions import (
-        InvalidParameterError,
-        UnknownBackendError,
-        UnsupportedScenarioError,
-    )
 
     cfg = get_configuration(args.config)
     rho_lo = args.rho_min
@@ -893,12 +898,9 @@ def _best_per_block(results: "ResultSet", block: int) -> "ResultSet":
 
 def _cmd_savings(args: argparse.Namespace) -> int:
     from .api.experiment import Experiment
-    from .exceptions import (
-        InvalidParameterError,
-        UnknownBackendError,
-        UnsupportedScenarioError,
-    )
-    from .schedules import Constant
+    from .api.scenario import Scenario
+    from .schedules.base import Constant
+    from .sweep.axes import axis_by_name
 
     cfg = get_configuration(args.config)
     kwargs = {"n": args.points} if args.points else {}
@@ -956,7 +958,7 @@ def _cmd_savings(args: argparse.Namespace) -> int:
     for v, c, b, p in zip(
         savings.values, savings.candidate_y, savings.baseline_y, savings.percent
     ):
-        if np.isnan(p):
+        if math.isnan(p):
             print(f"{v:>12.4g}  {'-':>11}  {'-':>11}  {'-':>9}")
         else:
             print(f"{v:>12.4g}  {c:>11.2f}  {b:>11.2f}  {p:>9.2f}")
@@ -975,6 +977,8 @@ def _cmd_savings(args: argparse.Namespace) -> int:
 
 
 def _cmd_fraction(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .sweep.fraction import sweep_failstop_fraction
 
     cfg = get_configuration(args.config)
@@ -1023,6 +1027,8 @@ def _cmd_multiverif(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .core.solver import solve_bicrit
+    from .errors.combined import CombinedErrors
     from .reporting.gantt import format_timeline, format_trace
     from .simulation.application import ApplicationSimulator
 
@@ -1031,8 +1037,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.failstop_fraction > 0:
         errors = CombinedErrors(args.rate, args.failstop_fraction)
     sim = ApplicationSimulator(cfg, errors=errors, rng=args.seed)
-    from .core.solver import solve_bicrit
-
     best = solve_bicrit(cfg, 3.0).best
     work = best.work
     result = sim.run(
@@ -1080,7 +1084,6 @@ def _print_report_summary(report: "object") -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .exceptions import InvalidParameterError
     from .perf import (
         BenchReport,
         BenchRunner,

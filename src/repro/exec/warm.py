@@ -53,14 +53,16 @@ from collections.abc import Iterator, Sequence
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
+# Loaded here, in the parent, so every worker forked from it (initial
+# or recycled) inherits the scenario codec and, through ``.base``, the
+# solver backends: no shard pays an import.
+from ..api.scenario import Scenario
 from ..exceptions import InvalidParameterError, WorkerCrashError
 from .base import Shard, ShardOutcome, Transport, solve_shard_inline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
-
-    from ..api.scenario import Scenario
 
 __all__ = [
     "WarmWorkerPool",

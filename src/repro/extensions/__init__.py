@@ -7,26 +7,26 @@
   for the multi-verification model.
 """
 
-from .multiverif import (
-    MultiVerifSolution,
-    energy_overhead,
-    expected_energy,
-    expected_time,
-    segment_detection_profile,
-    solve_bicrit_multiverif,
-    solve_pattern,
-    time_overhead,
-)
-from .simulator import MultiVerifSimulator
+from __future__ import annotations
 
-__all__ = [
-    "expected_time",
-    "expected_energy",
-    "time_overhead",
-    "energy_overhead",
-    "segment_detection_profile",
-    "MultiVerifSolution",
-    "solve_pattern",
-    "solve_bicrit_multiverif",
-    "MultiVerifSimulator",
-]
+from typing import TYPE_CHECKING
+
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".multiverif": (
+        "expected_time", "expected_energy", "time_overhead", "energy_overhead",
+        "segment_detection_profile", "MultiVerifSolution", "solve_pattern",
+        "solve_bicrit_multiverif",
+    ),
+    ".simulator": ("MultiVerifSimulator",),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .multiverif import (
+        MultiVerifSolution, energy_overhead, expected_energy, expected_time,
+        segment_detection_profile, solve_bicrit_multiverif, solve_pattern, time_overhead,
+    )
+    from .simulator import MultiVerifSimulator

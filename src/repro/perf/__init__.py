@@ -25,28 +25,23 @@ regression.
   machine remains meaningful on another).
 """
 
-from .compare import BenchComparison, WorkloadComparison, compare_reports
-from .runner import BenchReport, BenchRunner, WorkloadStats
-from .stats import (
-    bootstrap_median_ci,
-    bootstrap_speedup_ci,
-    intervals_overlap,
-    median,
-)
-from .workloads import Workload, build_suite, suite_names
+from __future__ import annotations
 
-__all__ = [
-    "BenchRunner",
-    "BenchReport",
-    "WorkloadStats",
-    "Workload",
-    "build_suite",
-    "suite_names",
-    "BenchComparison",
-    "WorkloadComparison",
-    "compare_reports",
-    "median",
-    "bootstrap_median_ci",
-    "bootstrap_speedup_ci",
-    "intervals_overlap",
-]
+from typing import TYPE_CHECKING
+
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".runner": ("BenchRunner", "BenchReport", "WorkloadStats"),
+    ".workloads": ("Workload", "build_suite", "suite_names"),
+    ".compare": ("BenchComparison", "WorkloadComparison", "compare_reports"),
+    ".stats": ("median", "bootstrap_median_ci", "bootstrap_speedup_ci", "intervals_overlap"),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .compare import BenchComparison, WorkloadComparison, compare_reports
+    from .runner import BenchReport, BenchRunner, WorkloadStats
+    from .stats import bootstrap_median_ci, bootstrap_speedup_ci, intervals_overlap, median
+    from .workloads import Workload, build_suite, suite_names

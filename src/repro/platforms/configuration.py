@@ -22,6 +22,9 @@ from .processor import Processor
 
 __all__ = ["Configuration"]
 
+#: Instance-dict key of :meth:`Configuration.__hash__`'s memo.
+_HASH_MEMO = "_hash"
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -57,6 +60,26 @@ class Configuration:
             object.__setattr__(self, "io_power", default_io)
         else:
             require_nonnegative(self.io_power, "io_power")
+
+    def __hash__(self) -> int:
+        """The field hash, computed once per instance.
+
+        Every solve-cache and plan-dedup key holds a configuration, so
+        its hash runs on each dict operation on a key.  The memo lives
+        outside the dataclass fields (as ``Scenario.resolved_config``'s
+        does), so it stays out of ``==``, ``repr`` and pickles.
+        """
+        memo: int | None = self.__dict__.get(_HASH_MEMO)
+        if memo is None:
+            memo = hash((self.platform, self.processor, self.io_power))
+            self.__dict__[_HASH_MEMO] = memo
+        return memo
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle (and copy) the fields only, never the hash memo."""
+        state = dict(self.__dict__)
+        state.pop(_HASH_MEMO, None)
+        return state
 
     # ------------------------------------------------------------------
     # Short accessors used pervasively by the model formulas

@@ -18,8 +18,6 @@ two never diverge on the power model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..quantities import ScalarOrArray, as_float_array, is_scalar
 from .model import PowerModel
 from ..exceptions import InvalidParameterError
@@ -36,7 +34,7 @@ def compute_time(work: ScalarOrArray, speed: ScalarOrArray) -> ScalarOrArray:
     """Seconds needed to execute ``work`` units at ``speed``: ``w / sigma``."""
     w = as_float_array(work)
     s = as_float_array(speed)
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise InvalidParameterError("speed must be > 0")
     t = w / s
     return float(t) if (is_scalar(work) and is_scalar(speed)) else t
@@ -64,7 +62,7 @@ def elapsed_compute_energy(
     after ``t`` seconds still burned ``t * (Pidle + kappa sigma^3)``.
     """
     t = as_float_array(elapsed)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise InvalidParameterError("elapsed must be >= 0")
     e = t * power.compute_power(as_float_array(speed))
     return float(e) if (is_scalar(elapsed) and is_scalar(speed)) else e
@@ -76,7 +74,7 @@ def io_energy(power: PowerModel, seconds: ScalarOrArray) -> ScalarOrArray:
     ``E = seconds * (Pidle + Pio)``.
     """
     t = as_float_array(seconds)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise InvalidParameterError("seconds must be >= 0")
     e = t * power.io_total_power()
     return float(e) if is_scalar(seconds) else e

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ..quantities import (
     ScalarOrArray,
     as_float_array,
@@ -68,7 +66,7 @@ class PowerModel:
     def cpu_power(self, speed: ScalarOrArray) -> ScalarOrArray:
         """Dynamic CPU power ``Pcpu(sigma) = kappa * sigma**3`` in mW."""
         s = as_float_array(speed)
-        if np.any(s < 0):
+        if (s < 0).any():
             raise InvalidParameterError("speed must be >= 0")
         p = self.kappa * s**3
         return float(p) if is_scalar(speed) else p

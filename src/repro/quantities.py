@@ -23,10 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from typing import TypeAlias
-
-import numpy as np
-import numpy.typing as npt
+from typing import TYPE_CHECKING, TypeAlias
 
 from .exceptions import InvalidParameterError
 
@@ -43,8 +40,24 @@ __all__ = [
     "fmt_round_trip",
 ]
 
-#: A float64 NumPy array — the element type every kernel computes in.
-FloatArray: TypeAlias = npt.NDArray[np.float64]
+if TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
+
+    #: A float64 NumPy array — the element type every kernel computes in.
+    FloatArray: TypeAlias = npt.NDArray[np.float64]
+
+
+def __getattr__(name: str) -> object:
+    """``FloatArray`` is built on first use: this module loads no NumPy."""
+    if name != "FloatArray":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    import numpy.typing as npt
+
+    alias = globals()["FloatArray"] = npt.NDArray[np.float64]
+    return alias
+
 
 #: The broadcastable in/out type of the model functions: a scalar input
 #: yields a scalar result, an array input yields an elementwise array
@@ -129,9 +142,13 @@ def as_float_array(value: npt.ArrayLike) -> FloatArray:
     :func:`is_scalar` lets the public wrappers return plain floats for
     scalar inputs.
     """
+    import numpy as np
+
     return np.asarray(value, dtype=np.float64)
 
 
 def is_scalar(value: npt.ArrayLike) -> bool:
     """True when ``value`` is a Python/NumPy scalar (0-d) input."""
+    import numpy as np
+
     return np.ndim(value) == 0

@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING, Any
-
-from ..sweep.runner import SweepSeries
-from ..sweep.tables import SpeedPairTable
+from typing import IO, TYPE_CHECKING, Any, TypeVar, overload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.result import Result
+    from ..sweep.runner import SweepSeries
+    from ..sweep.tables import SpeedPairTable
 
 __all__ = [
     "write_series_csv",
@@ -152,15 +151,36 @@ _RESULT_FIELDS = (
 )
 
 
-def write_results_csv(path: str | Path, results: "Iterable[Result]") -> Path:
+_Stream = TypeVar("_Stream", bound=IO[str])
+
+
+@overload
+def write_results_csv(dest: str | Path, results: "Iterable[Result]") -> Path: ...
+@overload
+def write_results_csv(dest: _Stream, results: "Iterable[Result]") -> _Stream: ...
+def write_results_csv(
+    dest: str | Path | IO[str], results: "Iterable[Result]"
+) -> Path | IO[str]:
     """Write a :class:`repro.api.ResultSet` (or iterable of results),
     one row per result, scenario order.
 
-    Infeasible entries keep their scenario/provenance columns and leave
-    the solution columns empty, mirroring :func:`write_series_csv`.
+    ``dest`` is a path (returned resolved, parents created) or an open
+    text stream, written as is and returned (the service renders its
+    artifact bytes this way, with no file in between).  Infeasible
+    entries keep their scenario/provenance columns and leave the
+    solution columns empty, mirroring :func:`write_series_csv`.
     """
-    path = Path(path)
+    if not isinstance(dest, (str, Path)):
+        _write_result_rows(dest, results)
+        return dest
+    path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        _write_result_rows(fh, results)
+    return path
+
+
+def _write_result_rows(fh: IO[str], results: "Iterable[Result]") -> None:
     # Rows of one axis value share their error-model and schedule
     # objects: render each object's spec once.  The memo holds the
     # objects too, so an id is never reused within the call.
@@ -174,38 +194,36 @@ def write_results_csv(path: str | Path, results: "Iterable[Result]") -> Path:
             hit = specs[id(model)] = (model, model.spec())
         return hit[1]
 
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULT_FIELDS)
-        for r in results:
-            sc = r.scenario
-            cfg = sc.config if isinstance(sc.config, str) else sc.config.name
-            row = [
-                cfg,
-                f"{sc.rho:.10g}",
-                sc.mode,
-                # Effective fraction: failstop mode solves with f=1 even
-                # when the field is None, and the report must say so.
-                f"{sc.effective_failstop_fraction:.6g}"
-                if sc.mode in ("combined", "failstop")
-                else "",
-                "" if sc.error_rate is None else f"{sc.error_rate:.10g}",
-                spec_of(sc.errors),
-                spec_of(sc.schedule),
-                sc.label or "",
-                r.provenance.backend,
-                "1" if r.provenance.cache_hit else "0",
-                f"{r.provenance.wall_time:.6g}",
+    writer = csv.writer(fh)
+    writer.writerow(_RESULT_FIELDS)
+    for r in results:
+        sc = r.scenario
+        cfg = sc.config if isinstance(sc.config, str) else sc.config.name
+        row = [
+            cfg,
+            f"{sc.rho:.10g}",
+            sc.mode,
+            # Effective fraction: failstop mode solves with f=1 even
+            # when the field is None, and the report must say so.
+            f"{sc.effective_failstop_fraction:.6g}"
+            if sc.mode in ("combined", "failstop")
+            else "",
+            "" if sc.error_rate is None else f"{sc.error_rate:.10g}",
+            spec_of(sc.errors),
+            spec_of(sc.schedule),
+            sc.label or "",
+            r.provenance.backend,
+            "1" if r.provenance.cache_hit else "0",
+            f"{r.provenance.wall_time:.6g}",
+        ]
+        if r.feasible:
+            row += [
+                f"{r.best.sigma1:.6g}",
+                f"{r.best.sigma2:.6g}",
+                f"{r.best.work:.10g}",
+                f"{r.best.energy_overhead:.10g}",
+                f"{r.best.time_overhead:.10g}",
             ]
-            if r.feasible:
-                row += [
-                    f"{r.best.sigma1:.6g}",
-                    f"{r.best.sigma2:.6g}",
-                    f"{r.best.work:.10g}",
-                    f"{r.best.energy_overhead:.10g}",
-                    f"{r.best.time_overhead:.10g}",
-                ]
-            else:
-                row += ["", "", "", "", ""]
-            writer.writerow(row)
-    return path
+        else:
+            row += ["", "", "", "", ""]
+        writer.writerow(row)

@@ -13,62 +13,42 @@ evaluates/solves whole schedule grids in broadcast NumPy ops
 ``Scenario(schedule=...)`` and ``Experiment`` batches.
 """
 
-from .base import (
-    Constant,
-    Escalating,
-    Geometric,
-    SpeedSchedule,
-    TwoSpeed,
-    as_schedule,
-    parse_schedule,
-    schedule_from_dict,
-    schedule_kinds,
-)
-from .evaluator import (
-    ScheduleExpectation,
-    energy_overhead_schedule,
-    evaluate_schedule,
-    expected_energy_schedule,
-    expected_reexecutions_schedule,
-    expected_time_schedule,
-    time_overhead_schedule,
-)
-from .solver import ScheduleSolution, schedule_min_bound, solve_schedule
-from .vectorized import (
-    DEFAULT_SOLVER_OPTIONS,
-    ScheduleGrid,
-    ScheduleGridSolution,
-    SolverOptions,
-    evaluate_schedule_batch,
-    solve_schedule_batch,
-    solve_schedule_grid,
-)
+from __future__ import annotations
 
-__all__ = [
-    "SpeedSchedule",
-    "TwoSpeed",
-    "Constant",
-    "Escalating",
-    "Geometric",
-    "parse_schedule",
-    "schedule_from_dict",
-    "schedule_kinds",
-    "as_schedule",
-    "ScheduleExpectation",
-    "evaluate_schedule",
-    "expected_time_schedule",
-    "expected_energy_schedule",
-    "expected_reexecutions_schedule",
-    "time_overhead_schedule",
-    "energy_overhead_schedule",
-    "ScheduleSolution",
-    "solve_schedule",
-    "schedule_min_bound",
-    "ScheduleGrid",
-    "ScheduleGridSolution",
-    "SolverOptions",
-    "DEFAULT_SOLVER_OPTIONS",
-    "evaluate_schedule_batch",
-    "solve_schedule_batch",
-    "solve_schedule_grid",
-]
+from typing import TYPE_CHECKING
+
+from .._lazy import attach, exports
+
+_EXPORTS = exports({
+    ".base": (
+        "SpeedSchedule", "TwoSpeed", "Constant", "Escalating", "Geometric", "parse_schedule",
+        "schedule_from_dict", "schedule_kinds", "as_schedule",
+    ),
+    ".evaluator": (
+        "ScheduleExpectation", "evaluate_schedule", "expected_time_schedule",
+        "expected_energy_schedule", "expected_reexecutions_schedule", "time_overhead_schedule",
+        "energy_overhead_schedule",
+    ),
+    ".solver": ("ScheduleSolution", "solve_schedule", "schedule_min_bound"),
+    ".vectorized": (
+        "ScheduleGrid", "ScheduleGridSolution", "SolverOptions", "DEFAULT_SOLVER_OPTIONS",
+        "evaluate_schedule_batch", "solve_schedule_batch", "solve_schedule_grid",
+    ),
+})
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from .base import (
+        Constant, Escalating, Geometric, SpeedSchedule, TwoSpeed, as_schedule, parse_schedule,
+        schedule_from_dict, schedule_kinds,
+    )
+    from .evaluator import (
+        ScheduleExpectation, energy_overhead_schedule, evaluate_schedule, expected_energy_schedule,
+        expected_reexecutions_schedule, expected_time_schedule, time_overhead_schedule,
+    )
+    from .solver import ScheduleSolution, schedule_min_bound, solve_schedule
+    from .vectorized import (
+        DEFAULT_SOLVER_OPTIONS, ScheduleGrid, ScheduleGridSolution, SolverOptions,
+        evaluate_schedule_batch, solve_schedule_batch, solve_schedule_grid,
+    )

@@ -22,16 +22,19 @@ writing and analysis export.
 
 from __future__ import annotations
 
+import io
 import queue
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+# The job exports' own lazy imports load with the service, so no job
+# pays them.
+from ..analysis import verbs as _verbs  # noqa: F401
 from ..api.experiment import PlanProgress
 from ..exceptions import ReproError, WorkerCrashError
+from ..reporting import serialize as _serialize  # noqa: F401
 from ..reporting.csvio import write_results_csv
 from ..reporting.jsonio import encode_json
 from .jobs import Job, JobState
@@ -324,12 +327,8 @@ class JobQueue:
 
 
 def _results_csv_bytes(results: "ResultSet") -> bytes:
-    """The result-set CSV export, rendered to bytes via a temp file
-    (the CSV writer's contract is path-oriented)."""
-    with tempfile.TemporaryDirectory(prefix="repro-artifact-") as tmp:
-        path = Path(tmp) / "results.csv"
-        write_results_csv(path, results)
-        return path.read_bytes()
+    """The result-set CSV export, rendered in memory."""
+    return write_results_csv(io.StringIO(), results).getvalue().encode()
 
 
 def _analysis_json_bytes(results: "ResultSet", verb: str) -> bytes:

@@ -146,3 +146,47 @@ class TestConfiguration:
     def test_negative_io_power_rejected(self, cfg):
         with pytest.raises(InvalidParameterError):
             Configuration(platform=cfg.platform, processor=cfg.processor, io_power=-1.0)
+
+
+class TestConfigurationHashMemo:
+    """The hash is computed once per instance and memoised outside the
+    fields: equal to the field hash, and invisible to ``==``, ``repr``,
+    copies and pickles."""
+
+    def test_hash_survives_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        from repro.platforms.catalog import get_configuration
+
+        cfg = get_configuration("hera-xscale").with_error_rate(1e-5)
+        field_hash = hash((cfg.platform, cfg.processor, cfg.io_power))
+        assert hash(cfg) == field_hash
+        twin = pickle.loads(pickle.dumps(cfg))
+        assert hash(cfg) == hash(copy.copy(cfg)) == hash(twin) == field_hash
+        assert "_hash" not in pickle.loads(pickle.dumps(cfg)).__dict__
+        assert "_hash" not in copy.copy(cfg).__dict__
+        assert twin == cfg and repr(twin) == repr(cfg)
+
+    def test_equality_unchanged_by_the_memo(self):
+        from dataclasses import replace
+
+        from repro.platforms.catalog import get_configuration
+
+        a = get_configuration("atlas-crusoe")
+        b = replace(a)
+        hash(a)
+        assert a == b and "_hash" in a.__dict__ and "_hash" not in b.__dict__
+        assert a != a.with_io_power(1.0)
+        assert hash(a.with_io_power(1.0)) == hash(replace(a, io_power=1.0))
+
+    def test_hash_runs_once_per_instance(self, monkeypatch):
+        from repro.platforms.catalog import get_configuration
+
+        cfg = get_configuration("hera-crusoe").with_error_rate(2e-5)
+        calls = []
+        real = Platform.__hash__
+        monkeypatch.setattr(Platform, "__hash__", lambda p: calls.append(p) or real(p))
+        keys = {(cfg, rho): rho for rho in (1.5, 2.0, 3.0)}
+        assert all(keys[(cfg, rho)] == rho for rho in (1.5, 2.0, 3.0))
+        assert len(calls) == 1

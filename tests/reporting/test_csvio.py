@@ -102,3 +102,36 @@ class TestResultsCsv:
             id(r.scenario.errors) for r in results
         }
         assert len(calls) == len(distinct) < 2 * len(results)
+
+
+class TestResultsCsvStream:
+    """A text stream gets the same bytes a path gets: the service renders
+    its ``results.csv`` artifact in memory this way."""
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"configs": ("hera-xscale", "atlas-crusoe"), "rhos": (1.2, 2.0, 3.0)},
+            {
+                "configs": ("hera-xscale",),
+                "rhos": (2.8, 4.0),
+                "schedules": ("geom:0.4,1.5,1", "esc:0.4,0.6,0.8"),
+                "error_models": ("weibull:shape=0.7,mtbf=3e5", "weibull:shape=1.5,mtbf=3e5"),
+            },
+        ],
+        ids=["two-speed", "schedule-x-weibull"],
+    )
+    def test_stream_bytes_equal_file_bytes(self, tmp_path, axes):
+        import io
+
+        from repro.api import Experiment
+        from repro.api.cache import SolveCache
+        from repro.reporting.csvio import write_results_csv
+        from repro.service.queue import _results_csv_bytes
+
+        results = Experiment.over(**axes).solve(cache=SolveCache())
+        path = write_results_csv(tmp_path / "results.csv", results)
+        stream = io.StringIO()
+        assert write_results_csv(stream, results) is stream
+        assert stream.getvalue().encode() == path.read_bytes()
+        assert _results_csv_bytes(results) == path.read_bytes()
