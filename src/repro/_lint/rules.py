@@ -416,7 +416,7 @@ def check_float_equality(ctx: LintContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 
 #: Function names that compute canonical identity / cache keys.
-_IDENTITY_FUNCTIONS = {"canonical", "cache_key", "normalized", "spec", "_key"}
+_IDENTITY_FUNCTIONS = {"canonical", "_canonical", "cache_key", "normalized", "spec", "_key"}
 
 #: Dotted-prefix denylist: anything here is nondeterministic state.
 _NONDETERMINISTIC_PREFIXES = (

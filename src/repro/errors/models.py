@@ -65,6 +65,7 @@ from typing import Any
 
 import numpy as np
 
+from .._identity import CanonicalIdentity
 from ..exceptions import InvalidParameterError, UnsupportedErrorModelError
 from ..quantities import (
     FloatArray,
@@ -102,12 +103,12 @@ _KINDS: dict[str, type["ArrivalProcess"]] = {}
 
 def _nonneg_exposure(exposure: ScalarOrArray) -> FloatArray:
     t = as_float_array(exposure)
-    if np.any(t < 0):
+    if (t < 0).any():  # the method, not np.any: every kernel probe runs this
         raise InvalidParameterError("exposure must be >= 0")
     return t
 
 
-class ArrivalProcess(abc.ABC):
+class ArrivalProcess(CanonicalIdentity, abc.ABC):
     """One renewal error-arrival family: fresh inter-arrival per attempt.
 
     Subclasses are frozen dataclasses describing the distribution of the
@@ -217,7 +218,7 @@ class ArrivalProcess(abc.ABC):
     # ------------------------------------------------------------------
     # Identity / serialisation
     # ------------------------------------------------------------------
-    def canonical(self) -> tuple:
+    def _canonical(self) -> tuple:
         """Canonical identity: ``(tag, kind, sorted parameter items)``."""
         items = tuple(
             (k, v if not isinstance(v, (list, np.ndarray)) else tuple(v))
@@ -233,18 +234,6 @@ class ArrivalProcess(abc.ABC):
 
     def _spec_value(self, key: str, value: Any) -> str:
         return _fmt(float(value))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArrivalProcess):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
     def describe(self) -> str:
         """Short human-readable tag (the spec string)."""
@@ -707,7 +696,7 @@ class TraceArrivals(ArrivalProcess):
             return str(value)
         return ";".join(_fmt(t) for t in value)
 
-    def canonical(self) -> tuple:
+    def _canonical(self) -> tuple:
         # Identity is the sample *set*, not its provenance: the same
         # trace loaded from a file or passed inline is one process.
         return ("arrival-process", self.kind, tuple(sorted(self.times)))
@@ -737,7 +726,7 @@ class TraceArrivals(ArrivalProcess):
 # The generalised error model (one process per source)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
-class ErrorModel:
+class ErrorModel(CanonicalIdentity):
     """Fail-stop/silent error split over an arbitrary renewal family.
 
     The renewal generalisation of
@@ -938,22 +927,8 @@ class ErrorModel:
     # ------------------------------------------------------------------
     # Identity / serialisation
     # ------------------------------------------------------------------
-    def canonical(self) -> tuple:
-        """Canonical identity: what equality, hashing and the solve
-        cache key on."""
+    def _canonical(self) -> tuple:
         return ("error-model", self.process.canonical(), self.failstop_fraction)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ErrorModel):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
     def spec(self) -> str:
         """One-line spec string (:func:`parse_error_model` inverse)."""

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 from typing import Any
 
+from .._identity import CanonicalIdentity
 from ..exceptions import InvalidParameterError, SpeedNotAvailableError
 from ..quantities import fmt_round_trip as _fmt
 from ..quantities import require_positive
@@ -67,7 +68,7 @@ _SCHEDULE_SCHEMA = "repro/speed-schedule/v1"
 _KINDS: dict[str, type["SpeedSchedule"]] = {}
 
 
-class SpeedSchedule(abc.ABC):
+class SpeedSchedule(CanonicalIdentity, abc.ABC):
     """A per-attempt re-execution speed policy.
 
     Subclasses are frozen dataclasses describing *eventually constant*
@@ -130,7 +131,7 @@ class SpeedSchedule(abc.ABC):
             head.pop()
         return tuple(head), tail
 
-    def canonical(self) -> tuple:
+    def _canonical(self) -> tuple:
         """Canonical serialisation key: policy-independent identity.
 
         Two schedules with equal canonical forms assign the same speed
@@ -210,18 +211,6 @@ class SpeedSchedule(abc.ABC):
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpeedSchedule):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
-
     def describe(self) -> str:
         """Short human-readable tag (the spec string)."""
         return self.spec()

@@ -147,17 +147,22 @@ class SolverOptions:
 #: exactly these values.
 DEFAULT_SOLVER_OPTIONS = SolverOptions()
 
+#: The floating-point error state of every grid evaluation: overflow to
+#: ``inf`` and ``0/0`` are expected there (and mapped to ``inf`` or
+#: masked), so one ``np.errstate`` covers a whole solve or evaluation.
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
 
 def _capped_exposure_cols(lam_f: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Column-wise :func:`repro.errors.exponential.capped_exposure`.
 
     Same direct/series split at ``x < 1e-8`` as the scalar helper so the
     batched primitives track it bit-for-bit; ``lam_f == 0`` rows land in
-    the series branch, whose value is exactly ``tau``.
+    the series branch, whose value is exactly ``tau``.  Callers hold
+    :data:`_QUIET` (the ``lam_f == 0`` division).
     """
     x = lam_f * tau
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = -np.expm1(-x) / lam_f
+    direct = -np.expm1(-x) / lam_f
     series = tau * (1.0 - x / 2.0 + x * x / 6.0)
     return np.where(x < 1e-8, series, direct)
 
@@ -199,23 +204,44 @@ class ScheduleGrid:
     #: Rows grouped by *distinct* model, precomputed so the hot
     #: ``_primitives`` path makes one vectorised sub-matrix call per
     #: model rather than one per row (a study grid typically shares a
-    #: handful of models across many (schedule, rho) rows).
-    _model_groups: tuple[tuple[ErrorModel, np.ndarray], ...] = field(
+    #: handful of models across many (schedule, rho) rows).  A model
+    #: covering every row has index ``None``: its call takes the whole
+    #: arrays, with no gather or scatter.
+    _model_groups: tuple[tuple[ErrorModel, np.ndarray | None], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    #: False when renewal models cover every row: no exponential pass.
+    _exp_pass: bool = field(init=False, repr=False, compare=False)
+    #: Per head column ``(speeds, power, active)``, hoisted out of every
+    #: evaluation: the ``(n, 1)`` speed slice, its power
+    #: ``kappa * s**3 + idle`` and the rows still in their head
+    #: (``None`` when that is every row, so no mask is applied).
+    _columns: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _tail_power: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         groups: dict[ErrorModel, list[int]] = {}
         for i, model in self.models:
             groups.setdefault(model, []).append(i)
+        covered = len({i for i, _ in self.models}) == self.n
         object.__setattr__(
             self,
             "_model_groups",
             tuple(
-                (model, np.asarray(idx, dtype=np.intp))
+                (model, None if covered and len(groups) == 1 else np.asarray(idx, dtype=np.intp))
                 for model, idx in groups.items()
             ),
         )
+        object.__setattr__(self, "_exp_pass", not covered)
+        columns = []
+        for j in range(self.head.shape[1]):
+            s = self.head[:, j : j + 1]
+            active = j < self.head_len
+            columns.append((s, self.kappa * s**3 + self.idle, None if active.all() else active))
+        object.__setattr__(self, "_columns", tuple(columns))
+        object.__setattr__(self, "_tail_power", self.kappa * self.tail**3 + self.idle)
 
     @property
     def n(self) -> int:
@@ -338,25 +364,23 @@ class ScheduleGrid:
         the scalar fast path's — then the general-model rows are
         overwritten through their renewal primitives, each call
         vectorised along the work axis.  Exponential rows are therefore
-        independent of which models share the batch.
+        independent of which models share the batch.  The pass is
+        skipped when models cover every row, and one model covering
+        every row takes the whole arrays.
         """
         tau = (w + self.V) / s
         omega = w / s
-        p = -np.expm1(-(self.lam_f * tau + self.lam_s * omega))
-        m = _capped_exposure_cols(self.lam_f, tau)
-        if self._model_groups:
-            # tau/omega may have broadcast shape (n, 1) against an
-            # (n, m) work grid; materialise rows for fancy indexing.
-            tau_b = np.broadcast_to(tau, p.shape)
-            omega_b = np.broadcast_to(omega, p.shape)
-            for model, idx in self._model_groups:
-                p_g, m_g = model.per_window_primitives(tau_b[idx], omega_b[idx])
-                p[idx] = p_g
-                m[idx] = m_g
+        groups = self._model_groups
+        if groups and groups[0][1] is None:
+            return groups[0][0].per_window_primitives(tau, omega)
+        if self._exp_pass:
+            p = -np.expm1(-(self.lam_f * tau + self.lam_s * omega))
+            m = _capped_exposure_cols(self.lam_f, tau)
+        else:
+            p, m = np.empty(tau.shape), np.empty(tau.shape)
+        for model, idx in groups:
+            p[idx], m[idx] = model.per_window_primitives(tau[idx], omega[idx])
         return p, m
-
-    def _compute_power(self, s: np.ndarray) -> np.ndarray:
-        return self.kappa * s**3 + self.idle
 
     def evaluate(
         self,
@@ -378,81 +402,85 @@ class ScheduleGrid:
         w = np.asarray(work, dtype=np.float64)
         if np.any(w <= 0):
             raise InvalidParameterError("work must be > 0")
-        squeeze = w.ndim == 0
-        if w.ndim < 2:
-            w = np.atleast_2d(w)
-        want_time = "time" in components
-        want_energy = "energy" in components
         max_head = int(self.head_len.max(initial=0))
         if max_attempts is not None and (max_attempts < 1 or max_attempts < max_head):
             raise InvalidTruncationError(max_attempts, max_head)
-
-        shape = np.broadcast_shapes(w.shape, (self.n, 1))
-        zeros = np.zeros(shape)
-        t = self.C + zeros if want_time else None
-        e = self.C * self.p_io + zeros if want_energy else None
-        attempts = np.zeros(shape)
-        reach = np.ones(shape)
-
-        for j in range(self.head.shape[1]):
-            active = j < self.head_len  # (n, 1) mask: row j still in its head
-            s = self.head[:, j : j + 1]
-            p, m = self._primitives(w, s)
-            if want_time:
-                t = t + np.where(active, reach * (m + p * self.R), 0.0)
-            if want_energy:
-                e = e + np.where(
-                    active,
-                    reach * (m * self._compute_power(s) + p * self.R * self.p_io),
-                    0.0,
-                )
-            attempts = attempts + np.where(active, reach, 0.0)
-            reach = reach * np.where(active, p, 1.0)
-
-        # Column-wise closed-form geometric tail (cf. the scalar
-        # evaluator: identical formulas, whole grid per op).
-        p_t, m_t = self._primitives(w, self.tail)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_gap = np.where(p_t < 1.0, 1.0 / (1.0 - p_t), np.inf)
-        tail_time_unit = m_t + p_t * self.R if want_time else None
-        tail_energy_unit = (
-            m_t * self._compute_power(self.tail) + p_t * self.R * self.p_io
-            if want_energy
-            else None
-        )
-
-        if max_attempts is None:
-            geom = reach * inv_gap
-            attempts = attempts + geom
-            bound_t = np.zeros(shape) if want_time else None
-            bound_e = np.zeros(shape) if want_energy else None
-            truncated = False
-        else:
-            n_tail = max_attempts - self.head_len
-            with np.errstate(over="ignore", invalid="ignore"):
-                decay = p_t**n_tail
-                geom = np.where(p_t < 1.0, reach * (1.0 - decay) * inv_gap, np.inf)
-                remainder = np.where(p_t < 1.0, reach * decay * inv_gap, np.inf)
-            attempts = attempts + geom
-            bound_t = remainder * tail_time_unit if want_time else None
-            bound_e = remainder * tail_energy_unit if want_energy else None
-            truncated = True
-        if want_time:
-            t = t + geom * tail_time_unit
-        if want_energy:
-            e = e + geom * tail_energy_unit
+        with np.errstate(**_QUIET):
+            t, e, attempts, bound_t, bound_e = self._expectations(
+                w, components=components, full=True, max_attempts=max_attempts
+            )
 
         def out(a: FloatArray | None) -> FloatArray | None:
-            return None if a is None else (a[:, 0] if squeeze else a)
+            return None if a is None else (a[:, 0] if w.ndim == 0 else a)
 
         return ScheduleExpectation(
             time=out(t),
             energy=out(e),
             attempts=out(attempts),
-            truncated=truncated,
+            truncated=max_attempts is not None,
             tail_bound_time=out(bound_t),
             tail_bound_energy=out(bound_e),
         )
+
+    def _expectations(
+        self, w: FloatArray, *, components: tuple[str, ...], full: bool,
+        max_attempts: int | None = None,
+    ) -> tuple[FloatArray | None, ...]:
+        """The accumulation loop behind :meth:`evaluate` and the probes:
+        ``(time, energy, attempts, tail_bound_time, tail_bound_energy)``.
+
+        Only the wanted components are accumulated; ``full=False`` (the
+        solver's probes) also skips the attempt count and the tail
+        bounds, which are then ``None``.  Callers hold :data:`_QUIET`.
+        """
+        if w.ndim < 2:
+            w = np.atleast_2d(w)
+        want_time = "time" in components
+        want_energy = "energy" in components
+        shape = np.broadcast_shapes(w.shape, (self.n, 1))
+        zeros = np.zeros(shape)
+        t = self.C + zeros if want_time else None
+        e = self.C * self.p_io + zeros if want_energy else None
+        attempts = zeros if full else None
+        reach = np.ones(shape)
+
+        for s, power, active in self._columns:
+            p, m = self._primitives(w, s)
+            if want_time:
+                t = t + _masked(active, reach * (m + p * self.R), 0.0)
+            if want_energy:
+                e = e + _masked(active, reach * (m * power + p * self.R * self.p_io), 0.0)
+            if full:
+                attempts = attempts + _masked(active, reach, 0.0)
+            reach = reach * _masked(active, p, 1.0)
+
+        # Column-wise closed-form geometric tail (cf. the scalar
+        # evaluator: identical formulas, whole grid per op).
+        p_t, m_t = self._primitives(w, self.tail)
+        inv_gap = np.where(p_t < 1.0, 1.0 / (1.0 - p_t), np.inf)
+        tail_time_unit = m_t + p_t * self.R if want_time else None
+        tail_energy_unit = (
+            m_t * self._tail_power + p_t * self.R * self.p_io if want_energy else None
+        )
+
+        if max_attempts is None:
+            geom = reach * inv_gap
+            bound_t = np.zeros(shape) if want_time and full else None
+            bound_e = np.zeros(shape) if want_energy and full else None
+        else:
+            n_tail = max_attempts - self.head_len
+            decay = p_t**n_tail
+            geom = np.where(p_t < 1.0, reach * (1.0 - decay) * inv_gap, np.inf)
+            remainder = np.where(p_t < 1.0, reach * decay * inv_gap, np.inf)
+            bound_t = remainder * tail_time_unit if want_time else None
+            bound_e = remainder * tail_energy_unit if want_energy else None
+        if full:
+            attempts = attempts + geom
+        if want_time:
+            t = t + geom * tail_time_unit
+        if want_energy:
+            e = e + geom * tail_energy_unit
+        return t, e, attempts, bound_t, bound_e
 
     # ------------------------------------------------------------------
     # Row-wise overheads (the solver's lockstep probes)
@@ -460,19 +488,33 @@ class ScheduleGrid:
     def _overhead(self, w: np.ndarray, component: str) -> np.ndarray:
         """Per-row overhead at per-row work points (``w`` and the result
         share shape ``(n,)``); non-finite values map to ``+inf`` as in
-        the scalar minimiser."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ex = self.evaluate(w.reshape(-1, 1), components=(component,))
-            vals = (ex.time if component == "time" else ex.energy)[:, 0] / w
+        the scalar minimiser.  The solver's lean probe: one component,
+        no attempt count, no validation; callers hold :data:`_QUIET`."""
+        t, e, *_ = self._expectations(w.reshape(-1, 1), components=(component,), full=False)
+        vals = (t if component == "time" else e)[:, 0] / w
         return np.where(np.isfinite(vals), vals, np.inf)
+
+    def _checked_overhead(self, w: np.ndarray, component: str) -> np.ndarray:
+        """The public probe: validated, under its own :data:`_QUIET`."""
+        w = np.asarray(w, dtype=np.float64)
+        if np.any(w <= 0):
+            raise InvalidParameterError("work must be > 0")
+        with np.errstate(**_QUIET):
+            return self._overhead(w, component)
 
     def time_overhead(self, w: np.ndarray) -> np.ndarray:
         """Expected time per work unit, one point per row."""
-        return self._overhead(np.asarray(w, dtype=np.float64), "time")
+        return self._checked_overhead(w, "time")
 
     def energy_overhead(self, w: np.ndarray) -> np.ndarray:
         """Expected energy per work unit (mJ), one point per row."""
-        return self._overhead(np.asarray(w, dtype=np.float64), "energy")
+        return self._checked_overhead(w, "energy")
+
+
+def _masked(active: np.ndarray | None, x: np.ndarray, fill: float) -> np.ndarray:
+    """``x`` on the rows still in their head, ``fill`` elsewhere
+    (``active is None``: every row is, and ``x`` passes through)."""
+    return x if active is None else np.where(active, x, fill)
 
 
 @dataclass(frozen=True)
@@ -620,16 +662,15 @@ def _min_time_overhead(
     """Each row's ``(w_star, rho_min)``: the pattern size minimising
     ``T(W)/W`` and that minimum, by a coarse scan on the shared
     log-spaced grid (one broadcast evaluation) plus a lockstep golden
-    polish between the argmin's neighbours."""
+    polish between the argmin's neighbours.  Callers hold :data:`_QUIET`."""
     w_grid = np.logspace(math.log10(opt.w_lo), math.log10(opt.w_hi), opt.coarse)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_grid = grid.evaluate(w_grid, components=("time",)).time / w_grid
+    t_grid = grid._expectations(w_grid, components=("time",), full=False)[0] / w_grid
     t_grid = np.where(np.isfinite(t_grid), t_grid, np.inf)
     k = np.argmin(t_grid, axis=1)
     left = w_grid[np.maximum(k - 1, 0)]
     right = w_grid[np.minimum(k + 1, opt.coarse - 1)]
     w_star, t_polish = _lockstep_golden(
-        grid.time_overhead, left, right, iters=opt.golden_iters
+        lambda w: grid._overhead(w, "time"), left, right, iters=opt.golden_iters
     )
     # Keep the better of grid/polish, as minimize_unimodal does.
     t_coarse = t_grid[np.arange(grid.n), k]
@@ -673,68 +714,71 @@ def solve_schedule_grid(
     if np.any(rho <= 0):
         raise InvalidParameterError("rho must be > 0")
 
-    # Stage 1 does not depend on rho: run it once per distinct row
-    # (a rho sweep repeats each row many times) and gather back.  Rows
-    # evaluate independently of their batch, so the gather is exact.
-    M, _ = _signature_matrix(grid)
-    _, reps, inverse = np.unique(
-        M.view(np.uint64), axis=0, return_index=True, return_inverse=True
-    )
-    if reps.size == n:
-        w_star, rho_min = _min_time_overhead(grid, opt)
-    else:
-        w_star, rho_min = _min_time_overhead(grid.take(reps), opt)
-        inverse = inverse.reshape(-1)
-        w_star, rho_min = w_star[inverse], rho_min[inverse]
-    feasible = rho_min <= rho
+    # One error state for every probe of the solve: the probes map
+    # overflow and 0/0 to +inf themselves.
+    with np.errstate(**_QUIET):
+        # Stage 1 does not depend on rho: run it once per distinct row
+        # (a rho sweep repeats each row many times) and gather back.  Rows
+        # evaluate independently of their batch, so the gather is exact.
+        M, _ = _signature_matrix(grid)
+        _, reps, inverse = np.unique(
+            M.view(np.uint64), axis=0, return_index=True, return_inverse=True
+        )
+        if reps.size == n:
+            w_star, rho_min = _min_time_overhead(grid, opt)
+        else:
+            w_star, rho_min = _min_time_overhead(grid.take(reps), opt)
+            inverse = inverse.reshape(-1)
+            w_star, rho_min = w_star[inverse], rho_min[inverse]
+        feasible = rho_min <= rho
 
-    def shifted(w: np.ndarray) -> np.ndarray:
-        return grid.time_overhead(w) - rho  # inf-safe: inf - rho = inf
+        def shifted(w: np.ndarray) -> np.ndarray:
+            return grid._overhead(w, "time") - rho  # inf-safe: inf - rho = inf
 
-    # Stage 2a: left crossing on [W_LO, w_star] (T/W decreasing there).
-    lo = np.full(n, opt.w_lo)
-    s_lo = shifted(lo)
-    need_left = feasible & (s_lo > 0)
-    a = np.where(need_left, lo, w_star)
-    w1 = _lockstep_bisect(
-        shifted, a, w_star, np.where(need_left, s_lo, -1.0), iters=opt.bisect_iters
-    )
-    w1 = np.where(need_left, w1, opt.w_lo)
-    w1 = np.where(feasible, w1, np.nan)
+        # Stage 2a: left crossing on [W_LO, w_star] (T/W decreasing there).
+        lo = np.full(n, opt.w_lo)
+        s_lo = shifted(lo)
+        need_left = feasible & (s_lo > 0)
+        a = np.where(need_left, lo, w_star)
+        w1 = _lockstep_bisect(
+            shifted, a, w_star, np.where(need_left, s_lo, -1.0), iters=opt.bisect_iters
+        )
+        w1 = np.where(need_left, w1, opt.w_lo)
+        w1 = np.where(feasible, w1, np.nan)
 
-    # Stage 2b: right crossing — lockstep doubling then bisection.
-    hi = np.where(feasible, w_star, opt.w_lo)
-    s_hi = shifted(hi)
-    for _ in range(64):
-        growing = feasible & (s_hi <= 0)
-        if not growing.any():
-            break
-        hi = np.where(growing, hi * 2.0, hi)
-        s_hi = np.where(growing, shifted(hi), s_hi)
-    a2 = np.where(feasible, w_star, hi)
-    w2 = _lockstep_bisect(
-        shifted, a2, hi, np.where(feasible, -1.0, 1.0), iters=opt.bisect_iters
-    )
-    w2 = np.where(feasible, w2, np.nan)
+        # Stage 2b: right crossing — lockstep doubling then bisection.
+        hi = np.where(feasible, w_star, opt.w_lo)
+        s_hi = shifted(hi)
+        for _ in range(64):
+            growing = feasible & (s_hi <= 0)
+            if not growing.any():
+                break
+            hi = np.where(growing, hi * 2.0, hi)
+            s_hi = np.where(growing, shifted(hi), s_hi)
+        a2 = np.where(feasible, w_star, hi)
+        w2 = _lockstep_bisect(
+            shifted, a2, hi, np.where(feasible, -1.0, 1.0), iters=opt.bisect_iters
+        )
+        w2 = np.where(feasible, w2, np.nan)
 
-    # Stage 3: energy minimisation on the feasible interval.  Collapse
-    # infeasible rows to a harmless degenerate bracket, then mask.
-    b_lo = np.where(feasible, w1, 1.0)
-    b_hi = np.where(feasible, w2, 1.0)
-    x_e, f_e = _lockstep_golden(
-        grid.energy_overhead, b_lo, b_hi, iters=opt.golden_iters
-    )
-    e1 = grid.energy_overhead(b_lo)
-    e2 = grid.energy_overhead(b_hi)
-    # Same candidate order as the scalar solver: interior, W1, W2 (the
-    # argmin tie-breaks toward the interior optimum).
-    cand_w = np.stack([x_e, b_lo, b_hi])
-    cand_e = np.stack([f_e, e1, e2])
-    j = np.argmin(cand_e, axis=0)
-    rows = np.arange(n)
-    work = cand_w[j, rows]
-    energy = cand_e[j, rows]
-    t_at = grid.time_overhead(np.where(feasible, work, 1.0))
+        # Stage 3: energy minimisation on the feasible interval.  Collapse
+        # infeasible rows to a harmless degenerate bracket, then mask.
+        b_lo = np.where(feasible, w1, 1.0)
+        b_hi = np.where(feasible, w2, 1.0)
+        x_e, f_e = _lockstep_golden(
+            lambda w: grid._overhead(w, "energy"), b_lo, b_hi, iters=opt.golden_iters
+        )
+        e1 = grid._overhead(b_lo, "energy")
+        e2 = grid._overhead(b_hi, "energy")
+        # Same candidate order as the scalar solver: interior, W1, W2 (the
+        # argmin tie-breaks toward the interior optimum).
+        cand_w = np.stack([x_e, b_lo, b_hi])
+        cand_e = np.stack([f_e, e1, e2])
+        j = np.argmin(cand_e, axis=0)
+        rows = np.arange(n)
+        work = cand_w[j, rows]
+        energy = cand_e[j, rows]
+        t_at = grid._overhead(np.where(feasible, work, 1.0), "time")
 
     nan = np.where(feasible, 0.0, np.nan)
     return ScheduleGridSolution(

@@ -302,6 +302,12 @@ class TestIdentityDeterminism:
         diags = run(source, select="RPR006")
         assert codes_of(diags) == ["RPR006"]
 
+    def test_id_call_in_canonical_builder_flagged(self):
+        # canonical() memoises what _canonical() builds.
+        source = "def _canonical(self):\n    return (self.kind, id(self))\n"
+        diags = run(source, select="RPR006")
+        assert codes_of(diags) == ["RPR006"]
+
     def test_pure_identity_clean(self):
         source = "def cache_key(self):\n    return (self.kind, self.rho)\n"
         assert run(source, select="RPR006") == []

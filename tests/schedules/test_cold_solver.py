@@ -9,10 +9,11 @@ moves.  Neither may change a bit of the answer:
   ``bisect_iters``-step bisections agrees bit for bit on all seven
   solution arrays over a mixed grid;
 * a grid solve equals solving each row alone (``take([i])``);
-* a spy on :meth:`ScheduleGrid.evaluate` shows stage 1 evaluating only
-  the distinct rows, every later probe running on the whole grid, and
-  each bisection on a ``schedule_sweep``-shaped grid stopping before
-  its cap.
+* a spy on the grid's accumulation loop (``ScheduleGrid._expectations``,
+  behind both :meth:`ScheduleGrid.evaluate` and the solver's probes)
+  shows stage 1 evaluating only the distinct rows, every later probe
+  running on the whole grid, and each bisection on a
+  ``schedule_sweep``-shaped grid stopping before its cap.
 
 CI reruns this module with every NumPy SIMD dispatch target disabled
 (``NPY_DISABLE_CPU_FEATURES``): stage 1 now evaluates small sub-grids
@@ -349,7 +350,7 @@ def _spy(monkeypatch):
     calls: list[tuple[int, tuple[int, ...], int | None]] = []
     phase: list[int | None] = [None]
     bisections = [0]
-    evaluate = ScheduleGrid.evaluate
+    evaluate = ScheduleGrid._expectations
     bisect = vectorized._lockstep_bisect
 
     def spy_evaluate(self, work, **kwargs):
@@ -364,7 +365,7 @@ def _spy(monkeypatch):
         finally:
             phase[0] = None
 
-    monkeypatch.setattr(ScheduleGrid, "evaluate", spy_evaluate)
+    monkeypatch.setattr(ScheduleGrid, "_expectations", spy_evaluate)
     monkeypatch.setattr(vectorized, "_lockstep_bisect", spy_bisect)
     yield calls
 
