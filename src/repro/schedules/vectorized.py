@@ -147,22 +147,22 @@ class SolverOptions:
 #: exactly these values.
 DEFAULT_SOLVER_OPTIONS = SolverOptions()
 
-#: The floating-point error state of every grid evaluation: overflow to
-#: ``inf`` and ``0/0`` are expected there (and mapped to ``inf`` or
-#: masked), so one ``np.errstate`` covers a whole solve or evaluation.
-_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+#: The error state of the overhead probes, which map overflow and
+#: ``0 * inf`` to ``+inf``; a solve enters it once for all its probes.
+_PROBE_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
-def _capped_exposure_cols(lam_f: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _capped_exposure_cols(lam_f: np.ndarray, divisor: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Column-wise :func:`repro.errors.exponential.capped_exposure`.
 
     Same direct/series split at ``x < 1e-8`` as the scalar helper so the
     batched primitives track it bit-for-bit; ``lam_f == 0`` rows land in
-    the series branch, whose value is exactly ``tau``.  Callers hold
-    :data:`_QUIET` (the ``lam_f == 0`` division).
+    the series branch, whose value is exactly ``tau``.  ``divisor`` is
+    ``lam_f`` with those zeros set to 1, so the discarded direct branch
+    raises no ``0/0`` warning.
     """
     x = lam_f * tau
-    direct = -np.expm1(-x) / lam_f
+    direct = -np.expm1(-x) / divisor
     series = tau * (1.0 - x / 2.0 + x * x / 6.0)
     return np.where(x < 1e-8, series, direct)
 
@@ -210,8 +210,8 @@ class ScheduleGrid:
     _model_groups: tuple[tuple[ErrorModel, np.ndarray | None], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    #: False when renewal models cover every row: no exponential pass.
-    _exp_pass: bool = field(init=False, repr=False, compare=False)
+    #: ``lam_f`` with zeros set to 1 (see :func:`_capped_exposure_cols`).
+    _lam_f_divisor: np.ndarray = field(init=False, repr=False, compare=False)
     #: Per head column ``(speeds, power, active)``, hoisted out of every
     #: evaluation: the ``(n, 1)`` speed slice, its power
     #: ``kappa * s**3 + idle`` and the rows still in their head
@@ -225,16 +225,16 @@ class ScheduleGrid:
         groups: dict[ErrorModel, list[int]] = {}
         for i, model in self.models:
             groups.setdefault(model, []).append(i)
-        covered = len({i for i, _ in self.models}) == self.n
+        whole = len(groups) == 1 and len({i for i, _ in self.models}) == self.n
         object.__setattr__(
             self,
             "_model_groups",
             tuple(
-                (model, None if covered and len(groups) == 1 else np.asarray(idx, dtype=np.intp))
+                (model, None if whole else np.asarray(idx, dtype=np.intp))
                 for model, idx in groups.items()
             ),
         )
-        object.__setattr__(self, "_exp_pass", not covered)
+        object.__setattr__(self, "_lam_f_divisor", np.where(self.lam_f == 0, 1.0, self.lam_f))
         columns = []
         for j in range(self.head.shape[1]):
             s = self.head[:, j : j + 1]
@@ -364,20 +364,16 @@ class ScheduleGrid:
         the scalar fast path's — then the general-model rows are
         overwritten through their renewal primitives, each call
         vectorised along the work axis.  Exponential rows are therefore
-        independent of which models share the batch.  The pass is
-        skipped when models cover every row, and one model covering
-        every row takes the whole arrays.
+        independent of which models share the batch.  One model
+        covering every row takes the whole arrays, with no pass.
         """
         tau = (w + self.V) / s
         omega = w / s
         groups = self._model_groups
         if groups and groups[0][1] is None:
             return groups[0][0].per_window_primitives(tau, omega)
-        if self._exp_pass:
-            p = -np.expm1(-(self.lam_f * tau + self.lam_s * omega))
-            m = _capped_exposure_cols(self.lam_f, tau)
-        else:
-            p, m = np.empty(tau.shape), np.empty(tau.shape)
+        p = -np.expm1(-(self.lam_f * tau + self.lam_s * omega))
+        m = _capped_exposure_cols(self.lam_f, self._lam_f_divisor, tau)
         for model, idx in groups:
             p[idx], m[idx] = model.per_window_primitives(tau[idx], omega[idx])
         return p, m
@@ -405,10 +401,9 @@ class ScheduleGrid:
         max_head = int(self.head_len.max(initial=0))
         if max_attempts is not None and (max_attempts < 1 or max_attempts < max_head):
             raise InvalidTruncationError(max_attempts, max_head)
-        with np.errstate(**_QUIET):
-            t, e, attempts, bound_t, bound_e = self._expectations(
-                w, components=components, full=True, max_attempts=max_attempts
-            )
+        t, e, attempts, bound_t, bound_e = self._expectations(
+            w, components=components, full=True, max_attempts=max_attempts
+        )
 
         def out(a: FloatArray | None) -> FloatArray | None:
             return None if a is None else (a[:, 0] if w.ndim == 0 else a)
@@ -431,7 +426,9 @@ class ScheduleGrid:
 
         Only the wanted components are accumulated; ``full=False`` (the
         solver's probes) also skips the attempt count and the tail
-        bounds, which are then ``None``.  Callers hold :data:`_QUIET`.
+        bounds, which are then ``None``.  Only the truncated tail is
+        silenced (``1/0`` and ``0/0`` are masked out before they happen);
+        the probes' callers hold :data:`_PROBE_ERRSTATE`.
         """
         if w.ndim < 2:
             w = np.atleast_2d(w)
@@ -457,7 +454,7 @@ class ScheduleGrid:
         # Column-wise closed-form geometric tail (cf. the scalar
         # evaluator: identical formulas, whole grid per op).
         p_t, m_t = self._primitives(w, self.tail)
-        inv_gap = np.where(p_t < 1.0, 1.0 / (1.0 - p_t), np.inf)
+        inv_gap = np.divide(1.0, 1.0 - p_t, out=np.full(p_t.shape, np.inf), where=p_t < 1.0)
         tail_time_unit = m_t + p_t * self.R if want_time else None
         tail_energy_unit = (
             m_t * self._tail_power + p_t * self.R * self.p_io if want_energy else None
@@ -469,9 +466,10 @@ class ScheduleGrid:
             bound_e = np.zeros(shape) if want_energy and full else None
         else:
             n_tail = max_attempts - self.head_len
-            decay = p_t**n_tail
-            geom = np.where(p_t < 1.0, reach * (1.0 - decay) * inv_gap, np.inf)
-            remainder = np.where(p_t < 1.0, reach * decay * inv_gap, np.inf)
+            with np.errstate(**_PROBE_ERRSTATE):
+                decay = p_t**n_tail
+                geom = np.where(p_t < 1.0, reach * (1.0 - decay) * inv_gap, np.inf)
+                remainder = np.where(p_t < 1.0, reach * decay * inv_gap, np.inf)
             bound_t = remainder * tail_time_unit if want_time else None
             bound_e = remainder * tail_energy_unit if want_energy else None
         if full:
@@ -489,17 +487,19 @@ class ScheduleGrid:
         """Per-row overhead at per-row work points (``w`` and the result
         share shape ``(n,)``); non-finite values map to ``+inf`` as in
         the scalar minimiser.  The solver's lean probe: one component,
-        no attempt count, no validation; callers hold :data:`_QUIET`."""
+        no attempt count, no validation; callers hold
+        :data:`_PROBE_ERRSTATE`."""
         t, e, *_ = self._expectations(w.reshape(-1, 1), components=(component,), full=False)
         vals = (t if component == "time" else e)[:, 0] / w
         return np.where(np.isfinite(vals), vals, np.inf)
 
     def _checked_overhead(self, w: np.ndarray, component: str) -> np.ndarray:
-        """The public probe: validated, under its own :data:`_QUIET`."""
+        """The public probe: validated, under its own
+        :data:`_PROBE_ERRSTATE`."""
         w = np.asarray(w, dtype=np.float64)
         if np.any(w <= 0):
             raise InvalidParameterError("work must be > 0")
-        with np.errstate(**_QUIET):
+        with np.errstate(**_PROBE_ERRSTATE):
             return self._overhead(w, component)
 
     def time_overhead(self, w: np.ndarray) -> np.ndarray:
@@ -662,7 +662,8 @@ def _min_time_overhead(
     """Each row's ``(w_star, rho_min)``: the pattern size minimising
     ``T(W)/W`` and that minimum, by a coarse scan on the shared
     log-spaced grid (one broadcast evaluation) plus a lockstep golden
-    polish between the argmin's neighbours.  Callers hold :data:`_QUIET`."""
+    polish between the argmin's neighbours.  Callers hold
+    :data:`_PROBE_ERRSTATE`."""
     w_grid = np.logspace(math.log10(opt.w_lo), math.log10(opt.w_hi), opt.coarse)
     t_grid = grid._expectations(w_grid, components=("time",), full=False)[0] / w_grid
     t_grid = np.where(np.isfinite(t_grid), t_grid, np.inf)
@@ -715,8 +716,8 @@ def solve_schedule_grid(
         raise InvalidParameterError("rho must be > 0")
 
     # One error state for every probe of the solve: the probes map
-    # overflow and 0/0 to +inf themselves.
-    with np.errstate(**_QUIET):
+    # overflow and 0 * inf to +inf themselves.
+    with np.errstate(**_PROBE_ERRSTATE):
         # Stage 1 does not depend on rho: run it once per distinct row
         # (a rho sweep repeats each row many times) and gather back.  Rows
         # evaluate independently of their batch, so the gather is exact.

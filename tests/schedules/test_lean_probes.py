@@ -4,8 +4,8 @@
 (``ScheduleGrid.time_overhead`` / ``energy_overhead`` and the stage-1
 coarse scan).  The probes share :meth:`ScheduleGrid.evaluate`'s
 accumulation loop but skip what they never read: the attempt count,
-the identity head masks, the exponential pass under rows that renewal
-models cover, and the gather/scatter of a single-model grid.  None of
+the identity head masks, and the exponential pass and gather/scatter
+of a single-model grid.  None of
 it may change a bit:
 
 * each probe equals ``evaluate(w.reshape(-1, 1), components=(c,))``
@@ -15,8 +15,8 @@ it may change a bit:
   probes all go through :meth:`ScheduleGrid.evaluate`;
 * counts, not timings, pin where the work goes: per head column one
   ``per_window_primitives`` call per distinct model (on the whole
-  arrays when one model covers the grid), no exponential pass unless
-  some row is exponential, and one ``np.errstate`` per solve.
+  arrays and with no exponential pass when one model covers the grid),
+  and one ``np.errstate`` per solve, while ``evaluate`` enters none.
 
 CI reruns this module with every NumPy SIMD dispatch target disabled
 (``NPY_DISABLE_CPU_FEATURES``): the probes call ufuncs on whole arrays
@@ -149,7 +149,7 @@ def test_probes_equal_evaluate(data):
 @given(grid=grids())
 def test_coarse_scan_equals_evaluate(grid):
     w_grid = np.logspace(-3.0, 12.0, 25)
-    with np.errstate(**vectorized._QUIET):
+    with np.errstate(**vectorized._PROBE_ERRSTATE):
         lean, *_ = grid._expectations(w_grid, components=("time",), full=False)
     assert _same_bits(lean, grid.evaluate(w_grid, components=("time",)).time)
 
@@ -209,9 +209,9 @@ def spy(monkeypatch):
         calls["model"].append((self, np.shape(tau)))
         return primitives(self, tau, omega)
 
-    def spy_capped(lam_f, tau):
+    def spy_capped(lam_f, divisor, tau):
         calls["exp"].append(np.shape(tau))
-        return capped(lam_f, tau)
+        return capped(lam_f, divisor, tau)
 
     def spy_errstate(**kwargs):
         calls["errstate"].append(kwargs)
@@ -237,13 +237,6 @@ class TestProbeCounts:
         assert spy["model"] == [(RENEWAL[0], (self.N, 1))] * COLUMNS
         assert spy["exp"] == []
 
-    def test_renewal_only_grid_skips_the_exponential_pass(self, spy):
-        errors = [RENEWAL[0], RENEWAL[2]] * (self.N // 2)
-        _grid(errors).time_overhead(np.full(self.N, 1e4))
-        assert spy["exp"] == []
-        half = (self.N // 2, 1)
-        assert spy["model"] == [(RENEWAL[0], half), (RENEWAL[2], half)] * COLUMNS
-
     def test_mixed_grid_runs_one_exponential_pass_per_column(self, spy):
         errors = [None, RENEWAL[0]] * (self.N // 2)
         _grid(errors).time_overhead(np.full(self.N, 1e4))
@@ -258,3 +251,24 @@ class TestProbeCounts:
     def test_one_errstate_per_solve(self, spy, errors):
         solve_schedule_grid(_grid(errors), np.linspace(2.8, 5.5, len(errors)))
         assert len(spy["errstate"]) == 1
+
+    def test_public_surfaces_keep_their_error_states(self, spy):
+        """``evaluate`` silences nothing (a model's warnings reach its
+        caller); a public probe enters the probes' state once."""
+        grid = _grid([None, RENEWAL[0]] * (self.N // 2))
+        grid.evaluate(np.full(self.N, 1e4))
+        assert spy["errstate"] == []
+        grid.energy_overhead(np.full(self.N, 1e4))
+        assert spy["errstate"] == [vectorized._PROBE_ERRSTATE]
+
+
+def test_evaluate_raises_no_warning_of_its_own():
+    """The exponential pass's ``0/0`` (rows with no fail-stop rate) and
+    the tail's ``1/0`` (a sure failure) are masked out before they
+    happen, so ``evaluate`` needs no ``np.errstate`` for them."""
+    grid = ScheduleGrid.from_points(
+        [(HERA, Constant(1.0), None), (HERA, Constant(0.5), CombinedErrors(2e-5, 0.5))]
+    )
+    with np.errstate(all="raise"):
+        ex = grid.evaluate(np.array([1e3, 1e9]))
+    assert np.all(ex.time[:, 0] < np.inf) and np.all(ex.time[:, 1] == np.inf)
