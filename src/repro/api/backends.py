@@ -29,12 +29,12 @@ routes to one of two: ``firstorder`` for the paper's two-speed model,
 ``schedule-grid``
     The default for every other scenario — the Section-5 combined and
     fail-stop modes, any schedule, any explicit error model.  Two-speed
-    rows under memoryless errors take the same scalar fast paths as
-    ``schedule`` (schedule-less combined rows enumerate the pair axis);
-    the rest stack into one
+    schedules without an error model take the Theorem-1 closed form;
+    every other row stacks into one
     :class:`~repro.schedules.vectorized.ScheduleGrid`
-    (:mod:`repro.schedules.vectorized`) and solve in lockstep
-    broadcast passes.
+    (:mod:`repro.schedules.vectorized`), a schedule-less row as one
+    ``TwoSpeed`` row per speed pair, and solves in lockstep broadcast
+    passes.
 
 The retired names stay in the registry as aliases of the instances
 that replaced them — ``grid`` of ``firstorder``; ``combined``,
@@ -72,11 +72,10 @@ from ..exceptions import (
     UnknownBackendError,
     UnsupportedScenarioError,
 )
-from ..failstop.solver import CombinedSolution, solve_pair_combined
 from ..platforms.configuration import Configuration
-from ..schedules.base import TwoSpeed
+from ..schedules.base import SpeedSchedule, TwoSpeed
 from ..schedules.solver import ScheduleSolution, solve_schedule
-from ..schedules.vectorized import ScheduleGrid, ScheduleGridSolution, solve_schedule_grid
+from ..schedules.vectorized import ScheduleGrid, solve_schedule_grid
 from ..sweep.vectorized import config_columns, evaluate_pair_grid, exact_overheads
 from .result import Provenance, Result
 
@@ -362,8 +361,9 @@ def _solve_two_speed(
     errors (``errors is None``: the configuration's own rate), the
     Section-5 :func:`~repro.failstop.solver.solve_pair_combined` for a
     memoryless fail-stop/silent mix — byte-identical to the legacy
-    solvers at that pair.  The one scalar two-speed path of the
-    ``schedule`` and ``schedule-grid`` backends; ``backend`` names the
+    solvers at that pair.  ``schedule`` takes both branches;
+    ``schedule-grid`` only the first, and the second is the scalar
+    oracle its grid rows are pinned against.  ``backend`` names the
     caller in the provenance.
     """
     cfg = scenario.resolved_config()
@@ -378,6 +378,8 @@ def _solve_two_speed(
             candidates=(outcome,),
             raw=outcome,
         )
+    from ..failstop.solver import solve_pair_combined
+
     sol = solve_pair_combined(cfg, errors, pair[0], pair[1], scenario.rho)
     if sol is None:
         raise InfeasibleBoundError(scenario.rho)
@@ -447,29 +449,30 @@ class ScheduleBackend(SolverBackend):
 class ScheduleGridBackend(SolverBackend):
     """Vectorised schedule kernel: whole batches in lockstep.
 
-    ``solve_batch`` splits a batch three ways:
+    ``solve_batch`` splits a batch two ways:
 
-    * two-speed rows under memoryless errors stay scalar and
-      byte-identical to the legacy solvers: a two-speed schedule takes
-      :func:`_solve_two_speed` at its pair, a schedule-less row (the
-      Section-5 ``combined``/``failstop`` modes, or an ``exp:`` model)
-      enumerates its DVFS pairs through
-      :func:`~repro.failstop.solver.solve_pair_combined`;
-    * every other *scheduled* scenario — general schedules and renewal
-      error models alike, mixed freely — is stacked into one
+    * two-speed schedules without an error model take the Theorem-1
+      closed form at their pair (:func:`_solve_two_speed`),
+      byte-identical to the legacy solver;
+    * every other scenario is stacked into one
       :class:`~repro.schedules.vectorized.ScheduleGrid` and solved by
       :func:`~repro.schedules.vectorized.solve_schedule_grid` — the
       per-attempt primitives, geometric tails, and the constrained
       pattern-size search all run as broadcast passes over the whole
-      sub-batch (a masked argmin instead of per-scenario SciPy loops);
-    * *schedule-less* scenarios under a renewal model enumerate their
-      DVFS speed pairs as ``TwoSpeed`` rows of that same grid, so a
-      whole pair enumeration costs one lockstep pass.
+      batch (a masked argmin instead of per-scenario SciPy loops).
+      A scheduled scenario is one row; a *schedule-less* one (the
+      Section-5 ``combined``/``failstop`` modes, or any explicit error
+      model) enumerates its DVFS speed pairs as ``TwoSpeed`` rows, so
+      a whole pair enumeration costs one lockstep pass.  General
+      schedules, memoryless and renewal error models mix freely.
 
-    Results carry the same :class:`~repro.schedules.solver.ScheduleSolution`
-    payload as the scalar ``schedule`` backend and agree with it to the
-    optimiser placement tolerance (``<= 1e-12`` relative on the energy
-    objective; the equivalence tests pin this on randomized grids).
+    Grid rows carry the :class:`~repro.schedules.solver.ScheduleSolution`
+    payload and agree with the scalar oracles — the ``schedule``
+    backend, and :func:`~repro.failstop.solver.solve_pair_combined` for
+    the Section-5 rows — to ``1e-12`` relative on the energy objective
+    and the optimiser placement tolerance (``1e-6``) on work and time;
+    the equivalence tests pin this on every configuration and on
+    randomized grids.
     """
 
     name = "schedule-grid"
@@ -495,101 +498,66 @@ class ScheduleGridBackend(SolverBackend):
             raise InfeasibleBoundError(scenario.rho, result.rho_min)
         return result
 
-    def _solve_pairs_scalar(self, scenario: "Scenario") -> Result:
-        """Schedule-less scenario under memoryless errors: the Section-5
-        pair enumeration — a strict-improvement scan of
-        :func:`~repro.failstop.solver.solve_pair_combined` in s1-major
-        order, so ties resolve as in the legacy solver."""
-        cfg = scenario.resolved_config()
-        errors = scenario.resolved_errors()
-        best: CombinedSolution | None = None
-        for s1, s2 in _scenario_pair_axis(scenario, cfg):
-            sol = solve_pair_combined(cfg, errors, s1, s2, scenario.rho)
-            if sol is not None and (
-                best is None or sol.energy_overhead < best.energy_overhead
-            ):
-                best = sol
-        if best is None:
-            raise InfeasibleBoundError(scenario.rho)
-        return Result(
-            scenario=scenario,
-            provenance=Provenance(backend=self.name),
-            best=best,
-            raw=best,
-        )
-
     def solve_batch(self, scenarios: Sequence["Scenario"]) -> list[Result]:
         for sc in scenarios:
             self.check_supports(sc)
         t0 = time.perf_counter()
         results: list[Result | None] = [None] * len(scenarios)
 
-        fast: list[int] = []
-        general: list[int] = []
+        # Error-free two-speed schedules take the Theorem-1 closed form;
+        # every other row joins one grid, scheduled rows first, then
+        # each schedule-less scenario's block of pair rows.
+        scheduled: list[int] = []
         enum: list[int] = []
         for i, sc in enumerate(scenarios):
-            renewal = isinstance(sc.resolved_errors(), ErrorModel)
-            if sc.schedule is None:
-                # Pair enumeration: memoryless errors take the scalar
-                # Section-5 loop, renewal models join the batched grid.
-                (enum if renewal else fast).append(i)
-            elif sc.schedule.as_two_speed() is not None and not renewal:
-                fast.append(i)
+            pair = sc.schedule.as_two_speed() if sc.schedule is not None else None
+            if pair is not None and sc.resolved_errors() is None:
+                try:
+                    results[i] = _solve_two_speed(sc, pair, None, self.name)
+                except InfeasibleBoundError as exc:
+                    results[i] = self.infeasible_result(sc, exc)
             else:
-                general.append(i)
+                (enum if sc.schedule is None else scheduled).append(i)
 
-        # Scalar rows: the closed-form/pair fast paths.
-        for i in fast:
+        points: list[tuple] = []
+        rhos: list[float] = []
+        blocks: list[tuple[int, int, list[SpeedSchedule]]] = []
+        for i in scheduled + enum:
             sc = scenarios[i]
-            try:
-                if sc.schedule is None:
-                    res = self._solve_pairs_scalar(sc)
-                else:
-                    res = _solve_two_speed(
-                        sc, sc.schedule.as_two_speed(), sc.resolved_errors(), self.name
-                    )
-            except InfeasibleBoundError as exc:
-                res = self.infeasible_result(sc, exc)
-            results[i] = res
-
-        if general or enum:
-            # One grid for everything numeric: scheduled rows first,
-            # then each enumerated scenario's pair block.
-            points: list[tuple] = [
-                (
-                    scenarios[i].resolved_config(),
-                    scenarios[i].schedule,
-                    scenarios[i].resolved_errors(),
+            cfg = sc.resolved_config()
+            errors = sc.resolved_errors()
+            schedules: list[SpeedSchedule] = (
+                [sc.schedule]
+                if sc.schedule is not None
+                else [TwoSpeed(s1, s2) for s1, s2 in _scenario_pair_axis(sc, cfg)]
+            )
+            if not schedules:
+                # Degenerate speed restriction (speeds=()): no candidate
+                # can satisfy any bound.
+                results[i] = self.infeasible_result(sc)
+                continue
+            blocks.append((i, len(points), schedules))
+            for schedule in schedules:
+                points.append((cfg, schedule, errors))
+                rhos.append(sc.rho)
+        if points:
+            sol = solve_schedule_grid(ScheduleGrid.from_points(points), np.asarray(rhos))
+            # Every block's winner in one stable sort by (block, energy):
+            # the feasible row with the smallest energy overhead, the first
+            # of equals (the legacy solvers' strict-improvement scan in
+            # s1-major order).  A block with no feasible row reports its
+            # smallest rho_min.
+            starts = np.array([start for _, start, _ in blocks])
+            sizes = np.diff(starts, append=len(points))
+            energy = np.where(sol.feasible, sol.energy_overhead, np.inf)
+            order = np.lexsort((energy, np.repeat(np.arange(len(blocks)), sizes)))
+            winners = order[starts].tolist()
+            rho_mins = np.minimum.reduceat(sol.rho_min, starts).tolist()
+            columns = {name: column.tolist() for name, column in vars(sol).items()}
+            for (i, start, schedules), pos, rho_min in zip(blocks, winners, rho_mins):
+                results[i] = self._materialise(
+                    scenarios[i], columns, pos, schedules[pos - start], rho_min
                 )
-                for i in general
-            ]
-            rhos: list[float] = [scenarios[i].rho for i in general]
-            blocks: list[tuple[int, int, list[tuple[float, float]]]] = []
-            for i in enum:
-                sc = scenarios[i]
-                cfg = sc.resolved_config()
-                errors = sc.resolved_errors()
-                pairs = _scenario_pair_axis(sc)
-                if not pairs:
-                    # Degenerate speed restriction (speeds=()): no
-                    # candidate can satisfy any bound — infeasible, same
-                    # as the memoryless enumeration returning no pair.
-                    results[i] = self.infeasible_result(sc)
-                    continue
-                blocks.append((i, len(points), pairs))
-                points.extend(
-                    (cfg, TwoSpeed(s1, s2), errors) for s1, s2 in pairs
-                )
-                rhos.extend([sc.rho] * len(pairs))
-            if points:
-                grid = ScheduleGrid.from_points(points)
-                sol = solve_schedule_grid(grid, np.asarray(rhos))
-                for pos, i in enumerate(general):
-                    results[i] = self._materialise(scenarios[i], sol, pos)
-                for i, start, pairs in blocks:
-                    results[i] = self._materialise_enum(
-                        scenarios[i], sol, start, pairs
-                    )
 
         wall = time.perf_counter() - t0
         share = wall / max(len(scenarios), 1)
@@ -604,65 +572,30 @@ class ScheduleGridBackend(SolverBackend):
         ]
 
     def _materialise(
-        self, scenario: "Scenario", sol: ScheduleGridSolution, pos: int
-    ) -> Result:
-        """One scenario's result from its row of the grid solution."""
-        if not sol.feasible[pos]:
-            return Result(
-                scenario=scenario,
-                provenance=Provenance(backend=self.name),
-                best=None,
-                rho_min=float(sol.rho_min[pos]),
-            )
-        best = ScheduleSolution(
-            schedule=scenario.schedule,
-            work=float(sol.work[pos]),
-            energy_overhead=float(sol.energy_overhead[pos]),
-            time_overhead=float(sol.time_overhead[pos]),
-            interval=(float(sol.w_lo[pos]), float(sol.w_hi[pos])),
-            failstop_fraction=scenario.effective_failstop_fraction,
-        )
-        return Result(
-            scenario=scenario,
-            provenance=Provenance(backend=self.name),
-            best=best,
-            raw=best,
-        )
-
-    def _materialise_enum(
         self,
         scenario: "Scenario",
-        sol: ScheduleGridSolution,
-        start: int,
-        pairs: list[tuple[float, float]],
+        columns: dict[str, list],
+        pos: int,
+        schedule: SpeedSchedule,
+        rho_min: float,
     ) -> Result:
-        """One schedule-less scenario's result from its block of pair rows.
-
-        The winner is the feasible pair with the smallest energy
-        overhead; ``argmin`` takes the first of equals, matching the
-        legacy solvers' strict-improvement scan in the same s1-major
-        order.  When no pair is feasible the block's smallest
-        ``rho_min`` is the scenario's infeasibility diagnostic.
-        """
-        rows = slice(start, start + len(pairs))
-        feas = sol.feasible[rows]
-        if not feas.any():
+        """One scenario's result from its winning grid row ``pos`` (the
+        :class:`~repro.schedules.vectorized.ScheduleGridSolution` fields
+        as lists in ``columns``); ``rho_min`` is the infeasibility
+        diagnostic when that row is infeasible."""
+        if not columns["feasible"][pos]:
             return Result(
                 scenario=scenario,
                 provenance=Provenance(backend=self.name),
                 best=None,
-                rho_min=float(np.min(sol.rho_min[rows])),
+                rho_min=rho_min,
             )
-        energy = np.where(feas, sol.energy_overhead[rows], np.inf)
-        k = int(np.argmin(energy))
-        pos = start + k
-        s1, s2 = pairs[k]
         best = ScheduleSolution(
-            schedule=TwoSpeed(s1, s2),
-            work=float(sol.work[pos]),
-            energy_overhead=float(sol.energy_overhead[pos]),
-            time_overhead=float(sol.time_overhead[pos]),
-            interval=(float(sol.w_lo[pos]), float(sol.w_hi[pos])),
+            schedule=schedule,
+            work=columns["work"][pos],
+            energy_overhead=columns["energy_overhead"][pos],
+            time_overhead=columns["time_overhead"][pos],
+            interval=(columns["w_lo"][pos], columns["w_hi"][pos]),
             failstop_fraction=scenario.effective_failstop_fraction,
         )
         return Result(

@@ -72,7 +72,7 @@ class Result:
         Backend name, wall time, cache/batch flags.
     best:
         The winning candidate (``PatternSolution``, ``ExactSolution``,
-        ``CombinedSolution``, …) or ``None`` when the bound is
+        ``ScheduleSolution``, …) or ``None`` when the bound is
         infeasible.  All candidate types expose ``sigma1``, ``sigma2``,
         ``work``, ``energy_overhead`` and ``time_overhead``.
     candidates:

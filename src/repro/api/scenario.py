@@ -114,8 +114,8 @@ class Scenario:
         ``speeds``/``sigma2_choices`` enumeration restrictions.
         Scheduled scenarios route to the vectorised ``schedule-grid``
         backend, which batches whole grids in broadcast passes;
-        two-speed schedules keep the closed-form fast paths there,
-        byte-identical to the legacy solvers.
+        two-speed schedules without an error model keep the Theorem-1
+        closed form there, byte-identical to the legacy solver.
     errors:
         Optional explicit error model — a renewal
         :class:`~repro.errors.models.ErrorModel`, a bare
@@ -124,13 +124,13 @@ class Scenario:
         spec string such as ``"weibull:shape=0.7,mtbf=5e3,failstop=0.2"``
         (see ``repro errors``).  The model carries its own rate and
         fail-stop split, so it is exclusive with ``failstop_fraction``
-        / ``error_rate`` and requires the default mode.  Memoryless
-        (``exp:``) models keep the closed-form fast paths
-        byte-identically; other renewal families route through the
-        schedule backends — with a ``schedule`` the per-attempt policy
-        is solved directly, without one the DVFS speed pairs are
-        enumerated as two-speed schedules in one batched
-        ``schedule-grid`` pass.
+        / ``error_rate`` and requires the default mode.  Every model
+        routes through the schedule backends — with a ``schedule`` the
+        per-attempt policy is solved directly, without one the DVFS
+        speed pairs are enumerated as two-speed schedules in one
+        batched ``schedule-grid`` pass.  A memoryless (``exp:``) model
+        solves bit for bit as the equivalent ``mode="combined"``
+        scenario.
     backend:
         Preferred backend registry name; ``None`` picks
         :attr:`default_backend` (``firstorder`` for the schedule-less
@@ -269,9 +269,9 @@ class Scenario:
         """The error model the solve runs under.
 
         An explicit ``errors`` model wins: memoryless models collapse to
-        their byte-identical :class:`CombinedErrors` (so the legacy
-        closed-form paths apply bit for bit), other renewal families
-        come back as the :class:`ErrorModel` itself.  Without one, the
+        their byte-identical :class:`CombinedErrors` (so they solve
+        bit for bit as the equivalent Section-5 mode), other renewal
+        families come back as the :class:`ErrorModel` itself.  Without one, the
         mode decides: ``None`` for the silent-only modes (solvers then
         use the configuration's own rate), a :class:`CombinedErrors`
         for the combined/failstop modes.

@@ -26,6 +26,7 @@ from ..exceptions import ConvergenceError
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
 from ..core.numeric import minimize_unimodal
+from ..schedules.solver import ScheduleSolution
 from . import exact
 
 __all__ = ["CombinedSolution", "solve_pair_combined", "solve_bicrit_combined", "time_optimal_work"]
@@ -152,13 +153,15 @@ def solve_bicrit_combined(
     cfg: Configuration,
     errors: CombinedErrors,
     rho: float,
-) -> CombinedSolution:
+) -> ScheduleSolution:
     """Numeric BiCrit over all speed pairs with both error sources.
 
     .. note:: Legacy wrapper.  Delegates to the default route of the
        :mod:`repro.api` registry (``schedule-grid``) via
-       ``Scenario(..., mode="combined").solve()``; prefer the
-       :class:`repro.Scenario` API in new code.
+       ``Scenario(..., mode="combined").solve()``, so the winner is the
+       grid kernel's ``ScheduleSolution`` of a ``TwoSpeed`` pair; prefer
+       the :class:`repro.Scenario` API in new code.
+       :func:`solve_pair_combined` stays the scalar oracle of that route.
 
     Raises
     ------

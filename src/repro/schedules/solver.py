@@ -15,9 +15,11 @@ minimise/bracket/minimise scheme as :mod:`repro.core.numeric` and
 3. minimise ``E(W)/W`` on ``[W1, W2]`` (interior optimum + end points).
 
 For schedules whose attempt map is expressible as a two-speed pair the
-API layer never reaches this module — the schedule backends route
-those through the Theorem-1 closed form (silent) or the Section-5 pair
-solver (combined), byte-identical to the legacy paths.
+scalar ``schedule`` backend never reaches this module — it routes them
+through the Theorem-1 closed form (silent) or the Section-5 pair solver
+(combined), byte-identical to the legacy paths.  The ``schedule-grid``
+default keeps only the silent closed form; its combined two-speed rows
+are grid rows, pinned to that pair solver within tolerance.
 """
 
 from __future__ import annotations

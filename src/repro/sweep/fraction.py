@@ -2,8 +2,8 @@
 
 Section 5 parameterises the error mix by the fail-stop fraction ``f``
 but only analyses limiting cases (the first-order validity window, the
-``f = 1`` Theorem 2).  With the numeric combined solver
-(:mod:`repro.failstop.solver`) the *full* curve "optimal solution vs
+``f = 1`` Theorem 2).  Solved numerically (``combined``-mode scenarios
+on the ``schedule-grid`` kernel) the *full* curve "optimal solution vs
 ``f``" is computable; this module sweeps it, producing the natural
 companion figure to the paper's future-work section.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..failstop.solver import CombinedSolution
 from ..platforms.configuration import Configuration
+from ..schedules.solver import ScheduleSolution
 
 __all__ = ["FractionSweep", "sweep_failstop_fraction"]
 
@@ -28,7 +28,7 @@ class FractionSweep:
     rho: float
     total_rate: float
     fractions: np.ndarray
-    solutions: tuple[CombinedSolution | None, ...] = field(repr=False)
+    solutions: tuple[ScheduleSolution | None, ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.fractions)
@@ -77,9 +77,9 @@ def sweep_failstop_fraction(
     .. note:: Legacy-shaped wrapper.  Builds one ``combined``-mode
        :class:`repro.api.Scenario` per fraction and compiles them into
        a :class:`repro.api.Experiment` plan — which deduplicates
-       repeated fractions, memoises repeated sweeps and, with
-       ``processes > 1``, fans the expensive numeric solves out over
-       worker processes.
+       repeated fractions, memoises repeated sweeps and solves every
+       fraction's pair enumeration in one ``schedule-grid`` pass
+       (``processes > 1`` shards that batch over worker processes).
 
     Examples
     --------

@@ -112,6 +112,13 @@ class TestSolveErrors:
         assert main(["solve", "--errors", "weibull:bogus=1"]) == 1
         assert "invalid scenario" in capsys.readouterr().out
 
+    def test_infeasible_section5_solve_names_rho_min(self, capsys):
+        assert main([
+            "solve", "--mode", "combined", "--failstop-fraction", "0.5",
+            "--rho", "1.01",
+        ]) == 1
+        assert "rho_min=1.05" in capsys.readouterr().out
+
     def test_conflicting_mode_rejected(self, capsys):
         assert main([
             "solve", "--errors", "gamma:shape=2,mtbf=3e5", "--mode", "combined",

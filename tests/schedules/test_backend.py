@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, SolveCache, available_backends
+from repro.api import Experiment, Scenario, SolveCache, available_backends
 from repro.core.solver import evaluate_pair, solve_bicrit
 from repro.errors import CombinedErrors
 from repro.exceptions import (
@@ -13,6 +13,7 @@ from repro.exceptions import (
     UnsupportedScenarioError,
 )
 from repro.failstop.solver import solve_pair_combined
+from repro.platforms import configuration_names, get_configuration
 from repro.schedules import (
     Constant,
     Escalating,
@@ -21,6 +22,8 @@ from repro.schedules import (
     TwoSpeed,
     schedule_min_bound,
 )
+
+from .test_vectorized import assert_matches_oracle
 
 RHO = 3.0
 
@@ -110,14 +113,33 @@ class TestLegacyEquivalence:
             else:
                 assert sc.solve(cache=False).best == cand.solution
 
-    def test_combined_two_speed_matches_pair_solver(self, hera_xscale):
-        errors = CombinedErrors(hera_xscale.lam, 0.5)
-        direct = solve_pair_combined(hera_xscale, errors, 0.4, 0.6, RHO)
-        res = Scenario(
-            config="hera-xscale", rho=RHO, mode="combined",
-            failstop_fraction=0.5, schedule=TwoSpeed(0.4, 0.6),
-        ).solve(cache=False)
-        assert res.best == direct
+    def test_combined_two_speed_matches_pair_solver(self):
+        """The scalar ``schedule`` backend equals the Section-5 pair
+        solver exactly; the default grid route agrees with it to the
+        kernel's tolerances, on every configuration, feasible or not."""
+        scenarios, oracles = [], []
+        for name in configuration_names():
+            cfg = get_configuration(name)
+            errors = CombinedErrors(cfg.lam, 0.5)
+            s = cfg.speeds
+            for s1, s2 in ((s[1], s[2]), (s[0], s[0])):
+                sc = Scenario(
+                    config=name, rho=RHO, mode="combined",
+                    failstop_fraction=0.5, schedule=TwoSpeed(s1, s2),
+                )
+                direct = solve_pair_combined(cfg, errors, s1, s2, RHO)
+                if direct is None:
+                    with pytest.raises(InfeasibleBoundError):
+                        sc.solve(backend="schedule", cache=False)
+                else:
+                    assert sc.solve(backend="schedule", cache=False).best == direct
+                scenarios.append(sc)
+                oracles.append(direct)
+        results = Experiment.from_scenarios(scenarios).solve(cache=False)
+        assert {r.provenance.backend for r in results} == {"schedule-grid"}
+        assert any(o is None for o in oracles)
+        for result, direct in zip(results, oracles):
+            assert_matches_oracle(result.best, direct)
 
     def test_constant_diagonal_equals_two_speed_diagonal(self, hera_xscale):
         a = Scenario(

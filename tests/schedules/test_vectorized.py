@@ -3,9 +3,10 @@
 The acceptance pins of PR 3: the ``schedule-grid`` backend and the
 underlying :mod:`repro.schedules.vectorized` kernel must agree with the
 per-scenario ``schedule`` backend — to ``1e-12`` relative error on the
-energy objective for general schedules (the optimiser placement
-tolerance bounds ``work``/``time`` near ``1e-8``), and byte-identically
-for two-speed schedules, which keep the legacy closed-form fast paths.
+energy objective for general schedules and the Section-5 rows (the
+optimiser placement tolerance bounds ``work``/``time`` near ``1e-8``),
+and byte-identically for error-free two-speed schedules, which keep the
+Theorem-1 closed form.
 Also here: ``ScheduleGrid.take`` sub-grids, ``SolverOptions``
 validation, and threads sharing the registered backend instance.
 """
@@ -118,6 +119,22 @@ def _assert_rows_agree(scalar, batched):
     assert batched.best.time_overhead == pytest.approx(
         scalar.best.time_overhead, rel=PLACEMENT_RTOL
     )
+
+
+def assert_matches_oracle(best, oracle):
+    """A grid-kernel optimum against its scalar Section-5 oracle
+    (``solve_pair_combined`` or a strict-improvement scan of it): the
+    same speed pair and feasibility, energy within ``ENERGY_RTOL``,
+    work and time within ``PLACEMENT_RTOL``."""
+    assert (best is None) == (oracle is None)
+    if oracle is None:
+        return
+    assert best.speed_pair == (oracle.sigma1, oracle.sigma2)
+    assert best.energy_overhead == pytest.approx(
+        oracle.energy_overhead, rel=ENERGY_RTOL
+    )
+    assert best.work == pytest.approx(oracle.work, rel=PLACEMENT_RTOL)
+    assert best.time_overhead == pytest.approx(oracle.time_overhead, rel=PLACEMENT_RTOL)
 
 
 class TestBatchedEvaluator:
@@ -409,6 +426,25 @@ class TestRoutingAndExperiment:
         assert exc.value.rho_min == pytest.approx(
             schedule_min_bound(hera_xscale, sched), rel=1e-6
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mode": "combined", "failstop_fraction": 0.5}, {"mode": "failstop"}],
+        ids=["combined", "failstop"],
+    )
+    def test_infeasible_section5_row_carries_rho_min(self, hera_xscale, kwargs):
+        sc = Scenario(config=hera_xscale, rho=1.01, **kwargs)
+        result = Experiment.from_scenarios([sc]).solve(cache=False)[0]
+        assert not result.feasible
+        expected = min(
+            schedule_min_bound(hera_xscale, TwoSpeed(s1, s2), sc.resolved_errors())
+            for s1 in hera_xscale.speeds
+            for s2 in hera_xscale.speeds
+        )
+        assert result.rho_min == pytest.approx(expected, rel=1e-6)
+        with pytest.raises(InfeasibleBoundError) as exc:
+            sc.solve(cache=False)
+        assert exc.value.rho_min == result.rho_min
 
     def test_schedule_axis_experiment(self, hera_xscale):
         specs = ("two:0.4,0.6", "esc:0.4,0.6,0.8", "geom:0.4,1.5,1")

@@ -3,15 +3,16 @@
 ``import repro`` resolves its public names lazily (PEP 562) and loads
 no NumPy; reading the catalog and the CLI's ``--help``/``configs`` need
 none either.  The two-speed model is closed-form NumPy, so running a
-``firstorder`` study must leave SciPy unloaded; the numeric solvers
-(``exact`` backend, renewal error models) import it when they first
-run.  Likewise ``repro.reporting`` (and the JSON encoder in it) loads
-with the first export, and a whole two-speed batch with its exports
-never touches ``numpy.ma`` (a 1-D *integer* ``np.unique`` imports it;
-the batch's float ``np.unique`` does not), the warm pool
-(``multiprocessing``), the service or the simulator.  Checked in fresh
-interpreters, since this test process has long since loaded all of
-them.  These pins say which modules load, not how long anything takes.
+``firstorder`` study must leave SciPy unloaded, and so must a Section-5
+(``combined``/``failstop``) study, which runs on the grid kernel; the
+numeric solvers (``exact`` backend, renewal error models) import it
+when they first run.  Likewise ``repro.reporting`` (and the JSON
+encoder in it) loads with the first export, and a whole two-speed batch
+with its exports never touches ``numpy.ma`` (a 1-D *integer*
+``np.unique`` imports it; the batch's float ``np.unique`` does not), the
+warm pool (``multiprocessing``), the service or the simulator.  Checked
+in fresh interpreters, since this test process has long since loaded all
+of them.  These pins say which modules load, not how long anything takes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ results = Experiment.over(
 ).solve(cache=False)
 assert len(results) == 8
 assert scipy_modules() == [], scipy_modules()
+
+# The Section-5 modes solve on the grid kernel: no SciPy, no scalar
+# pair solver.
+section5 = Experiment.over(
+    configs=("hera-xscale",), rhos=(1.01, 3.0), modes=("combined", "failstop"),
+    failstop_fractions=(0.5,),
+).solve(cache=False)
+assert len(section5) == 4
+assert scipy_modules() == [], scipy_modules()
+assert "repro.failstop.solver" not in sys.modules
 
 exact = Scenario(config="hera-xscale", rho=3.0).solve(backend="exact", cache=False)
 weibull = Scenario(
@@ -110,6 +121,7 @@ from repro.api.scenario import Scenario
 
 rows = [Scenario(config=c, rho=r) for c in ("hera-xscale", "atlas-crusoe") for r in (1.5, 3.0)]
 sched = [Scenario(config="hera-xscale", rho=r, schedule="geom:0.4,1.5,1") for r in (3.0, 4.0)]
+sched.append(Scenario(config="hera-xscale", rho=3.0, mode="combined", failstop_fraction=0.5))
 get_backend("firstorder").solve_batch(rows)
 get_backend("schedule-grid").solve_batch(sched)
 new = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
