@@ -1,11 +1,12 @@
 """Bench: batched mixed-error-model grids vs the per-scenario loop.
 
-The PR-4 acceptance bench, re-measured through the :mod:`repro.perf`
-harness (median wall times over repeated runs, bootstrap CIs).  A
+The PR-4 acceptance bench, measured through the bench harness
+(:mod:`benchmarks.harness`: host-adjusted median wall times over
+repeated runs, bootstrap CIs).  A
 (model x schedule x rho) grid mixing exponential, Weibull and Gamma
 error models — every row a general schedule, so nothing short-circuits
-into a two-speed closed form — is shared with the ``repro bench`` CLI
-via :func:`repro.perf.workloads.build_suite` and solved two ways:
+into a two-speed closed form — is shared with ``python -m benchmarks.harness``
+via :func:`benchmarks.harness.workloads.build_suite` and solved two ways:
 
 * ``scalar_loop`` — the ``schedule`` backend's per-scenario
   ``solve_batch`` (minimise/bracket/minimise per scenario, SciPy scalar
@@ -28,9 +29,9 @@ see docs/errors.md).  The full report lands in
 
 from __future__ import annotations
 
+from benchmarks.harness.report import run_suite
+from benchmarks.harness.workloads import build_suite, error_model_scenarios
 from repro.api.backends import get_backend
-from repro.perf import BenchRunner, build_suite
-from repro.perf.workloads import error_model_scenarios
 from repro.reporting.csvio import write_rows_csv
 
 ENERGY_RTOL = 1e-9
@@ -76,11 +77,10 @@ def test_error_model_grid_speedup(results_dir):
     assert n_feasible > 200, "grid degenerated: most scenarios infeasible"
     assert max_rel <= ENERGY_RTOL, f"energy disagreement {max_rel:.2e}"
 
-    report = BenchRunner(repetitions=3, warmup=0).run(
-        "error_models", build_suite("error_models")
-    )
+    report = run_suite("error_models", build_suite("error_models"), repetitions=3, warmup=0)
     report.write(results_dir)
 
+    loop_median = report.workload("scalar_loop").median
     n = len(scenarios)
     rows = []
     for ws in report.workloads:
@@ -91,7 +91,7 @@ def test_error_model_grid_speedup(results_dir):
                 "models": N_MODELS,
                 "seconds_total": ws.median,
                 "seconds_per_scenario": ws.median / n,
-                "speedup_vs_scalar_loop": 1.0 if ws.speedup is None else ws.speedup,
+                "speedup_vs_scalar_loop": loop_median / ws.median,
                 "max_rel_energy_error_smooth": (
                     max_rel if ws.name == "schedule_grid" else None
                 ),
@@ -99,5 +99,5 @@ def test_error_model_grid_speedup(results_dir):
         )
     write_rows_csv(results_dir / "error_model_bench.csv", _CSV_FIELDS, rows)
 
-    speedup = report.workload("schedule_grid").speedup
+    speedup = loop_median / report.workload("schedule_grid").median
     assert speedup >= 5.0, f"schedule-grid only {speedup:.1f}x over the loop"

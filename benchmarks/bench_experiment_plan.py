@@ -1,11 +1,11 @@
 """Bench: a batched Experiment frontier vs the legacy per-point loop.
 
-The acceptance case of PR 5, re-measured through the :mod:`repro.perf`
-harness: a Pareto frontier over a *renewal* error model (Weibull,
+The acceptance case of PR 5, measured through the bench harness
+(:mod:`benchmarks.harness`): a Pareto frontier over a *renewal* error model (Weibull,
 shape 0.7) under a *non-two-speed* schedule (geometric escalation) — a
 combination the pre-pipeline ``repro.analysis.pareto`` could not
-express at all.  The rho grid is shared with the ``repro bench`` CLI
-via :func:`repro.perf.workloads.build_suite` and solved twice:
+express at all.  The rho grid is shared with ``python -m benchmarks.harness``
+via :func:`benchmarks.harness.workloads.build_suite` and solved twice:
 
 * ``per_point_loop`` — one ``Scenario.solve(cache=False)`` per bound,
   the way the legacy analysis modules drove their solvers (each call
@@ -23,9 +23,9 @@ in ``results/BENCH_experiment_plan.json`` and the legacy summary in
 
 from __future__ import annotations
 
+from benchmarks.harness.report import run_suite
+from benchmarks.harness.workloads import build_suite, experiment_plan_scenarios
 from repro.api import Experiment
-from repro.perf import BenchRunner, build_suite
-from repro.perf.workloads import experiment_plan_scenarios
 from repro.reporting.csvio import write_rows_csv
 
 ENERGY_RTOL = 1e-12
@@ -80,13 +80,14 @@ def test_experiment_plan_speedup(results_dir):
     assert n_feasible >= len(scenarios) // 2, "frontier grid mostly infeasible"
     assert max_rel <= ENERGY_RTOL, f"energy disagreement {max_rel:.2e}"
 
-    report = BenchRunner(repetitions=3, warmup=0).run(
-        "experiment_plan", build_suite("experiment_plan")
+    report = run_suite(
+        "experiment_plan", build_suite("experiment_plan"), repetitions=3, warmup=0
     )
     report.write(results_dir)
 
     loop_ws = report.workload("per_point_loop")
     plan_ws = report.workload("batched_plan")
+    speedup = loop_ws.median / plan_ws.median
     n = len(scenarios)
     write_rows_csv(
         results_dir / "experiment_plan_bench.csv",
@@ -107,12 +108,10 @@ def test_experiment_plan_speedup(results_dir):
                 "frontier_points": len(frontier),
                 "seconds_total": plan_ws.median,
                 "seconds_per_scenario": plan_ws.median / n,
-                "speedup_vs_per_point_loop": plan_ws.speedup,
+                "speedup_vs_per_point_loop": speedup,
                 "max_rel_energy_error": max_rel,
             },
         ],
     )
 
-    assert plan_ws.speedup >= 10.0, (
-        f"batched plan only {plan_ws.speedup:.1f}x over the loop"
-    )
+    assert speedup >= 10.0, f"batched plan only {speedup:.1f}x over the loop"

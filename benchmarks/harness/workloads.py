@@ -1,13 +1,11 @@
-"""The shared benchmark workload suites (full and ``--quick`` sizes).
+"""The benchmark workload suites (full and ``--quick`` sizes).
 
-One definition of *what* each benchmark measures, used by three
-consumers: the ``benchmarks/bench_*.py`` scripts (tier-2, with their
-equivalence assertions), the ``repro bench`` CLI, and the CI bench
-smoke job.  A :class:`Workload` is a named zero-argument callable; a
-*suite* is a tuple of workloads where candidate workloads name the
-baseline workload their speedup is measured against (in-run, on the
-same machine — which is what makes the speedup columns of a committed
-``BENCH_*.json`` comparable across machines).
+One definition of *what* each benchmark measures, used by the
+``benchmarks/bench_*.py`` scripts (tier-2, with their equivalence
+assertions and speedup floors) and by ``python -m benchmarks.harness``
+(the CI bench smoke job).  Every workload is gated on its own adjusted
+median against the committed report; the loop workloads are measured
+beside the batched paths as context, not as denominators.
 
 Six suites, each a legacy bench script or a dispatch path:
 
@@ -41,28 +39,27 @@ Six suites, each a legacy bench script or a dispatch path:
     cold (fresh points every call) and fully cached (the identical
     re-submission served from the shared solve cache).
 
-Quick sizes are chosen so the whole quick run (warmup + 3 reps x all
-suites) stays in CI-smoke territory while still exercising every code
-path being compared.
+Quick sizes are chosen so the whole quick run stays in CI-smoke
+territory while still exercising every code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError
+
+from .report import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.experiment import Experiment
-    from ..api.result import Result
-    from ..api.scenario import Scenario
+    from repro.api.experiment import Experiment
+    from repro.api.result import Result
+    from repro.api.scenario import Scenario
 
 __all__ = [
-    "Workload",
     "build_suite",
     "suite_names",
     "schedule_grid_scenarios",
@@ -72,22 +69,6 @@ __all__ = [
     "study_batch_study",
     "dispatch_scenarios",
 ]
-
-
-@dataclass(frozen=True)
-class Workload:
-    """One named, timeable unit of work.
-
-    ``fn`` is called once per warmup/repetition and may return a
-    mapping of auxiliary metrics (scenario counts, equivalence
-    residuals) merged into the report.  ``baseline`` names the
-    workload of the same suite this one's speedup is measured against;
-    ``None`` marks a baseline (or stand-alone) workload.
-    """
-
-    name: str
-    fn: Callable[[], Mapping[str, float] | None]
-    baseline: str | None = None
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +118,7 @@ def schedule_grid_scenarios(*, quick: bool = False) -> "list[Scenario]":
     Full size is the legacy bench's 1000 scenarios (10 x 10 x 10);
     quick is 2 x 3 x 2 = 12.
     """
-    from ..api.scenario import Scenario
+    from repro.api.scenario import Scenario
 
     schedules = _SG_SCHEDULES[:2] if quick else _SG_SCHEDULES
     rhos = np.linspace(2.8, 5.5, 3 if quick else 10)
@@ -161,7 +142,7 @@ def error_model_scenarios(*, quick: bool = False) -> "list[Scenario]":
     Full size is the legacy bench's 400 scenarios (8 x 5 x 10); quick
     is 3 x 2 x 3 = 18.
     """
-    from ..api.scenario import Scenario
+    from repro.api.scenario import Scenario
 
     models = _EM_MODELS[2:5] if quick else _EM_MODELS
     schedules = _EM_SCHEDULES[:2] if quick else _EM_SCHEDULES
@@ -176,7 +157,7 @@ def error_model_scenarios(*, quick: bool = False) -> "list[Scenario]":
 
 def experiment_plan_scenarios(*, quick: bool = False) -> "list[Scenario]":
     """The ``experiment_plan`` frontier grid (96 bounds; quick: 6)."""
-    from ..api.scenario import Scenario
+    from repro.api.scenario import Scenario
 
     rhos = np.linspace(2.76, 4.0, 6 if quick else 96)
     return [
@@ -191,7 +172,7 @@ def dispatch_scenarios(*, quick: bool = False) -> "list[Scenario]":
     """The ``dispatch_overhead`` grid: a small per-scenario-backend
     plan (12 bounds; quick: 4), so shard *dispatch* — not solving —
     dominates each plan."""
-    from ..api.scenario import Scenario
+    from repro.api.scenario import Scenario
 
     rhos = np.linspace(2.9, 3.6, 4 if quick else 12)
     return [Scenario(config=_CONFIG, rho=float(rho)) for rho in rhos]
@@ -199,8 +180,8 @@ def dispatch_scenarios(*, quick: bool = False) -> "list[Scenario]":
 
 def study_batch_study(*, quick: bool = False) -> "Experiment":
     """The ``study_batch`` grid: catalog x rho (184; quick: 10)."""
-    from ..api.experiment import Experiment
-    from ..platforms.catalog import configuration_names
+    from repro.api.experiment import Experiment
+    from repro.platforms.catalog import configuration_names
 
     configs = configuration_names()[:2] if quick else configuration_names()
     rhos = tuple(float(r) for r in np.linspace(1.3, 3.5, 5 if quick else 23))
@@ -213,7 +194,7 @@ def study_batch_study(*, quick: bool = False) -> "Experiment":
 
 
 def _solve_with(backend_name: str, scenarios: "Sequence[Scenario]") -> dict[str, float]:
-    from ..api.backends import get_backend
+    from repro.api.backends import get_backend
 
     get_backend(backend_name).solve_batch(list(scenarios))
     return {"scenarios": float(len(scenarios))}
@@ -225,7 +206,6 @@ def _loop_vs_grid(scenarios: "Sequence[Scenario]") -> tuple[Workload, ...]:
         Workload(
             "schedule_grid",
             lambda: _solve_with("schedule-grid", scenarios),
-            baseline="scalar_loop",
         ),
     )
 
@@ -242,7 +222,7 @@ def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:
     scenarios = experiment_plan_scenarios(quick=quick)
 
     def per_point() -> dict[str, float]:
-        from ..exceptions import InfeasibleBoundError
+        from repro.exceptions import InfeasibleBoundError
 
         solved = 0
         for sc in scenarios:
@@ -255,7 +235,7 @@ def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:
         return {"scenarios": float(len(scenarios)), "feasible": float(solved)}
 
     def batched() -> dict[str, float]:
-        from ..api.experiment import Experiment
+        from repro.api.experiment import Experiment
 
         Experiment.from_scenarios(scenarios, name="bench-frontier").solve(
             cache=False
@@ -264,7 +244,7 @@ def _experiment_plan_suite(quick: bool) -> tuple[Workload, ...]:
 
     return (
         Workload("per_point_loop", per_point),
-        Workload("batched_plan", batched, baseline="per_point_loop"),
+        Workload("batched_plan", batched),
     )
 
 
@@ -272,7 +252,7 @@ def study_batch_loop(study: "Experiment") -> "list[Result | None]":
     """The ``study_batch`` baseline: every scenario solved standalone,
     one scalar ``firstorder`` enumeration each (``None`` = infeasible).
     ``study.solve(backend="firstorder")`` would take the batch path."""
-    from ..exceptions import InfeasibleBoundError
+    from repro.exceptions import InfeasibleBoundError
 
     results: "list[Result | None]" = []
     for sc in study:
@@ -296,7 +276,7 @@ def _study_batch_suite(quick: bool) -> tuple[Workload, ...]:
 
     return (
         Workload("firstorder_loop", loop),
-        Workload("grid_backend", grid, baseline="firstorder_loop"),
+        Workload("grid_backend", grid),
     )
 
 
@@ -305,7 +285,7 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
     plans = 2 if quick else 4
 
     def _run_plans(transport: "str | None") -> dict[str, float]:
-        from ..api.experiment import Experiment
+        from repro.api.experiment import Experiment
 
         exp = Experiment.from_scenarios(scenarios, name="bench-dispatch")
         for _ in range(plans):
@@ -325,15 +305,15 @@ def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
 
     return (
         Workload("cold_pool", cold),
-        Workload("warm_pool", warm, baseline="cold_pool"),
+        Workload("warm_pool", warm),
     )
 
 
 def _service_dispatch_suite(quick: bool) -> tuple[Workload, ...]:
-    from ..api.cache import SolveCache
-    from ..api.experiment import Experiment
-    from ..service import InMemoryArtifactStore, ServiceApp, ServiceConfig
-    from ..service.testing import InProcessClient
+    from repro.api.cache import SolveCache
+    from repro.api.experiment import Experiment
+    from repro.service import InMemoryArtifactStore, ServiceApp, ServiceConfig
+    from repro.service.testing import InProcessClient
 
     n = 16 if quick else 96
     rho_lo, rho_hi = 2.6, 5.0
@@ -391,8 +371,8 @@ def _service_dispatch_suite(quick: bool) -> tuple[Workload, ...]:
 
     return (
         Workload("direct_solve", direct),
-        Workload("service_job_cold", cold, baseline="direct_solve"),
-        Workload("service_job_cached", cached, baseline="direct_solve"),
+        Workload("service_job_cold", cold),
+        Workload("service_job_cached", cached),
     )
 
 

@@ -1,11 +1,12 @@
 """Command-line entry point: ``python -m repro._lint`` / ``repro lint``.
 
 Default invocation runs the custom ``RPR*`` rules over ``src/repro``
-(or the installed ``repro`` package when no source checkout is
-visible) and exits non-zero on any diagnostic.  ``--all`` chains the
-full local gate — ruff, mypy, then the custom rules — skipping tools
-the environment does not have so the command stays usable in minimal
-containers; CI installs both, so there the chain is complete.
+and the bench harness ``benchmarks/harness`` (or the installed
+``repro`` package when no source checkout is visible) and exits
+non-zero on any diagnostic.  ``--all`` chains the full local gate —
+ruff, mypy, then the custom rules — skipping tools the environment
+does not have so the command stays usable in minimal containers; CI
+installs both, so there the chain is complete.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ __all__ = ["main"]
 def _default_paths() -> list[Path]:
     """The tree to lint when none is given.
 
-    Prefer a source checkout's ``src/repro`` (rule paths in docs and
-    CI assume it); fall back to the installed package directory so the
-    command still works from anywhere.
+    Prefer a source checkout's ``src/repro`` and ``benchmarks/harness``
+    (rule paths in docs and CI assume them); fall back to the installed
+    package directory so the command still works from anywhere.
     """
     checkout = Path("src/repro")
     if checkout.is_dir():
-        return [checkout]
+        return [checkout, *(p for p in [Path("benchmarks/harness")] if p.is_dir())]
     return [Path(__file__).resolve().parents[1]]
 
 
@@ -81,7 +82,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (default: src/repro)",
+        help="files or directories to lint (default: src/repro, benchmarks/harness)",
     )
     parser.add_argument(
         "--select",

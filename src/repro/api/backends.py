@@ -74,7 +74,7 @@ from ..exceptions import (
 )
 from ..platforms.configuration import Configuration
 from ..schedules.base import SpeedSchedule, TwoSpeed
-from ..schedules.solver import ScheduleSolution, solve_schedule
+from ..schedules.solver import ScheduleSolution, schedule_min_bound, solve_schedule
 from ..schedules.vectorized import ScheduleGrid, solve_schedule_grid
 from ..sweep.vectorized import config_columns, evaluate_pair_grid, exact_overheads
 from .result import Provenance, Result
@@ -382,7 +382,9 @@ def _solve_two_speed(
 
     sol = solve_pair_combined(cfg, errors, pair[0], pair[1], scenario.rho)
     if sol is None:
-        raise InfeasibleBoundError(scenario.rho)
+        raise InfeasibleBoundError(
+            scenario.rho, schedule_min_bound(cfg, TwoSpeed(*pair), errors)
+        )
     return Result(
         scenario=scenario,
         provenance=Provenance(backend=backend),

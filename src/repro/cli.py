@@ -58,13 +58,6 @@ Commands
     Simulate a short application run and render a Figure-1 timeline.
 ``report``
     Regenerate the headline reproduction report (Markdown).
-``bench``
-    The statistically rigorous perf harness (:mod:`repro.perf`):
-    ``repro bench run`` measures the registered workload suites
-    (warmup + repetitions, medians, bootstrap CIs) and writes
-    ``BENCH_<suite>.json``; ``repro bench compare`` classifies two
-    reports via CI overlap (the CI regression gate); ``repro bench
-    list`` shows the suites.
 ``pool``
     The process-wide warm-worker execution pool behind
     ``transport="warm"`` (:mod:`repro.exec`): ``repro pool status``
@@ -295,38 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--montecarlo-samples", type=int, default=0,
                        help="add a simulation-agreement section with this many samples")
 
-    p_bench = sub.add_parser(
-        "bench", help="statistically rigorous perf benchmarks (BENCH_*.json)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    pb_run = bench_sub.add_parser(
-        "run", help="measure suites and write BENCH_<suite>.json"
-    )
-    pb_run.add_argument("suites", nargs="*", help="suite names (default: all)")
-    pb_run.add_argument(
-        "--quick", action="store_true", help="reduced grids (CI smoke sizes)"
-    )
-    pb_run.add_argument(
-        "--reps", type=int, default=5, help="timed repetitions per workload"
-    )
-    pb_run.add_argument(
-        "--warmup", type=int, default=1, help="untimed warmup calls per workload"
-    )
-    pb_run.add_argument(
-        "--out", default="results", help="directory for BENCH_<suite>.json"
-    )
-    pb_run.add_argument(
-        "--baseline-dir", default=None,
-        help="compare each suite against BENCH_<suite>.json in this "
-             "directory; exit 1 on any CI-overlap regression",
-    )
-    pb_cmp = bench_sub.add_parser(
-        "compare", help="classify two reports via CI overlap"
-    )
-    pb_cmp.add_argument("baseline", help="baseline BENCH_*.json")
-    pb_cmp.add_argument("current", help="current BENCH_*.json")
-    bench_sub.add_parser("list", help="list the registered bench suites")
-
     p_pool = sub.add_parser(
         "pool", help="inspect/control the warm-worker execution pool"
     )
@@ -396,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint", help="run the repo-specific static checks (docs/static-analysis.md)"
     )
-    p_lint.add_argument("paths", nargs="*", help="files/directories (default: src/repro)")
+    p_lint.add_argument("paths", nargs="*",
+                        help="files/directories (default: src/repro, benchmarks/harness)")
     p_lint.add_argument("--select", default=None, help="comma-separated rule codes")
     p_lint.add_argument("--list-rules", action="store_true", help="print the rule catalog")
     p_lint.add_argument("--all", action="store_true",
@@ -1061,109 +1023,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _print_report_summary(report: "object") -> None:
-    from .perf import BenchReport
-
-    assert isinstance(report, BenchReport)
-    print(f"suite {report.name}: {report.repetitions} reps, "
-          f"warmup {report.warmup}, {report.confidence:.0%} CIs")
-    for ws in report.workloads:
-        line = (
-            f"  {ws.name:20s} median {ws.median:10.4f}s "
-            f"[{ws.ci[0]:.4f}, {ws.ci[1]:.4f}]"
-        )
-        if ws.speedup is not None and ws.speedup_ci is not None:
-            line += (
-                f"  speedup {ws.speedup:6.2f}x "
-                f"[{ws.speedup_ci[0]:.2f}, {ws.speedup_ci[1]:.2f}] "
-                f"vs {ws.baseline}"
-            )
-        print(line)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .perf import (
-        BenchReport,
-        BenchRunner,
-        build_suite,
-        compare_reports,
-        suite_names,
-    )
-
-    if args.bench_command == "list":
-        print("bench suites (repro bench run [SUITE ...]):")
-        for name in suite_names():
-            workloads = build_suite(name, quick=True)
-            print(f"  {name:18s} {', '.join(w.name for w in workloads)}")
-        return 0
-
-    if args.bench_command == "compare":
-        base, cur = Path(args.baseline), Path(args.current)
-        if base.is_dir() and cur.is_dir():
-            # Directory mode: gate every BENCH_*.json present on both
-            # sides (the committed-baselines-vs-fresh-run shape).
-            shared = sorted(
-                p.name for p in base.glob("BENCH_*.json") if (cur / p.name).exists()
-            )
-            if not shared:
-                raise InvalidParameterError(
-                    f"no BENCH_*.json reports shared by {base} and {cur}"
-                )
-            pairs = [(base / n, cur / n) for n in shared]
-        elif base.is_file() and cur.is_file():
-            pairs = [(base, cur)]
-        else:
-            raise InvalidParameterError(
-                "bench compare needs two BENCH_*.json files or two "
-                f"report directories, got {base} and {cur}"
-            )
-        bad: list[str] = []
-        for base_path, cur_path in pairs:
-            comparison = compare_reports(
-                BenchReport.load(base_path), BenchReport.load(cur_path)
-            )
-            for wc in comparison.workloads:
-                print(f"  {wc.describe()}")
-            if not comparison.ok:
-                print(f"REGRESSION in suite {comparison.name}")
-                bad.append(comparison.name)
-            else:
-                print(f"suite {comparison.name}: no regressions")
-        return 1 if bad else 0
-
-    # run
-    names = tuple(args.suites) or suite_names()
-    unknown = [n for n in names if n not in suite_names()]
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown bench suite(s): {', '.join(unknown)}; "
-            f"available: {', '.join(suite_names())}"
-        )
-    runner = BenchRunner(repetitions=args.reps, warmup=args.warmup)
-    failed: list[str] = []
-    for name in names:
-        report = runner.run(name, build_suite(name, quick=args.quick))
-        path = report.write(args.out)
-        _print_report_summary(report)
-        print(f"  wrote {path}")
-        if args.baseline_dir is not None:
-            base_path = Path(args.baseline_dir) / f"BENCH_{name}.json"
-            if not base_path.exists():
-                print(f"  no baseline {base_path}; skipping gate")
-                continue
-            comparison = compare_reports(BenchReport.load(base_path), report)
-            for wc in comparison.workloads:
-                print(f"  {wc.describe()}")
-            if not comparison.ok:
-                failed.append(name)
-    if failed:
-        print(f"REGRESSION in suite(s): {', '.join(failed)}")
-        return 1
-    return 0
-
-
 def _cmd_pool(args: argparse.Namespace) -> int:
     """``repro pool``: status/stop of the process-wide warm pool.
 
@@ -1281,7 +1140,6 @@ _COMMANDS = {
     "multiverif": _cmd_multiverif,
     "trace": _cmd_trace,
     "report": _cmd_report,
-    "bench": _cmd_bench,
     "pool": _cmd_pool,
     "cache": _cmd_cache,
     "serve": _cmd_serve,

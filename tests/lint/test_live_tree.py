@@ -10,7 +10,9 @@ from pathlib import Path
 
 from repro._lint import lint_paths
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+HARNESS = ROOT / "benchmarks" / "harness"
 
 
 def test_source_checkout_present():
@@ -18,6 +20,6 @@ def test_source_checkout_present():
 
 
 def test_shipped_tree_is_lint_clean():
-    diagnostics = lint_paths([SRC])
+    diagnostics = lint_paths([SRC, HARNESS])
     rendered = "\n".join(d.render() for d in diagnostics)
     assert not diagnostics, f"repro-lint violations in shipped tree:\n{rendered}"

@@ -1,82 +1,83 @@
-"""The CI-overlap comparison gate and the ``repro bench`` CLI."""
+"""The per-workload gate rule and the harness command line."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from benchmarks.harness.__main__ import main
+from benchmarks.harness.report import (
+    BOUND,
+    BenchReport,
+    WorkloadStats,
+    compare_reports,
+    judge,
+)
+from benchmarks.harness.workloads import build_suite, suite_names
 from repro.exceptions import InvalidParameterError
-from repro.perf import BenchReport, WorkloadStats, compare_reports
-from repro.perf.workloads import build_suite, suite_names
 
 
-def _stats(
-    name: str,
-    median: float,
-    *,
-    baseline: str | None = None,
-    speedup: float | None = None,
-    speedup_ci: tuple[float, float] | None = None,
-) -> WorkloadStats:
+def _stats(name: str, median: float, *, spread: float = 0.05) -> WorkloadStats:
     return WorkloadStats(
         name=name,
         times=(median, median, median),
+        refs=(0.006, 0.006, 0.006),
         median=median,
-        ci=(median * 0.95, median * 1.05),
-        baseline=baseline,
-        speedup=speedup,
-        speedup_ci=speedup_ci,
+        ci=(median * (1 - spread), median * (1 + spread)),
     )
 
 
 def _report(*workloads: WorkloadStats, name: str = "suite") -> BenchReport:
-    return BenchReport(
-        name=name,
-        workloads=workloads,
-        repetitions=3,
-        warmup=1,
-        confidence=0.95,
-    )
+    return BenchReport(name=name, workloads=workloads, repetitions=3, warmup=1)
+
+
+def _verdicts(base: BenchReport, cur: BenchReport) -> dict[str, str]:
+    return {v.workload: v.verdict for v in compare_reports(base, cur)}
 
 
 def test_compare_verdicts() -> None:
-    base = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-        _stats("same", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-        _stats("better", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-    )
+    base = _report(_stats("slow", 1.0), _stats("near", 1.0), _stats("fast", 1.0),
+                   _stats("noisy", 1.0))
     cur = _report(
-        _stats("loop", 12.0),
-        # Disjoint CI below the baseline's: regression.
-        _stats("fast", 2.0, baseline="loop", speedup=5.0, speedup_ci=(4.0, 6.0)),
-        # Overlapping CI: indistinguishable even though the median moved.
-        _stats("same", 1.0, baseline="loop", speedup=10.5, speedup_ci=(9.5, 11.5)),
-        # Disjoint CI above: improvement.
-        _stats("better", 0.5, baseline="loop", speedup=20.0, speedup_ci=(18.0, 22.0)),
+        # Adjusted 2x slower, disjoint CIs: a regression.
+        _stats("slow", 2.0),
+        # Slower with disjoint CIs, but within BOUND: not a regression.
+        _stats("near", 0.5 * (1.0 + BOUND)),
+        # 2x faster with disjoint CIs: an improvement.
+        _stats("fast", 0.5),
+        # 2x slower but the CIs overlap: indistinguishable.
+        _stats("noisy", 2.0, spread=0.6),
     )
-    cmp_ = compare_reports(base, cur)
-    verdicts = {w.name: w.verdict for w in cmp_.workloads}
-    assert verdicts == {
-        "loop": "informational",
-        "fast": "regression",
-        "same": "indistinguishable",
-        "better": "improvement",
+    assert BOUND < 2.0, "a 2x slowdown must be able to fail the gate"
+    assert _verdicts(base, cur) == {
+        "slow": "regression",
+        "near": "indistinguishable",
+        "fast": "improvement",
+        "noisy": "indistinguishable",
     }
-    assert not cmp_.ok
-    assert [w.name for w in cmp_.regressions] == ["fast"]
-    assert [w.name for w in cmp_.improvements] == ["better"]
-    assert "regression" in cmp_.workloads[1].describe()
+    [slow] = [v for v in compare_reports(base, cur) if v.verdict == "regression"]
+    assert slow.describe().startswith("suite/slow: regression")
+
+
+def test_verdict_ignores_other_workloads() -> None:
+    """A workload is judged only on its own entry: when another
+    workload of the suite gets 10x faster, its verdict does not move."""
+    base = _report(_stats("loop", 1.0), _stats("kernel", 0.1), _stats("slower", 0.1))
+    same = _report(_stats("loop", 1.0), _stats("kernel", 0.1), _stats("slower", 0.25))
+    faster_loop = replace(same, workloads=(_stats("loop", 0.1), *same.workloads[1:]))
+    assert _verdicts(base, faster_loop)["loop"] == "improvement"
+    for name in ("kernel", "slower"):
+        assert _verdicts(base, faster_loop)[name] == _verdicts(base, same)[name]
+    assert _verdicts(base, same)["slower"] == "regression"
+    assert judge(_stats("x", 1.0), _stats("x", 1.0)) == "indistinguishable"
 
 
 def test_compare_skips_unshared_workloads() -> None:
     base = _report(_stats("loop", 10.0))
-    cur = _report(
-        _stats("loop", 10.0),
-        _stats("new", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-    )
-    cmp_ = compare_reports(base, cur)
-    assert [w.name for w in cmp_.workloads] == ["loop"]
-    assert cmp_.ok
+    cur = _report(_stats("loop", 10.0), _stats("new", 1.0))
+    assert [v.workload for v in compare_reports(base, cur)] == ["loop"]
 
 
 def test_compare_rejects_suite_mismatch() -> None:
@@ -88,17 +89,14 @@ def test_compare_rejects_suite_mismatch() -> None:
 
 
 def test_committed_baselines_cover_every_gated_workload() -> None:
-    """Each suite's candidate workloads appear in its committed quick
-    baseline, so the CI gate compares every one of them.  The gate skips
-    unshared workloads, so a renamed workload would otherwise escape it
-    without a word."""
-    from pathlib import Path
-
+    """Every quick workload appears in its suite's committed baseline.
+    The gate skips unshared workloads, so a renamed workload would
+    otherwise escape it without a word."""
     baselines = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
     for name in suite_names():
         committed = BenchReport.load(baselines / f"BENCH_{name}.json")
-        gated = {w.name for w in build_suite(name, quick=True) if w.baseline}
-        assert gated <= {w.name for w in committed.workloads}, name
+        wanted = {w.name for w in build_suite(name, quick=True)}
+        assert wanted == {w.name for w in committed.workloads}, name
 
 
 def test_suite_registry() -> None:
@@ -107,135 +105,89 @@ def test_suite_registry() -> None:
         "dispatch_overhead", "service_dispatch",
     )
     for name in suite_names():
-        suite = build_suite(name, quick=True)
-        names = [w.name for w in suite]
+        names = [w.name for w in build_suite(name, quick=True)]
         assert len(names) == len(set(names))
-        for wl in suite:
-            if wl.baseline is not None:
-                assert wl.baseline in names[: names.index(wl.name)], (
-                    "baselines must be measured before their candidates"
-                )
     with pytest.raises(InvalidParameterError):
         build_suite("nope")
 
 
 # ----------------------------------------------------------------------
-# CLI surface
+# Command line
 # ----------------------------------------------------------------------
 
 
 def test_cli_bench_list(capsys) -> None:
-    from repro.cli import main
-
-    assert main(["bench", "list"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     for name in suite_names():
         assert name in out
 
 
 def test_cli_bench_run_and_gate(tmp_path, capsys) -> None:
-    from dataclasses import replace
-
-    from repro.cli import main
-
-    out_dir = tmp_path / "run1"
-    rc = main([
-        "bench", "run", "study_batch", "--quick",
-        "--reps", "2", "--warmup", "0", "--out", str(out_dir),
-    ])
+    rc = main(["run", "study_batch", "--quick", "--reps", "2", "--out", str(tmp_path / "run1")])
     assert rc == 0
-    report_path = out_dir / "BENCH_study_batch.json"
-    assert report_path.exists()
-    first = BenchReport.load(report_path)
+    first = BenchReport.load(tmp_path / "run1" / "BENCH_study_batch.json")
     assert first.name == "study_batch"
 
     def scaled(factor: float) -> BenchReport:
-        """The first report with grid_backend's speedup and CI scaled."""
         return replace(first, workloads=tuple(
-            replace(
-                w,
-                speedup=w.speedup * factor,
-                speedup_ci=(w.speedup_ci[0] * factor, w.speedup_ci[1] * factor),
-            )
-            if w.name == "grid_backend" else w
+            replace(w, median=w.median * factor, ci=(w.ci[0] * factor, w.ci[1] * factor))
             for w in first.workloads
         ))
 
-    # A real second run, gated against baselines 1000x below and 1000x
-    # above the first run's speedup: far outside run-to-run noise, so
-    # the first gate passes and the second must flag the regression.
-    scaled(1e-3).write(tmp_path / "slow_base")
-    scaled(1e3).write(tmp_path / "fast_base")
+    # A real second run, gated against baselines 1000x slower and 1000x
+    # faster than the first run: far outside run-to-run noise, so the
+    # first gate passes and the second flags every workload.
+    scaled(1e3).write(tmp_path / "slow_base")
+    scaled(1e-3).write(tmp_path / "fast_base")
     capsys.readouterr()
     for base, expected_rc in (("slow_base", 0), ("fast_base", 1)):
         rc = main([
-            "bench", "run", "study_batch", "--quick",
-            "--reps", "2", "--warmup", "0",
-            "--out", str(tmp_path / f"run_{base}"),
-            "--baseline-dir", str(tmp_path / base),
+            "run", "study_batch", "--quick", "--reps", "2",
+            "--out", str(tmp_path / f"run_{base}"), "--baseline-dir", str(tmp_path / base),
         ])
         out = capsys.readouterr().out
         assert rc == expected_rc, out
-        assert ("REGRESSION" in out) == bool(expected_rc)
+        if expected_rc:
+            assert "REGRESSION: study_batch/firstorder_loop, study_batch/grid_backend" in out
 
 
 def test_cli_bench_compare_exit_codes(tmp_path, capsys) -> None:
-    from repro.cli import main
-
-    base = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-    )
-    good = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 1.0, baseline="loop", speedup=10.5, speedup_ci=(9.5, 11.5)),
-    )
-    bad = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 3.0, baseline="loop", speedup=3.0, speedup_ci=(2.5, 3.5)),
-    )
+    base = _report(_stats("loop", 10.0), _stats("fast", 1.0))
+    good = _report(_stats("loop", 10.0), _stats("fast", 1.05))
+    bad = _report(_stats("loop", 10.0), _stats("fast", 3.0))
     base.write(tmp_path / "base")
     good.write(tmp_path / "good")
     bad.write(tmp_path / "bad")
     b = str(tmp_path / "base" / "BENCH_suite.json")
-    assert main(["bench", "compare", b,
-                 str(tmp_path / "good" / "BENCH_suite.json")]) == 0
-    assert main(["bench", "compare", b,
-                 str(tmp_path / "bad" / "BENCH_suite.json")]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
+    assert main(["compare", b, str(tmp_path / "good" / "BENCH_suite.json")]) == 0
+    assert main(["compare", b, str(tmp_path / "bad" / "BENCH_suite.json")]) == 1
+    assert "REGRESSION: suite/fast" in capsys.readouterr().out
 
 
 def test_cli_bench_compare_directories(tmp_path, capsys) -> None:
-    from repro.cli import main
-
-    base = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 1.0, baseline="loop", speedup=10.0, speedup_ci=(9.0, 11.0)),
-    )
-    bad = _report(
-        _stats("loop", 10.0),
-        _stats("fast", 3.0, baseline="loop", speedup=3.0, speedup_ci=(2.5, 3.5)),
-    )
+    base = _report(_stats("loop", 10.0), _stats("fast", 1.0))
+    bad = _report(_stats("loop", 10.0), _stats("fast", 3.0))
     base.write(tmp_path / "base")
     base.write(tmp_path / "same")
     bad.write(tmp_path / "bad")
-    assert main(["bench", "compare", str(tmp_path / "base"),
-                 str(tmp_path / "same")]) == 0
-    assert main(["bench", "compare", str(tmp_path / "base"),
-                 str(tmp_path / "bad")]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-    # A directory without shared reports (or a file/dir mix) is a
-    # parameter error, not a traceback.
-    with pytest.raises(InvalidParameterError):
-        main(["bench", "compare", str(tmp_path / "base"), str(tmp_path)])
-    with pytest.raises(InvalidParameterError):
-        main(["bench", "compare", str(tmp_path / "base"),
-              str(tmp_path / "base" / "BENCH_suite.json")])
+    assert main(["compare", str(tmp_path / "base"), str(tmp_path / "same")]) == 0
+    assert main(["compare", str(tmp_path / "base"), str(tmp_path / "bad")]) == 1
+    assert "REGRESSION: suite/fast" in capsys.readouterr().out
+    # No shared reports, or a file/directory mix, is a usage error.
+    assert main(["compare", str(tmp_path / "base"), str(tmp_path)]) == 2
+    assert main(["compare", str(tmp_path / "base"),
+                 str(tmp_path / "base" / "BENCH_suite.json")]) == 2
+
+
+def test_harness_refuses_schema_1_baseline(tmp_path, capsys) -> None:
+    (tmp_path / "BENCH_suite.json").write_text('{"schema": "repro-bench/1", "name": "suite"}')
+    _report(_stats("a", 1.0)).write(tmp_path / "cur")
+    assert main(["compare", str(tmp_path / "BENCH_suite.json"),
+                 str(tmp_path / "cur" / "BENCH_suite.json")]) == 2
+    assert "re-record" in capsys.readouterr().err
 
 
 def test_cli_bench_run_rejects_unknown_suite(tmp_path) -> None:
-    from repro.cli import main
-
-    with pytest.raises(InvalidParameterError):
-        main(["bench", "run", "nope", "--out", str(tmp_path)])
-
+    with pytest.raises(SystemExit):
+        main(["run", "nope", "--out", str(tmp_path)])

@@ -1,17 +1,12 @@
-"""The perf estimators: medians, bootstrap CIs, interval overlap."""
+"""The harness estimators: medians, bootstrap CIs, interval overlap."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from benchmarks.harness.report import bootstrap_median_ci, intervals_overlap, median
 from repro.exceptions import InvalidParameterError
-from repro.perf import (
-    bootstrap_median_ci,
-    bootstrap_speedup_ci,
-    intervals_overlap,
-    median,
-)
 
 
 def test_median_plain() -> None:
@@ -56,23 +51,6 @@ def test_bootstrap_ci_rejects_bad_confidence() -> None:
         bootstrap_median_ci([1.0, 2.0], confidence=1.0)
     with pytest.raises(InvalidParameterError):
         bootstrap_median_ci([1.0, 2.0], confidence=0.0)
-
-
-def test_speedup_ci_brackets_true_ratio() -> None:
-    rng = np.random.default_rng(3)
-    base = list(2.0 + rng.normal(0.0, 0.05, size=25))
-    cand = list(0.5 + rng.normal(0.0, 0.02, size=25))
-    lo, hi = bootstrap_speedup_ci(base, cand)
-    assert lo <= 4.0 <= hi or abs(median(base) / median(cand) - 4.0) < 0.5
-    assert lo <= median(base) / median(cand) <= hi
-    assert lo > 1.0, "a 4x speedup must be significant at these noise levels"
-
-
-def test_speedup_ci_rejects_nonpositive_timings() -> None:
-    with pytest.raises(InvalidParameterError):
-        bootstrap_speedup_ci([1.0, 2.0], [0.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        bootstrap_speedup_ci([-1.0, 2.0], [1.0, 1.0])
 
 
 def test_intervals_overlap_truth_table() -> None:

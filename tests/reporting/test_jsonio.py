@@ -258,7 +258,7 @@ class TestArtifactPins:
         assert response.body == json.dumps(snapshot, indent=2).encode() + b"\n"
 
     def test_bench_report(self, tmp_path):
-        from repro.perf.runner import BenchReport, WorkloadStats
+        from benchmarks.harness.report import BenchReport, WorkloadStats
 
         report = BenchReport(
             name="pin",
@@ -266,6 +266,7 @@ class TestArtifactPins:
                 WorkloadStats(
                     name="a",
                     times=(0.5, 0.25),
+                    refs=(0.006, 0.005),
                     median=0.375,
                     ci=(0.25, 0.5),
                     metrics={"nan": float("nan"), "n": 3},
@@ -273,7 +274,6 @@ class TestArtifactPins:
             ),
             repetitions=3,
             warmup=0,
-            confidence=0.95,
             environment={"python": "x", "é": [1, 2.5]},
         )
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=False) + "\n"

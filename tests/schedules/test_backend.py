@@ -128,18 +128,23 @@ class TestLegacyEquivalence:
                     failstop_fraction=0.5, schedule=TwoSpeed(s1, s2),
                 )
                 direct = solve_pair_combined(cfg, errors, s1, s2, RHO)
+                rho_min = None
                 if direct is None:
-                    with pytest.raises(InfeasibleBoundError):
+                    with pytest.raises(InfeasibleBoundError) as info:
                         sc.solve(backend="schedule", cache=False)
+                    rho_min = info.value.rho_min
+                    assert rho_min is not None
                 else:
                     assert sc.solve(backend="schedule", cache=False).best == direct
                 scenarios.append(sc)
-                oracles.append(direct)
+                oracles.append((direct, rho_min))
         results = Experiment.from_scenarios(scenarios).solve(cache=False)
         assert {r.provenance.backend for r in results} == {"schedule-grid"}
-        assert any(o is None for o in oracles)
-        for result, direct in zip(results, oracles):
+        assert any(direct is None for direct, _ in oracles)
+        for result, (direct, rho_min) in zip(results, oracles):
             assert_matches_oracle(result.best, direct)
+            if direct is None:
+                assert result.rho_min == pytest.approx(rho_min, rel=1e-6)
 
     def test_constant_diagonal_equals_two_speed_diagonal(self, hera_xscale):
         a = Scenario(
