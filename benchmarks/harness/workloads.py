@@ -168,13 +168,13 @@ def experiment_plan_scenarios(*, quick: bool = False) -> "list[Scenario]":
     ]
 
 
-def dispatch_scenarios(*, quick: bool = False) -> "list[Scenario]":
+def dispatch_scenarios() -> "list[Scenario]":
     """The ``dispatch_overhead`` grid: a small per-scenario-backend
-    plan (12 bounds; quick: 4), so shard *dispatch* — not solving —
-    dominates each plan."""
+    plan (12 bounds), so shard *dispatch* — not solving — dominates
+    each plan."""
     from repro.api.scenario import Scenario
 
-    rhos = np.linspace(2.9, 3.6, 4 if quick else 12)
+    rhos = np.linspace(2.9, 3.6, 12)
     return [Scenario(config=_CONFIG, rho=float(rho)) for rho in rhos]
 
 
@@ -281,8 +281,10 @@ def _study_batch_suite(quick: bool) -> tuple[Workload, ...]:
 
 
 def _dispatch_overhead_suite(quick: bool) -> tuple[Workload, ...]:
-    scenarios = dispatch_scenarios(quick=quick)
-    plans = 2 if quick else 4
+    # One size for quick and full runs: 2 plans of 4 scenarios (~3 ms)
+    # spread 1.66x over same-tree runs, too close to the gate's BOUND.
+    scenarios = dispatch_scenarios()
+    plans = 4
 
     def _run_plans(transport: "str | None") -> dict[str, float]:
         from repro.api.experiment import Experiment

@@ -135,16 +135,28 @@ class ArrivalProcess(CanonicalIdentity, abc.ABC):
         """Mean inter-arrival time ``E[X]`` in seconds."""
 
     @abc.abstractmethod
+    def _cdf(self, t: FloatArray) -> FloatArray:
+        """The CDF on a float64 array of windows ``t >= 0``, unchecked
+        (the kernel's entry; :meth:`failure_probability` wraps it)."""
+
+    @abc.abstractmethod
+    def _capped(self, t: FloatArray) -> FloatArray:
+        """``E[min(X, t)]`` on a float64 array of windows ``t >= 0``,
+        unchecked (:meth:`expected_exposure` wraps it)."""
+
     def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
         """CDF: probability of >= 1 arrival within ``exposure`` seconds.
 
         Broadcasts over ``exposure``; rejects negative windows.
         """
+        p = self._cdf(_nonneg_exposure(exposure))
+        return float(p) if is_scalar(exposure) else p
 
-    @abc.abstractmethod
     def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
         """``E[min(X, t)]``: expected busy seconds before the first
         arrival or the window's end.  Broadcasts over ``window``."""
+        m = self._capped(_nonneg_exposure(window))
+        return float(m) if is_scalar(window) else m
 
     @abc.abstractmethod
     def sample_interarrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
@@ -352,19 +364,16 @@ class ExponentialArrivals(ArrivalProcess):
     def mtbf(self) -> float:
         return 1.0 / self.rate
 
-    def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
-        t = _nonneg_exposure(exposure)
-        p = -np.expm1(-self.rate * t)
-        return float(p) if is_scalar(exposure) else p
+    def _cdf(self, t: FloatArray) -> FloatArray:
+        return -np.expm1(-self.rate * t)
 
     def survival_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
         t = _nonneg_exposure(exposure)
         q = np.exp(-self.rate * t)
         return float(q) if is_scalar(exposure) else q
 
-    def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
-        _nonneg_exposure(window)
-        return capped_exposure(self.rate, window)
+    def _capped(self, t: FloatArray) -> FloatArray:
+        return capped_exposure(self.rate, t)  # type: ignore[return-value]
 
     def expected_time_lost(self, window: ScalarOrArray) -> ScalarOrArray:
         # The numerically hardened exponential form (series fallback for
@@ -440,23 +449,18 @@ class WeibullArrivals(ArrivalProcess):
     def mtbf(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
-    def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
-        t = _nonneg_exposure(exposure)
-        p = -np.expm1(-((t / self.scale) ** self.shape))
-        return float(p) if is_scalar(exposure) else p
+    def _cdf(self, t: FloatArray) -> FloatArray:
+        return -np.expm1(-((t / self.scale) ** self.shape))
 
     def survival_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
         t = _nonneg_exposure(exposure)
         q = np.exp(-((t / self.scale) ** self.shape))
         return float(q) if is_scalar(exposure) else q
 
-    def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
+    def _capped(self, t: FloatArray) -> FloatArray:
         from scipy.special import gammainc
 
-        t = _nonneg_exposure(window)
-        x = (t / self.scale) ** self.shape
-        m = self.mtbf * gammainc(1.0 / self.shape, x)
-        return float(m) if is_scalar(window) else m
+        return self.mtbf * gammainc(1.0 / self.shape, (t / self.scale) ** self.shape)
 
     def sample_interarrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
         return self.scale * rng.weibull(self.shape, size=size)
@@ -524,12 +528,10 @@ class GammaArrivals(ArrivalProcess):
     def mtbf(self) -> float:
         return self.shape * self.scale
 
-    def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
+    def _cdf(self, t: FloatArray) -> FloatArray:
         from scipy.special import gammainc
 
-        t = _nonneg_exposure(exposure)
-        p = gammainc(self.shape, t / self.scale)
-        return float(p) if is_scalar(exposure) else p
+        return gammainc(self.shape, t / self.scale)
 
     def survival_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
         from scipy.special import gammaincc
@@ -538,13 +540,11 @@ class GammaArrivals(ArrivalProcess):
         q = gammaincc(self.shape, t / self.scale)
         return float(q) if is_scalar(exposure) else q
 
-    def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
+    def _capped(self, t: FloatArray) -> FloatArray:
         from scipy.special import gammainc, gammaincc
 
-        t = _nonneg_exposure(window)
         x = t / self.scale
-        m = t * gammaincc(self.shape, x) + self.mtbf * gammainc(self.shape + 1.0, x)
-        return float(m) if is_scalar(window) else m
+        return t * gammaincc(self.shape, x) + self.mtbf * gammainc(self.shape + 1.0, x)
 
     def sample_interarrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
         return rng.gamma(self.shape, self.scale, size=size)
@@ -660,18 +660,13 @@ class TraceArrivals(ArrivalProcess):
     def mtbf(self) -> float:
         return float(self._prefix[-1] / self.n_samples)
 
-    def failure_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
-        t = _nonneg_exposure(exposure)
-        k = np.searchsorted(self._sorted, t, side="right")
-        p = k / self.n_samples
-        return float(p) if is_scalar(exposure) else p
+    def _cdf(self, t: FloatArray) -> FloatArray:
+        return np.searchsorted(self._sorted, t, side="right") / self.n_samples
 
-    def expected_exposure(self, window: ScalarOrArray) -> ScalarOrArray:
-        t = _nonneg_exposure(window)
+    def _capped(self, t: FloatArray) -> FloatArray:
         n = self.n_samples
         k = np.searchsorted(self._sorted, t, side="right")
-        m = (self._prefix[k] + (n - k) * t) / n
-        return float(m) if is_scalar(window) else m
+        return (self._prefix[k] + (n - k) * t) / n
 
     def sample_interarrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
         return rng.choice(self._sorted, size=size, replace=True)
@@ -863,34 +858,37 @@ class ErrorModel(CanonicalIdentity):
         sources), and the busy time is the fail-stop-capped exposure
         ``E[min(X_f, tau)]`` (the full ``tau`` when no fail-stop
         source exists — silent errors are only caught by the
-        verification).  Broadcasts over arrays; used directly by the
-        vectorised kernel, wrapped by :meth:`attempt_failure_probability`
-        / :meth:`attempt_exposure`.
+        verification).  Broadcasts over arrays and rejects negative
+        windows; wraps :meth:`_window_primitives` (the vectorised
+        kernel's entry, on its own float64 arrays) and is wrapped by
+        :meth:`attempt_failure_probability` / :meth:`attempt_exposure`.
         """
-        tau = as_float_array(tau)
-        omega = as_float_array(omega)
-        if self._failstop is None:
-            p = self.process.failure_probability(omega)
-            m = tau
-        elif self._silent is None:
-            p = self.process.failure_probability(tau)
-            m = self.process.expected_exposure(tau)
-        else:
-            # Inclusion-exclusion on the per-source CDFs rather than
-            # 1 - S_f S_s: the survival product cancels catastrophically
-            # for small probabilities (1 - exp(-x) loses ~x relative
-            # digits), while each family's failure_probability is
-            # expm1-stable and the combination below never subtracts
-            # near-equal quantities.
-            p_f = self._failstop.failure_probability(tau)
-            p_s = self._silent.failure_probability(omega)
-            # Inclusion-exclusion in the form p_f + p_s (1 - p_f): free
-            # of the 1 - S_f S_s cancellation for small probabilities,
-            # exactly 1 once the fail-stop CDF saturates, and <= 1 in
-            # exact arithmetic (clamp the last-ulp rounding excursions).
-            p = np.minimum(p_f + p_s * (1.0 - p_f), 1.0)
-            m = self._failstop.expected_exposure(tau)
+        tau = _nonneg_exposure(tau)
+        p, m = self._window_primitives(tau, _nonneg_exposure(omega))
         return np.asarray(p, dtype=np.float64), np.asarray(m, dtype=np.float64)
+
+    def _window_primitives(
+        self, tau: FloatArray, omega: FloatArray
+    ) -> tuple[FloatArray, FloatArray]:
+        """:meth:`per_window_primitives` on float64 arrays as they are:
+        no coercion, and one sign check, of the smallest window a CDF
+        reads (the attempt's ``tau = omega + V / s`` never falls below
+        ``omega``).  ``m`` may be ``tau`` itself."""
+        if ((tau if self._silent is None else omega) < 0).any():
+            raise InvalidParameterError("exposure must be >= 0")
+        if self._failstop is None:
+            return self.process._cdf(omega), tau
+        if self._silent is None:
+            return self.process._cdf(tau), self.process._capped(tau)
+        # Inclusion-exclusion in the form p_f + p_s (1 - p_f) rather than
+        # 1 - S_f S_s: the survival product cancels catastrophically for
+        # small probabilities (1 - exp(-x) loses ~x relative digits),
+        # while each family's CDF is expm1-stable; the form is exactly 1
+        # once the fail-stop CDF saturates, and <= 1 in exact arithmetic
+        # (clamp the last-ulp rounding excursions).
+        p_f = self._failstop._cdf(tau)
+        p = np.minimum(p_f + self._silent._cdf(omega) * (1.0 - p_f), 1.0)
+        return p, self._failstop._capped(tau)
 
     def attempt_failure_probability(
         self, work: ScalarOrArray, speed: float, verification_time: float = 0.0

@@ -7,9 +7,9 @@ scenario at a time in scalar Python.  This module closes that gap: a
 :class:`ScheduleGrid` stacks the model parameters of many
 ``(configuration, schedule, error-model)`` points into arrays so that
 
-* the per-attempt failure/exposure primitives broadcast over a
-  ``(point, work)`` grid — one pass evaluates *every* point at *every*
-  pattern size at once;
+* the per-attempt failure/exposure primitives broadcast over an
+  ``(attempt column, point, work)`` stack — one pass evaluates *every*
+  head speed and the tail of *every* point at *every* pattern size;
 * the closed-form geometric tails are computed column-wise (one
   ``expm1``/``where`` chain for the whole grid, exactly as in
   :mod:`repro.schedules.evaluator`);
@@ -151,6 +151,11 @@ DEFAULT_SOLVER_OPTIONS = SolverOptions()
 #: ``0 * inf`` to ``+inf``; a solve enters it once for all its probes.
 _PROBE_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
+#: Stacked cells (``(H + 1) * rows * work points``) per accumulation
+#: block of :meth:`ScheduleGrid._expectations`: bounds the temporaries
+#: of a long shared work axis (2 MiB per float64 stack).
+_BLOCK_CELLS = 1 << 18
+
 
 def _capped_exposure_cols(lam_f: np.ndarray, divisor: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Column-wise :func:`repro.errors.exponential.capped_exposure`.
@@ -182,9 +187,11 @@ class ScheduleGrid:
     entirely in the ``lam_f``/``lam_s`` columns and keep the scalar
     fast path's arithmetic bit for bit; rows carrying a general renewal
     :class:`ErrorModel` are listed in ``models`` and have their
-    per-attempt primitives computed through the model's renewal CDFs —
-    row-wise over the batch, but fully vectorised along the work axis,
-    so a mixed grid still evaluates in broadcast passes.
+    per-attempt primitives computed through the model's renewal CDFs.
+    Every evaluation is one primitive pass over ``(H + 1, n, m)``
+    stacks — the head columns, then the tail, of every row at every
+    work point — with one call per distinct model, so a mixed grid
+    still evaluates in broadcast passes.
     """
 
     head: np.ndarray
@@ -202,24 +209,24 @@ class ScheduleGrid:
     #: ``lam_f``/``lam_s`` column entries are placeholders (0).
     models: tuple[tuple[int, ErrorModel], ...] = ()
     #: Rows grouped by *distinct* model, precomputed so the hot
-    #: ``_primitives`` path makes one vectorised sub-matrix call per
+    #: ``_primitives`` path makes one vectorised sub-stack call per
     #: model rather than one per row (a study grid typically shares a
     #: handful of models across many (schedule, rho) rows).  A model
     #: covering every row has index ``None``: its call takes the whole
-    #: arrays, with no gather or scatter.
+    #: stacks, with no gather or scatter.
     _model_groups: tuple[tuple[ErrorModel, np.ndarray | None], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
     #: ``lam_f`` with zeros set to 1 (see :func:`_capped_exposure_cols`).
     _lam_f_divisor: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Per head column ``(speeds, power, active)``, hoisted out of every
-    #: evaluation: the ``(n, 1)`` speed slice, its power
-    #: ``kappa * s**3 + idle`` and the rows still in their head
-    #: (``None`` when that is every row, so no mask is applied).
-    _columns: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _tail_power: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``(H + 1, n, 1)`` stacks hoisted out of every evaluation: the
+    #: speeds of the head columns and then the tail, and their powers
+    #: ``kappa * s**3 + idle``.
+    _speeds: np.ndarray = field(init=False, repr=False, compare=False)
+    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``(H, n, 1)``: the rows still in their head at each head column
+    #: (``None`` when every row has a full head, so no mask is applied).
+    _active: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         groups: dict[ErrorModel, list[int]] = {}
@@ -235,13 +242,14 @@ class ScheduleGrid:
             ),
         )
         object.__setattr__(self, "_lam_f_divisor", np.where(self.lam_f == 0, 1.0, self.lam_f))
-        columns = []
-        for j in range(self.head.shape[1]):
-            s = self.head[:, j : j + 1]
-            active = j < self.head_len
-            columns.append((s, self.kappa * s**3 + self.idle, None if active.all() else active))
-        object.__setattr__(self, "_columns", tuple(columns))
-        object.__setattr__(self, "_tail_power", self.kappa * self.tail**3 + self.idle)
+        H = self.head.shape[1]
+        # One (n, 1) slice per column, each powered on its own, so every
+        # power rounds as the per-column evaluation always did.
+        cols = [self.head[:, j : j + 1] for j in range(H)] + [self.tail]
+        object.__setattr__(self, "_speeds", np.stack(cols))
+        object.__setattr__(self, "_powers", np.stack([self.kappa * s**3 + self.idle for s in cols]))
+        active = np.arange(H)[:, None, None] < self.head_len
+        object.__setattr__(self, "_active", None if active.all() else active)
 
     @property
     def n(self) -> int:
@@ -353,29 +361,29 @@ class ScheduleGrid:
         )
 
     # ------------------------------------------------------------------
-    def _primitives(
-        self, w: FloatArray, s: FloatArray
-    ) -> tuple[FloatArray, FloatArray]:
-        """Per-attempt ``(failure probability, capped exposure)`` at
-        speed ``s``, broadcast over the work grid ``w``.
+    def _primitives(self, w: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Per-attempt ``(failure probability, capped exposure)`` of
+        every head column and the tail, as ``(H + 1, n, m)`` stacks over
+        the work grid ``w``.
 
-        The exponential column pass runs over every row first — its
-        expressions (and hence the exponential rows' bits) are exactly
-        the scalar fast path's — then the general-model rows are
-        overwritten through their renewal primitives, each call
-        vectorised along the work axis.  Exponential rows are therefore
-        independent of which models share the batch.  One model
-        covering every row takes the whole arrays, with no pass.
+        One pass serves every column: ``tau`` and ``omega`` are built
+        once, and each distinct renewal model is called once on its rows
+        of the stacks.  The exponential column pass runs over every row
+        first — its expressions (and hence the exponential rows' bits)
+        are exactly the scalar fast path's — then the general-model rows
+        are overwritten, so exponential rows are independent of which
+        models share the batch.  One model covering every row takes the
+        whole stacks, with no pass.
         """
-        tau = (w + self.V) / s
-        omega = w / s
+        tau = (w + self.V) / self._speeds
+        omega = w / self._speeds
         groups = self._model_groups
         if groups and groups[0][1] is None:
-            return groups[0][0].per_window_primitives(tau, omega)
+            return groups[0][0]._window_primitives(tau, omega)
         p = -np.expm1(-(self.lam_f * tau + self.lam_s * omega))
         m = _capped_exposure_cols(self.lam_f, self._lam_f_divisor, tau)
         for model, idx in groups:
-            p[idx], m[idx] = model.per_window_primitives(tau[idx], omega[idx])
+            p[:, idx], m[:, idx] = model._window_primitives(tau[:, idx], omega[:, idx])
         return p, m
 
     def evaluate(
@@ -421,45 +429,75 @@ class ScheduleGrid:
         self, w: FloatArray, *, components: tuple[str, ...], full: bool,
         max_attempts: int | None = None,
     ) -> tuple[FloatArray | None, ...]:
-        """The accumulation loop behind :meth:`evaluate` and the probes:
+        """The accumulation behind :meth:`evaluate` and the probes:
         ``(time, energy, attempts, tail_bound_time, tail_bound_energy)``.
 
         Only the wanted components are accumulated; ``full=False`` (the
         solver's probes) also skips the attempt count and the tail
-        bounds, which are then ``None``.  Only the truncated tail is
-        silenced (``1/0`` and ``0/0`` are masked out before they happen);
-        the probes' callers hold :data:`_PROBE_ERRSTATE`.
+        bounds, which are then ``None``.  The stacks hold ``H + 1``
+        copies of the work grid, so a shared work axis is accumulated in
+        blocks of at most :data:`_BLOCK_CELLS` stacked cells (a probe,
+        one point per row, is always one block).
         """
         if w.ndim < 2:
             w = np.atleast_2d(w)
+        points = w.shape[-1]
+        width = max(1, _BLOCK_CELLS // (self._speeds.shape[0] * self.n))
+        if points <= width:
+            return self._accumulate(w, components, full, max_attempts)
+        outs: list[FloatArray | None] = []
+        for start in range(0, points, width):
+            block = self._accumulate(w[..., start : start + width], components, full, max_attempts)
+            if not outs:
+                outs = [None if b is None else np.empty((*b.shape[:-1], points)) for b in block]
+            for out, b in zip(outs, block):
+                if out is not None:
+                    out[..., start : start + width] = b
+        return tuple(outs)
+
+    def _accumulate(
+        self, w: FloatArray, components: tuple[str, ...], full: bool,
+        max_attempts: int | None,
+    ) -> tuple[FloatArray | None, ...]:
+        """One block of :meth:`_expectations`, in the per-column order
+        of the scalar evaluator: ``C`` first, then each head column, the
+        tail last.  The sums start from the ``(n, 1)`` column
+        ``C + 0.0``, whose broadcast is the old ``C + zeros`` bit for bit.
+        Only the truncated tail is silenced (``1/0`` and ``0/0`` are
+        masked out before they happen); the probes' callers hold
+        :data:`_PROBE_ERRSTATE`."""
         want_time = "time" in components
         want_energy = "energy" in components
-        shape = np.broadcast_shapes(w.shape, (self.n, 1))
-        zeros = np.zeros(shape)
-        t = self.C + zeros if want_time else None
-        e = self.C * self.p_io + zeros if want_energy else None
-        attempts = zeros if full else None
-        reach = np.ones(shape)
+        H = self._speeds.shape[0] - 1
+        p, m = self._primitives(w)
+        shape = p.shape[1:]
+        pR = p * self.R
+        unit_t = m + pR if want_time else None
+        unit_e = m * self._powers + pR * self.p_io if want_energy else None
+        # reach[j]: probability of reaching attempt j, the running product
+        # of the head columns' failure probabilities (1 past a row's head).
+        reach = np.empty(p.shape)
+        reach[0] = 1.0
+        np.multiply.accumulate(_masked(self._active, p[:H], 1.0), axis=0, out=reach[1:])
 
-        for s, power, active in self._columns:
-            p, m = self._primitives(w, s)
-            if want_time:
-                t = t + _masked(active, reach * (m + p * self.R), 0.0)
-            if want_energy:
-                e = e + _masked(active, reach * (m * power + p * self.R * self.p_io), 0.0)
-            if full:
-                attempts = attempts + _masked(active, reach, 0.0)
-            reach = reach * _masked(active, p, 1.0)
+        t = self.C + 0.0 if want_time else None
+        e = self.C * self.p_io + 0.0 if want_energy else None
+        attempts = np.zeros(shape) if full else None
+        head = reach[:H]
+        if want_time:
+            for x in _masked(self._active, head * unit_t[:H], 0.0):
+                t = t + x
+        if want_energy:
+            for x in _masked(self._active, head * unit_e[:H], 0.0):
+                e = e + x
+        if full:
+            for x in _masked(self._active, head, 0.0):
+                attempts = attempts + x
 
-        # Column-wise closed-form geometric tail (cf. the scalar
-        # evaluator: identical formulas, whole grid per op).
-        p_t, m_t = self._primitives(w, self.tail)
+        # Closed-form geometric tail (cf. the scalar evaluator: identical
+        # formulas, whole grid per op).
+        p_t, reach = p[H], reach[H]
         inv_gap = np.divide(1.0, 1.0 - p_t, out=np.full(p_t.shape, np.inf), where=p_t < 1.0)
-        tail_time_unit = m_t + p_t * self.R if want_time else None
-        tail_energy_unit = (
-            m_t * self._tail_power + p_t * self.R * self.p_io if want_energy else None
-        )
-
         if max_attempts is None:
             geom = reach * inv_gap
             bound_t = np.zeros(shape) if want_time and full else None
@@ -470,14 +508,14 @@ class ScheduleGrid:
                 decay = p_t**n_tail
                 geom = np.where(p_t < 1.0, reach * (1.0 - decay) * inv_gap, np.inf)
                 remainder = np.where(p_t < 1.0, reach * decay * inv_gap, np.inf)
-            bound_t = remainder * tail_time_unit if want_time else None
-            bound_e = remainder * tail_energy_unit if want_energy else None
+            bound_t = remainder * unit_t[H] if want_time else None
+            bound_e = remainder * unit_e[H] if want_energy else None
         if full:
             attempts = attempts + geom
         if want_time:
-            t = t + geom * tail_time_unit
+            t = t + geom * unit_t[H]
         if want_energy:
-            e = e + geom * tail_energy_unit
+            e = e + geom * unit_e[H]
         return t, e, attempts, bound_t, bound_e
 
     # ------------------------------------------------------------------
