@@ -93,7 +93,6 @@ _EXPORTS = exports({
         "UnsupportedErrorModelError",
     ),
     # substrates
-    ".errors.exponential": ("ExponentialErrors",),
     ".errors.combined": ("CombinedErrors",),
     # error models (renewal arrival processes)
     ".errors.models": (
@@ -171,7 +170,6 @@ if TYPE_CHECKING:
     from .core.solution import BiCritSolution, PatternSolution
     from .core.solver import solve_bicrit
     from .errors.combined import CombinedErrors
-    from .errors.exponential import ExponentialErrors
     from .errors.models import (
         ArrivalProcess, ErrorModel, ExponentialArrivals, GammaArrivals, TraceArrivals,
         WeibullArrivals, error_model_kinds, parse_error_model,

@@ -38,7 +38,6 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from ..errors.combined import CombinedErrors
 from ..exceptions import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -946,14 +945,15 @@ def _scenario_features(
     """
     cfg = sc.resolved_config()
     errors = sc.resolved_errors()
-    if isinstance(errors, CombinedErrors):
-        rate = errors.total_rate
-        frac = errors.failstop_fraction
-        model_key: object = None
-    elif errors is None:
+    if errors is None:
         # Silent-only: the solve reads the configuration's own rate.
         rate = cfg.lam
         frac = 0.0
+        model_key: object = None
+    elif errors.is_memoryless:
+        # Exponential family: its rate and split are numeric axes.
+        rate = errors.process.rate  # type: ignore[attr-defined]
+        frac = errors.failstop_fraction
         model_key = None
     else:
         # General renewal family: the model is part of the invariant

@@ -64,7 +64,6 @@ from ..core.numeric import ExactSolution, solve_pair_exact
 from ..core.singlespeed import _solve_single_speed_direct
 from ..core.solution import PatternSolution
 from ..core.solver import _solve_bicrit_direct, evaluate_pair
-from ..errors.combined import CombinedErrors
 from ..errors.models import ErrorModel
 from ..exceptions import (
     InfeasibleBoundError,
@@ -352,7 +351,7 @@ def _scenario_pair_axis(
 def _solve_two_speed(
     scenario: "Scenario",
     pair: tuple[float, float],
-    errors: CombinedErrors | None,
+    errors: ErrorModel | None,
     backend: str,
 ) -> Result:
     """Solve ``scenario`` at one speed pair on the closed-form fast paths.
@@ -380,7 +379,7 @@ def _solve_two_speed(
         )
     from ..failstop.solver import solve_pair_combined
 
-    sol = solve_pair_combined(cfg, errors, pair[0], pair[1], scenario.rho)
+    sol = solve_pair_combined(cfg, errors.to_combined(), pair[0], pair[1], scenario.rho)
     if sol is None:
         raise InfeasibleBoundError(
             scenario.rho, schedule_min_bound(cfg, TwoSpeed(*pair), errors)
@@ -426,11 +425,9 @@ class ScheduleBackend(SolverBackend):
         schedule = scenario.schedule
         pair = schedule.as_two_speed()
         errors = scenario.resolved_errors()
-        # The closed forms require memoryless arrivals — resolved_errors()
-        # already collapsed memoryless models to CombinedErrors, so
-        # anything still an ErrorModel here is a general renewal family
-        # and must take the numeric attempt-series route.
-        if pair is not None and not isinstance(errors, ErrorModel):
+        # The closed forms require memoryless arrivals; a general renewal
+        # family takes the numeric attempt-series route.
+        if pair is not None and (errors is None or errors.is_memoryless):
             return _solve_two_speed(scenario, pair, errors, self.name)
 
         # errors=None means silent-only at cfg.lam; the schedule solver

@@ -54,8 +54,7 @@ from .result import Result, ResultSet
 from .scenario import Scenario, _resolve_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..errors.combined import CombinedErrors
-    from ..errors.models import ArrivalProcess, ErrorModel
+    from ..errors.models import ErrorModelLike
     from ..exec.warm import WarmWorkerPool
     from ..platforms.configuration import Configuration
     from ..schedules.base import SpeedSchedule
@@ -582,7 +581,7 @@ class Experiment:
         *,
         modes: Sequence[str] = ("silent",),
         schedule: "SpeedSchedule | str | None" = None,
-        errors: "ErrorModel | ArrivalProcess | CombinedErrors | str | None" = None,
+        errors: "ErrorModelLike" = None,
         name: str | None = None,
     ) -> "Experiment":
         """One scenario per (axis value, mode), axis-major order.

@@ -29,13 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from ..errors.combined import CombinedErrors
-from ..errors.models import (
-    ArrivalProcess,
-    ErrorModel,
-    as_error_model,
-    collapse_memoryless,
-)
+from ..errors.models import ErrorModel, ErrorModelLike, ExponentialArrivals, as_error_model
 from ..exceptions import InfeasibleBoundError, InvalidParameterError
 from ..platforms.catalog import get_configuration
 from ..platforms.configuration import Configuration
@@ -120,7 +114,7 @@ class Scenario:
         Optional explicit error model — a renewal
         :class:`~repro.errors.models.ErrorModel`, a bare
         :class:`~repro.errors.models.ArrivalProcess` (silent-only), a
-        legacy :class:`~repro.errors.combined.CombinedErrors`, or a
+        :class:`~repro.errors.combined.CombinedErrors`, or a
         spec string such as ``"weibull:shape=0.7,mtbf=5e3,failstop=0.2"``
         (see ``repro errors``).  The model carries its own rate and
         fail-stop split, so it is exclusive with ``failstop_fraction``
@@ -153,7 +147,7 @@ class Scenario:
     speeds: tuple[float, ...] | None = None
     sigma2_choices: tuple[float, ...] | None = None
     schedule: SpeedSchedule | str | None = None
-    errors: "ErrorModel | ArrivalProcess | CombinedErrors | str | None" = None
+    errors: ErrorModelLike = None
     backend: str | None = None
     label: str | None = None
 
@@ -265,27 +259,24 @@ class Scenario:
             return float(self.failstop_fraction)  # validated non-None
         return 0.0
 
-    def resolved_errors(self) -> CombinedErrors | ErrorModel | None:
+    def resolved_errors(self) -> ErrorModel | None:
         """The error model the solve runs under.
 
-        An explicit ``errors`` model wins: memoryless models collapse to
-        their byte-identical :class:`CombinedErrors` (so they solve
-        bit for bit as the equivalent Section-5 mode), other renewal
-        families come back as the :class:`ErrorModel` itself.  Without one, the
-        mode decides: ``None`` for the silent-only modes (solvers then
-        use the configuration's own rate), a :class:`CombinedErrors`
-        for the combined/failstop modes.
+        An explicit ``errors`` model wins and comes back as it is (an
+        ``exp:`` model solves bit for bit as the equivalent Section-5
+        mode).  Without one, the mode decides: ``None`` for the
+        silent-only modes (solvers then use the configuration's own
+        rate), ``ErrorModel(ExponentialArrivals(rate), f)`` for the
+        combined/failstop modes.
         """
         if self.errors is not None:
-            return collapse_memoryless(self.errors)
+            return self.errors  # type: ignore[return-value]  # an ErrorModel since __post_init__
         if self.mode not in _COMBINED_MODES:
             return None
         rate = self.error_rate
         if rate is None:
             rate = self.resolved_config().lam
-        return CombinedErrors(
-            total_rate=rate, failstop_fraction=self.effective_failstop_fraction
-        )
+        return ErrorModel(ExponentialArrivals(rate), self.effective_failstop_fraction)
 
     @property
     def default_backend(self) -> str:
@@ -467,7 +458,7 @@ class Scenario:
         return replace(self, schedule=schedule)
 
     def with_errors(
-        self, errors: "ErrorModel | ArrivalProcess | CombinedErrors | str | None"
+        self, errors: ErrorModelLike
     ) -> "Scenario":
         """A copy of this scenario under a different explicit error
         model (``None`` reverts to the mode's error semantics)."""

@@ -170,20 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rho", type=float, default=3.0)
     p_sweep.add_argument("--points", type=int, default=None, help="axis resolution")
     p_sweep.add_argument("--csv", default=None, help="also write CSV to this path")
-    p_sweep.add_argument(
-        "--backend", choices=("firstorder", "grid"), default="firstorder",
-        help="solver backend (grid = alias of firstorder)",
-    )
 
     p_fig = sub.add_parser("figure", help="run all panels of one paper figure")
     p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--rho", type=float, default=3.0)
     p_fig.add_argument("--points", type=int, default=None)
     p_fig.add_argument("--csv-dir", default=None, help="write one CSV per panel here")
-    p_fig.add_argument(
-        "--backend", choices=("firstorder", "grid"), default="firstorder",
-        help="solver backend (grid = alias of firstorder)",
-    )
 
     p_val = sub.add_parser("validate", help="Monte-Carlo vs model agreement")
     p_val.add_argument("--config", default="hera-xscale")
@@ -657,7 +649,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = get_configuration(args.config)
     kwargs = {"n": args.points} if args.points else {}
     axis = axis_by_name(args.axis, **kwargs)
-    series = run_sweep(cfg, args.rho, axis, backend=args.backend)
+    series = run_sweep(cfg, args.rho, axis)
     print(format_sweep_series(series, max_rows=40))
     try:
         s = summarize_savings(series)
@@ -677,7 +669,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from .reporting.tables import format_savings_line, format_sweep_series
     from .sweep.figures import run_figure
 
-    panels = run_figure(args.figure_id, rho=args.rho, n=args.points, backend=args.backend)
+    panels = run_figure(args.figure_id, rho=args.rho, n=args.points)
     for panel, series in panels.items():
         print(format_sweep_series(series, max_rows=16))
         try:

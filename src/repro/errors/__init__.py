@@ -1,5 +1,6 @@
-"""Error-process substrate: exponential arrivals, the fail-stop/silent
-split, and the pluggable renewal arrival-process models."""
+"""Error-process substrate: the pluggable renewal arrival-process models,
+their fail-stop/silent split (:class:`ErrorModel`), and the Section-5
+parameter object :class:`CombinedErrors`."""
 
 from __future__ import annotations
 
@@ -8,12 +9,11 @@ from typing import TYPE_CHECKING
 from .._lazy import attach, exports
 
 _EXPORTS = exports({
-    ".exponential": ("ExponentialErrors",),
     ".combined": ("CombinedErrors",),
     ".models": (
         "ArrivalProcess", "ExponentialArrivals", "WeibullArrivals", "GammaArrivals",
         "TraceArrivals", "ErrorModel", "parse_error_model", "error_model_from_dict",
-        "error_model_kinds", "as_error_model", "collapse_memoryless", "require_memoryless",
+        "error_model_kinds", "as_error_model", "require_memoryless",
     ),
 })
 
@@ -21,9 +21,8 @@ __getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
 
 if TYPE_CHECKING:
     from .combined import CombinedErrors
-    from .exponential import ExponentialErrors
     from .models import (
         ArrivalProcess, ErrorModel, ExponentialArrivals, GammaArrivals, TraceArrivals,
-        WeibullArrivals, as_error_model, collapse_memoryless, error_model_from_dict,
-        error_model_kinds, parse_error_model, require_memoryless,
+        WeibullArrivals, as_error_model, error_model_from_dict, error_model_kinds,
+        parse_error_model, require_memoryless,
     )

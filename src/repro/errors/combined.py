@@ -14,27 +14,20 @@ Semantics of the two sources (Section 5.1):
 * **silent** errors strike during computation only (exposure window
   ``W / sigma``) and are detected by the verification at the end of the
   pattern, so the whole ``(W + V)/sigma`` is always paid before recovery.
+
+:class:`CombinedErrors` is the parameter object of the Section-5 closed
+forms in :mod:`repro.failstop`.  Everything else — the schedule
+evaluator, the grid kernel, the simulators — runs on
+:class:`repro.errors.models.ErrorModel`, into which
+:func:`repro.errors.models.as_error_model` lifts a ``CombinedErrors``
+(exponential arrivals of rate ``lambda`` split by ``f``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..exceptions import InvalidParameterError
-from ..quantities import (
-    ScalarOrArray,
-    as_float_array,
-    is_scalar,
-    require_positive,
-    require_probability,
-)
-from .exponential import ExponentialErrors, capped_exposure
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .models import ErrorModel
+from ..quantities import require_positive, require_probability
 
 __all__ = ["CombinedErrors"]
 
@@ -86,35 +79,6 @@ class CombinedErrors:
         return self.silent_fraction * self.total_rate
 
     # ------------------------------------------------------------------
-    def failstop_process(self) -> ExponentialErrors:
-        """The fail-stop :class:`ExponentialErrors` process.
-
-        Raises
-        ------
-        InvalidParameterError
-            If ``f == 0`` (there is no fail-stop process to return).
-        """
-        if self.failstop_rate == 0.0:
-            raise InvalidParameterError(
-                "failstop_fraction is 0: no fail-stop process exists"
-            )
-        return ExponentialErrors(rate=self.failstop_rate)
-
-    def silent_process(self) -> ExponentialErrors:
-        """The silent :class:`ExponentialErrors` process.
-
-        Raises
-        ------
-        InvalidParameterError
-            If ``f == 1`` (there is no silent process to return).
-        """
-        if self.silent_rate == 0.0:
-            raise InvalidParameterError(
-                "failstop_fraction is 1: no silent process exists"
-            )
-        return ExponentialErrors(rate=self.silent_rate)
-
-    # ------------------------------------------------------------------
     def silent_only(self) -> "CombinedErrors":
         """The same total rate with every error silent (``f = 0``)."""
         return CombinedErrors(total_rate=self.total_rate, failstop_fraction=0.0)
@@ -128,61 +92,6 @@ class CombinedErrors:
         return CombinedErrors(
             total_rate=total_rate, failstop_fraction=self.failstop_fraction
         )
-
-    def to_model(self) -> "ErrorModel":
-        """Lift into the renewal-model layer
-        (:class:`repro.errors.models.ErrorModel` over exponential
-        arrivals; the inverse of ``ErrorModel.to_combined``)."""
-        from .models import ErrorModel
-
-        return ErrorModel.from_combined(self)
-
-    # ------------------------------------------------------------------
-    # Per-attempt expectations (the speed-schedule building blocks)
-    # ------------------------------------------------------------------
-    def attempt_failure_probability(
-        self, work: ScalarOrArray, speed: float, verification_time: float = 0.0
-    ) -> ScalarOrArray:
-        """Probability that one attempt at ``speed`` fails.
-
-        An attempt fails when a fail-stop error strikes within its
-        ``(W+V)/sigma`` window *or* a silent error strikes within its
-        ``W/sigma`` computation window: ``p = 1 - q`` with survival
-        ``q = exp(-(lambda_f (W+V)/sigma + lambda_s W/sigma))``.
-        Broadcasts over ``work``; this is the per-attempt primitive the
-        schedule evaluator (:mod:`repro.schedules.evaluator`) chains
-        over arbitrary per-attempt speed sequences.
-        """
-        w = as_float_array(work)
-        if np.any(w <= 0):
-            raise InvalidParameterError("work must be > 0")
-        if speed <= 0:
-            raise InvalidParameterError("speed must be > 0")
-        tau = (w + verification_time) / speed
-        omega = w / speed
-        p = -np.expm1(-(self.failstop_rate * tau + self.silent_rate * omega))
-        return float(p) if is_scalar(work) else p
-
-    def attempt_exposure(
-        self, work: ScalarOrArray, speed: float, verification_time: float = 0.0
-    ) -> ScalarOrArray:
-        """Expected busy seconds of one attempt at ``speed``.
-
-        ``E[min(T_f, tau)] = (1 - e^{-lambda_f tau}) / lambda_f`` with
-        ``tau = (W+V)/sigma`` — the fail-stop-capped exposure; without
-        fail-stop errors the full ``tau`` is always paid (silent errors
-        are only detected by the end-of-attempt verification).
-        Multiplied by the compute power this is the attempt's expected
-        energy; broadcasts over ``work``.
-        """
-        w = as_float_array(work)
-        if np.any(w <= 0):
-            raise InvalidParameterError("work must be > 0")
-        if speed <= 0:
-            raise InvalidParameterError("speed must be > 0")
-        tau = (w + verification_time) / speed
-        m = capped_exposure(self.failstop_rate, tau)
-        return float(m) if is_scalar(work) else m
 
     # ------------------------------------------------------------------
     def speed_ratio_validity_window(self) -> tuple[float, float]:

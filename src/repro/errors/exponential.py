@@ -1,40 +1,21 @@
-"""Exponential (Poisson-arrival) error processes.
+"""The capped exposure of an exponential (Poisson-arrival) error source.
 
-The paper models both silent and fail-stop errors as Poisson processes:
-the probability that at least one error strikes during ``T`` seconds of
-exposure is ``p(T) = 1 - exp(-lambda * T)`` (Section 2.1).  The platform
-MTBF is ``mu = 1 / lambda``.
-
-This module provides the :class:`ExponentialErrors` process used by both
-the analytical model and the Monte-Carlo simulator, including the
-expected time lost to an *interrupting* (fail-stop) error,
-
-.. math::
-
-    T_{lost}(w, \\sigma) = \\frac{1}{\\lambda}
-        - \\frac{w/\\sigma}{e^{\\lambda w / \\sigma} - 1},
-
-which is the conditional mean of an exponential arrival truncated to the
-execution window ``w / sigma`` (Section 5.1, citing Herault & Robert).
+The paper models both silent and fail-stop errors as Poisson processes
+(Section 2.1); the arrival family itself is
+:class:`repro.errors.models.ExponentialArrivals`.  This module holds the
+one closed form the Section-5 formulas share with that family: the
+expected busy time ``E[min(X, tau)]`` before a fail-stop arrival cuts an
+attempt short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import numpy.typing as npt
 
-from ..quantities import (
-    FloatArray,
-    ScalarOrArray,
-    as_float_array,
-    is_scalar,
-    require_positive,
-)
+from ..quantities import ScalarOrArray, as_float_array, is_scalar
 from ..exceptions import InvalidParameterError
 
-__all__ = ["ExponentialErrors", "capped_exposure"]
+__all__ = ["capped_exposure"]
 
 
 def capped_exposure(rate: float, window: ScalarOrArray) -> ScalarOrArray:
@@ -42,13 +23,14 @@ def capped_exposure(rate: float, window: ScalarOrArray) -> ScalarOrArray:
 
     ``E[min(X, tau)] = (1 - e^{-rate * tau}) / rate`` for
     ``X ~ Exp(rate)`` and exposure ``tau = window`` — the fail-stop
-    analogue of :meth:`ExponentialErrors.expected_time_lost`'s setup.
+    analogue of
+    :meth:`repro.errors.models.ExponentialArrivals.expected_time_lost`'s setup.
     ``rate = 0`` means no arrivals: the full window is always paid.
 
     For ``rate * tau`` below ~1e-8 the direct ``expm1`` form loses
     precision (denormal products divide away their mantissa bits), so
     the Taylor value ``tau (1 - x/2 + x^2/6)`` is used instead — the
-    same guard :meth:`ExponentialErrors.expected_time_lost` applies.
+    same guard :meth:`ExponentialArrivals.expected_time_lost` applies.
     Broadcasts over ``window``.
     """
     tau = as_float_array(window)
@@ -63,113 +45,3 @@ def capped_exposure(rate: float, window: ScalarOrArray) -> ScalarOrArray:
         series = tau * (1.0 - x / 2.0 + x * x / 6.0)
         out = np.where(x < 1e-8, series, direct)
     return float(out) if is_scalar(window) else out
-
-
-@dataclass(frozen=True)
-class ExponentialErrors:
-    """A memoryless error process with arrival rate ``rate`` (per second).
-
-    Parameters
-    ----------
-    rate:
-        Arrival rate ``lambda`` in errors per second.  Must be > 0; use
-        rates around ``1e-6`` .. ``1e-2`` to match the paper's platforms.
-
-    Examples
-    --------
-    >>> errs = ExponentialErrors(rate=1e-4)
-    >>> round(errs.mtbf)
-    10000
-    >>> 0 < errs.strike_probability(100.0) < 1
-    True
-    """
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.rate, "rate")
-
-    # ------------------------------------------------------------------
-    # Analytic quantities
-    # ------------------------------------------------------------------
-    @property
-    def mtbf(self) -> float:
-        """Mean time between errors ``mu = 1 / lambda`` in seconds."""
-        return 1.0 / self.rate
-
-    def strike_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
-        """Probability ``p(T) = 1 - exp(-lambda T)`` of >= 1 error in ``T`` s.
-
-        Accepts scalars or arrays; negative exposures are rejected because
-        a negative time window has no physical meaning.
-        """
-        t = as_float_array(exposure)
-        if np.any(t < 0):
-            raise InvalidParameterError("exposure must be >= 0")
-        p = -np.expm1(-self.rate * t)
-        return float(p) if is_scalar(exposure) else p
-
-    def survival_probability(self, exposure: ScalarOrArray) -> ScalarOrArray:
-        """Probability ``exp(-lambda T)`` that no error strikes in ``T`` s."""
-        t = as_float_array(exposure)
-        if np.any(t < 0):
-            raise InvalidParameterError("exposure must be >= 0")
-        q = np.exp(-self.rate * t)
-        return float(q) if is_scalar(exposure) else q
-
-    def expected_time_lost(self, work: ScalarOrArray, speed: ScalarOrArray) -> ScalarOrArray:
-        """Expected time lost to an interrupting error, ``T_lost(w, sigma)``.
-
-        This is the mean arrival time of the first error *conditioned on
-        the error striking within the window* ``tau = work / speed``:
-
-        ``E[X | X < tau] = 1/lambda - tau / (exp(lambda tau) - 1)``.
-
-        For ``lambda * tau -> 0`` this tends to ``tau / 2`` (an error
-        strikes "on average at half the period", the classic Young/Daly
-        heuristic); we use the numerically stable ``expm1`` form and fall
-        back to the Taylor value ``tau/2 * (1 - lambda tau / 6)`` when
-        ``lambda * tau`` underflows.
-        """
-        w = as_float_array(work)
-        s = as_float_array(speed)
-        if np.any(w < 0):
-            raise InvalidParameterError("work must be >= 0")
-        if np.any(s <= 0):
-            raise InvalidParameterError("speed must be > 0")
-        tau = w / s
-        x = self.rate * tau
-        # For huge lambda*tau, expm1 overflows to inf and tau/inf -> 0,
-        # which is the correct limit (the loss tends to the MTBF).
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            exact = 1.0 / self.rate - tau / np.expm1(x)
-        # Series fallback where lambda*tau is so small that expm1(x) ~ x
-        # loses all precision in the subtraction (x below ~1e-8).
-        series = tau / 2.0 * (1.0 - x / 6.0)
-        out = np.where(x < 1e-8, series, exact)
-        return float(out) if (is_scalar(work) and is_scalar(speed)) else out
-
-    # ------------------------------------------------------------------
-    # Sampling (Monte-Carlo substrate)
-    # ------------------------------------------------------------------
-    def sample_arrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
-        """Draw first-arrival times ``X ~ Exp(lambda)`` (seconds)."""
-        return rng.exponential(scale=self.mtbf, size=size)
-
-    def sample_strikes(
-        self, rng: np.random.Generator, exposure: ScalarOrArray, size: int | tuple[int, ...]
-    ) -> npt.NDArray[np.bool_]:
-        """Draw Bernoulli indicators of >= 1 error within ``exposure`` s."""
-        p = self.strike_probability(exposure)
-        return rng.random(size) < p
-
-    # ------------------------------------------------------------------
-    # Derived processes
-    # ------------------------------------------------------------------
-    def scaled(self, factor: float) -> "ExponentialErrors":
-        """A new process with rate multiplied by ``factor`` (> 0).
-
-        Useful for splitting a total rate into fail-stop and silent
-        fractions (see :class:`repro.errors.combined.CombinedErrors`).
-        """
-        return ExponentialErrors(rate=self.rate * require_positive(factor, "factor"))

@@ -17,15 +17,18 @@ inter-arrival distribution:
   fail-stop error actually costs).
 
 This module defines the :class:`ArrivalProcess` abstraction plus four
-concrete families — :class:`ExponentialArrivals` (byte-identical to the
-legacy closed forms), :class:`WeibullArrivals`, :class:`GammaArrivals`
-and :class:`TraceArrivals` (empirical CDF from a failure log) — and the
-:class:`ErrorModel` that generalises
-:class:`~repro.errors.combined.CombinedErrors` to an arbitrary family:
-a total arrival process split into fail-stop and silent sources.
+concrete families — :class:`ExponentialArrivals` (the paper's Poisson
+arrivals), :class:`WeibullArrivals`, :class:`GammaArrivals` and
+:class:`TraceArrivals` (empirical CDF from a failure log) — and the
+:class:`ErrorModel`: a total arrival process split into fail-stop and
+silent sources.  ``ErrorModel`` is the one error type the evaluator,
+the grid kernel and the simulators handle; the paper's Section-5 model
+is ``ErrorModel(ExponentialArrivals(lambda), f)``, and
+:func:`as_error_model` lifts the Section-5 parameter object
+:class:`~repro.errors.combined.CombinedErrors` into it.
 
-**Splitting semantics.**  ``CombinedErrors`` splits a Poisson process
-of rate ``lambda`` into independent Poisson sources ``f lambda`` and
+**Splitting semantics.**  Section 5 splits a Poisson process of rate
+``lambda`` into independent Poisson sources ``f lambda`` and
 ``(1-f) lambda``; for a Poisson process that *is* what independent
 thinning produces.  For a general renewal family thinning does not stay
 in the family, so the model *defines* the split the same way the
@@ -77,7 +80,7 @@ from ..quantities import (
     require_probability,
 )
 from .combined import CombinedErrors
-from .exponential import ExponentialErrors, capped_exposure
+from .exponential import capped_exposure
 
 __all__ = [
     "ArrivalProcess",
@@ -90,7 +93,6 @@ __all__ = [
     "error_model_from_dict",
     "error_model_kinds",
     "as_error_model",
-    "collapse_memoryless",
     "require_memoryless",
 ]
 
@@ -195,10 +197,10 @@ class ArrivalProcess(CanonicalIdentity, abc.ABC):
     def is_memoryless(self) -> bool:
         """True only for the exponential family.
 
-        Gates the closed-form fast paths: everything byte-identical to
-        the legacy model keys off this flag, never off parameter values
-        (a Weibull with shape 1 is mathematically exponential but stays
-        on the generic renewal path).
+        Gates the exponential forms (the Section-5 closed forms, the grid
+        kernel's rate columns): they key off this flag, never off
+        parameter values (a Weibull with shape 1 is mathematically
+        exponential but stays on the generic renewal path).
         """
         return False
 
@@ -213,7 +215,7 @@ class ArrivalProcess(CanonicalIdentity, abc.ABC):
 
         Derived from the primitives via
         ``E[min(X,t)] = E[X ; X < t] + t S(t)``; the renewal analogue of
-        :meth:`repro.errors.exponential.ExponentialErrors.expected_time_lost`.
+        :meth:`ExponentialArrivals.expected_time_lost`.
         Where the strike probability underflows to 0 the conditional is
         returned as ``t / 2`` (the universal small-window limit for a
         locally flat density) rather than NaN.
@@ -332,13 +334,13 @@ def _scale_from_spec(
 @_register_kind
 @dataclass(frozen=True, eq=False)
 class ExponentialArrivals(ArrivalProcess):
-    """Memoryless (Poisson) arrivals — the legacy model, bit for bit.
+    """Memoryless (Poisson) arrivals of rate ``rate``: the paper's model.
 
-    Every primitive evaluates the *same expression* as
-    :class:`~repro.errors.exponential.ExponentialErrors`, so any path
-    that dispatches through this class instead of the legacy closed
-    forms produces byte-identical floats (the equivalence tests pin
-    this).
+    The CDF is ``1 - exp(-rate t)`` (Section 2.1) and the capped
+    exposure is :func:`~repro.errors.exponential.capped_exposure`, the
+    expressions of the Section-5 closed forms in :mod:`repro.failstop`,
+    so every path through this class computes the same floats as they
+    do (the equivalence tests pin this).
 
     Examples
     --------
@@ -376,9 +378,26 @@ class ExponentialArrivals(ArrivalProcess):
         return capped_exposure(self.rate, t)  # type: ignore[return-value]
 
     def expected_time_lost(self, window: ScalarOrArray) -> ScalarOrArray:
-        # The numerically hardened exponential form (series fallback for
-        # denormal lambda*t), identical to the legacy process.
-        return ExponentialErrors(rate=self.rate).expected_time_lost(window, 1.0)
+        """``T_lost = 1/lambda - t / (exp(lambda t) - 1)``: the mean
+        arrival time of an error that strikes within the window ``t``
+        (Section 5.1, citing Herault & Robert).
+
+        For ``lambda * t -> 0`` this tends to ``t / 2`` (an error
+        strikes "on average at half the period", the classic Young/Daly
+        heuristic); the ``expm1`` form is used, with the Taylor value
+        ``t/2 * (1 - lambda t / 6)`` once ``lambda * t`` falls below
+        ~1e-8, where ``expm1(x) ~ x`` loses all precision in the
+        subtraction.
+        """
+        t = _nonneg_exposure(window)
+        x = self.rate * t
+        # For huge lambda*t, expm1 overflows to inf and t/inf -> 0, which
+        # is the correct limit (the loss tends to the MTBF).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            exact = 1.0 / self.rate - t / np.expm1(x)
+        series = t / 2.0 * (1.0 - x / 6.0)
+        out = np.where(x < 1e-8, series, exact)
+        return float(out) if is_scalar(window) else out
 
     def sample_interarrivals(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> FloatArray:
         return rng.exponential(scale=self.mtbf, size=size)
@@ -724,20 +743,18 @@ class TraceArrivals(ArrivalProcess):
 class ErrorModel(CanonicalIdentity):
     """Fail-stop/silent error split over an arbitrary renewal family.
 
-    The renewal generalisation of
-    :class:`~repro.errors.combined.CombinedErrors`: a total arrival
-    ``process`` plus the fraction ``failstop_fraction`` of errors that
-    are fail-stop, with each source an independent renewal process of
-    the same family at MTBF ``mu/f`` resp. ``mu/(1-f)`` (exactly the
-    classical split when the family is exponential).
+    A total arrival ``process`` plus the fraction ``failstop_fraction``
+    of errors that are fail-stop, with each source an independent
+    renewal process of the same family at MTBF ``mu/f`` resp.
+    ``mu/(1-f)`` (exactly the classical split when the family is
+    exponential: the paper's Section-5 model is
+    ``ErrorModel(ExponentialArrivals(lambda), f)``).
 
-    The per-attempt primitives mirror ``CombinedErrors`` — fail-stop
-    errors expose the whole ``(W+V)/sigma`` attempt, silent errors the
-    ``W/sigma`` computation window — so the schedule evaluator, the
-    vectorised kernel and the Monte-Carlo engine all dispatch through
-    either type interchangeably.  For memoryless models prefer
-    :meth:`to_combined` and the legacy closed forms (byte-identical and
-    faster); the routing layers do this automatically.
+    Fail-stop errors expose the whole ``(W+V)/sigma`` attempt, silent
+    errors the ``W/sigma`` computation window.  This is the one error
+    type the schedule evaluator, the vectorised kernel and the
+    Monte-Carlo engines handle; a memoryless model's primitives are the
+    Section-5 closed forms' exponential expressions, bit for bit.
 
     Examples
     --------
@@ -768,10 +785,21 @@ class ErrorModel(CanonicalIdentity):
         # Cache the per-source processes: thinning a TraceArrivals copies
         # its sample arrays, and the solvers call the primitives in hot
         # bracketing loops.
-        failstop = None if f == 0.0 else (self.process if f == 1.0 else self.process.thinned(f))
-        silent = None if f == 1.0 else (self.process if f == 0.0 else self.process.thinned(1.0 - f))
-        object.__setattr__(self, "_failstop", failstop)
-        object.__setattr__(self, "_silent", silent)
+        object.__setattr__(self, "_failstop", self._source(f))
+        object.__setattr__(self, "_silent", self._source(1.0 - f))
+
+    def _source(self, fraction: float) -> ArrivalProcess | None:
+        """The fraction-``fraction`` source, ``None`` when it never fires:
+        a zero fraction, or an exponential rate that underflows to 0 (a
+        denormal split such as ``f = 5e-324``, which the Section-5 closed
+        forms take as an absent source)."""
+        if fraction == 1.0:
+            return self.process
+        if fraction == 0.0 or (
+            self.process.is_memoryless and self.process.rate * fraction == 0.0  # type: ignore[attr-defined]
+        ):
+            return None
+        return self.process.thinned(fraction)
 
     # ------------------------------------------------------------------
     @property
@@ -791,36 +819,33 @@ class ErrorModel(CanonicalIdentity):
 
     @property
     def failstop_arrivals(self) -> ArrivalProcess | None:
-        """The fail-stop source process, or ``None`` when ``f = 0``."""
+        """The fail-stop source process, or ``None`` when it never fires
+        (``f = 0``, or an exponential rate ``lambda f`` that underflows
+        to 0)."""
         return self._failstop
 
     @property
     def silent_arrivals(self) -> ArrivalProcess | None:
-        """The silent source process, or ``None`` when ``f = 1``."""
+        """The silent source process, or ``None`` when it never fires
+        (``f = 1``, or an exponential rate ``lambda (1 - f)`` that
+        underflows to 0)."""
         return self._silent
 
-    def failstop_process(self) -> ArrivalProcess:
-        """The fail-stop source (raises when ``f = 0``, mirroring
-        :meth:`CombinedErrors.failstop_process`)."""
-        if self._failstop is None:
-            raise InvalidParameterError(
-                "failstop_fraction is 0: no fail-stop process exists"
-            )
-        return self._failstop
-
-    def silent_process(self) -> ArrivalProcess:
-        """The silent source (raises when ``f = 1``)."""
-        if self._silent is None:
-            raise InvalidParameterError(
-                "failstop_fraction is 1: no silent process exists"
-            )
-        return self._silent
+    def _rates(self) -> tuple[float, float]:
+        """``(lambda_f, lambda_s)`` of a memoryless model: each source's
+        exponential rate, 0 for an absent source."""
+        f, s = self._failstop, self._silent
+        return (
+            0.0 if f is None else f.rate,  # type: ignore[attr-defined]
+            0.0 if s is None else s.rate,  # type: ignore[attr-defined]
+        )
 
     # ------------------------------------------------------------------
-    # Bridges to the legacy exponential model
+    # Bridges to the Section-5 parameter object
     # ------------------------------------------------------------------
     def to_combined(self) -> CombinedErrors:
-        """The byte-identical :class:`CombinedErrors` of a memoryless model.
+        """The :class:`CombinedErrors` of a memoryless model (the
+        parameter object of the Section-5 closed forms).
 
         Raises
         ------
@@ -837,7 +862,7 @@ class ErrorModel(CanonicalIdentity):
 
     @classmethod
     def from_combined(cls, errors: CombinedErrors) -> "ErrorModel":
-        """Lift a legacy :class:`CombinedErrors` into the model layer."""
+        """Lift a :class:`CombinedErrors` into the model layer."""
         return cls(
             process=ExponentialArrivals(rate=errors.total_rate),
             failstop_fraction=errors.failstop_fraction,
@@ -852,8 +877,7 @@ class ErrorModel(CanonicalIdentity):
         """``(failure probability, capped busy time)`` for one attempt
         with fail-stop window ``tau`` and computation window ``omega``.
 
-        The renewal analogue of the ``CombinedErrors`` primitives: an
-        attempt fails when the fail-stop source strikes within ``tau``
+        An attempt fails when the fail-stop source strikes within ``tau``
         *or* the silent source strikes within ``omega`` (independent
         sources), and the busy time is the fail-stop-capped exposure
         ``E[min(X_f, tau)]`` (the full ``tau`` when no fail-stop
@@ -877,9 +901,14 @@ class ErrorModel(CanonicalIdentity):
         if ((tau if self._silent is None else omega) < 0).any():
             raise InvalidParameterError("exposure must be >= 0")
         if self._failstop is None:
-            return self.process._cdf(omega), tau
+            return self._silent._cdf(omega), tau  # type: ignore[union-attr]
         if self._silent is None:
-            return self.process._cdf(tau), self.process._capped(tau)
+            return self._failstop._cdf(tau), self._failstop._capped(tau)
+        if self.is_memoryless:
+            # One exponent sum: the survival of both Poisson sources is
+            # exp(-(lambda_f tau + lambda_s omega)), the Section-5 form.
+            lam_f, lam_s = self._rates()
+            return -np.expm1(-(lam_f * tau + lam_s * omega)), self._failstop._capped(tau)
         # Inclusion-exclusion in the form p_f + p_s (1 - p_f) rather than
         # 1 - S_f S_s: the survival product cancels catastrophically for
         # small probabilities (1 - exp(-x) loses ~x relative digits),
@@ -893,10 +922,9 @@ class ErrorModel(CanonicalIdentity):
     def attempt_failure_probability(
         self, work: ScalarOrArray, speed: float, verification_time: float = 0.0
     ) -> ScalarOrArray:
-        """Probability that one attempt at ``speed`` fails (renewal CDFs).
+        """Probability that one attempt at ``speed`` fails.
 
-        Drop-in for :meth:`CombinedErrors.attempt_failure_probability`;
-        each attempt draws fresh inter-arrivals, so the probability
+        Each attempt draws fresh inter-arrivals, so the probability
         depends only on the attempt's own windows.
         """
         w = as_float_array(work)
@@ -910,10 +938,8 @@ class ErrorModel(CanonicalIdentity):
     def attempt_exposure(
         self, work: ScalarOrArray, speed: float, verification_time: float = 0.0
     ) -> ScalarOrArray:
-        """Expected busy seconds of one attempt at ``speed``.
-
-        Drop-in for :meth:`CombinedErrors.attempt_exposure`.
-        """
+        """Expected busy seconds of one attempt at ``speed``: the
+        fail-stop-capped exposure, times the compute power its energy."""
         w = as_float_array(work)
         if np.any(w <= 0):
             raise InvalidParameterError("work must be > 0")
@@ -1005,14 +1031,18 @@ def error_model_kinds() -> dict[str, type[ArrivalProcess]]:
     return dict(sorted(_KINDS.items()))
 
 
-def as_error_model(
-    value: "ErrorModel | ArrivalProcess | CombinedErrors | str | None",
-) -> ErrorModel | None:
+#: What every public ``errors=`` parameter accepts; :func:`as_error_model`
+#: lifts it, once, to the ``ErrorModel | None`` the generic paths handle.
+ErrorModelLike = ErrorModel | ArrivalProcess | CombinedErrors | str | None
+
+
+def as_error_model(value: ErrorModelLike) -> ErrorModel | None:
     """Coerce ``value`` to an :class:`ErrorModel`.
 
     Spec strings parse, bare :class:`ArrivalProcess` instances become a
-    silent-only model, legacy :class:`CombinedErrors` lift via
-    :meth:`ErrorModel.from_combined`, ``None`` passes through.
+    silent-only model, :class:`CombinedErrors` lift via
+    :meth:`ErrorModel.from_combined` (exponential arrivals),
+    ``None`` passes through.
     """
     if value is None or isinstance(value, ErrorModel):
         return value
@@ -1028,32 +1058,14 @@ def as_error_model(
     )
 
 
-def collapse_memoryless(
-    errors: "CombinedErrors | ErrorModel | None",
-) -> "CombinedErrors | ErrorModel | None":
-    """Collapse a *memoryless* :class:`ErrorModel` to its byte-identical
-    :class:`CombinedErrors`; everything else passes through.
-
-    The single source of the routing invariant every consumer (the
-    schedule evaluator, the vectorised kernel, the Scenario API, both
-    simulators) relies on: exponential models always reach the legacy
-    closed forms and sampling paths as ``CombinedErrors``, so those
-    paths stay bit-for-bit the pre-model-era code, and anything still
-    an :class:`ErrorModel` afterwards is a general renewal family.
-    """
-    if isinstance(errors, ErrorModel) and errors.is_memoryless:
-        return errors.to_combined()
-    return errors
-
-
 def require_memoryless(
     errors: "CombinedErrors | ErrorModel | None", where: str
 ) -> CombinedErrors | None:
     """Gate a closed form on memoryless arrivals.
 
-    Legacy :class:`CombinedErrors` (and ``None``) pass through; a
-    memoryless :class:`ErrorModel` converts to its byte-identical
-    ``CombinedErrors``; any other renewal model raises
+    :class:`CombinedErrors` (and ``None``) pass through; a memoryless
+    :class:`ErrorModel` converts to its ``CombinedErrors`` (same rate
+    and split); any other renewal model raises
     :class:`~repro.exceptions.UnsupportedErrorModelError` naming the
     entry point — the audit hook that keeps the exponential-only
     solvers from silently computing with the wrong formula.

@@ -73,7 +73,7 @@ def _parts(
     survival products, and a general renewal model must go through the
     schedule evaluator instead (typed error, never a silently wrong
     number).  A *memoryless* :class:`~repro.errors.models.ErrorModel`
-    converts to its byte-identical :class:`CombinedErrors`.
+    converts to its :class:`CombinedErrors` (same rate and split).
     """
     errors = require_memoryless(errors, "repro.failstop.exact")
     w = as_float_array(work)
@@ -219,9 +219,9 @@ def expected_time_schedule(
 
     The closed form above is the ``TwoSpeed`` instance of the general
     attempt recursion; arbitrary schedules are evaluated through
-    :mod:`repro.schedules.evaluator` with the same per-attempt
-    primitives (:meth:`CombinedErrors.attempt_failure_probability` /
-    :meth:`CombinedErrors.attempt_exposure`).
+    :mod:`repro.schedules.evaluator`, which lifts ``errors`` to an
+    :class:`~repro.errors.models.ErrorModel` over exponential arrivals
+    whose per-attempt primitives are this module's ``1 - q`` and ``M``.
     """
     from ..schedules.evaluator import expected_time_schedule as _impl
 

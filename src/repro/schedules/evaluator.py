@@ -3,9 +3,11 @@
 Generalises Propositions 1-5 from the two-speed model to any
 :class:`~repro.schedules.base.SpeedSchedule`.  Let attempt ``k`` run at
 speed ``s_k`` with failure probability ``p_k`` and expected busy time
-``M_k`` (fail-stop-capped exposure; see
-:meth:`repro.errors.combined.CombinedErrors.attempt_failure_probability`
-/ :meth:`~repro.errors.combined.CombinedErrors.attempt_exposure`).
+``M_k`` (fail-stop-capped exposure), both read off the error model's
+per-attempt primitives
+(:meth:`repro.errors.models.ErrorModel.per_window_primitives`; every
+``errors=`` input is lifted to an :class:`~repro.errors.models.ErrorModel`
+first, so exponential and renewal arrivals take the same path).
 Attempt ``k`` is reached with probability ``r_k = prod_{j<k} p_j``, each
 failed attempt pays a recovery ``R`` and the (single) final success pays
 the checkpoint ``C``, so
@@ -57,17 +59,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors.combined import CombinedErrors
-from ..errors.models import ErrorModel, collapse_memoryless
+from ..errors.models import ErrorModel, ErrorModelLike, ExponentialArrivals, as_error_model
 from ..exceptions import InvalidParameterError, InvalidTruncationError
 from ..platforms.configuration import Configuration
 from ..quantities import ScalarOrArray, as_float_array, is_scalar
 from .base import SpeedSchedule
-
-#: What every ``errors=`` parameter of this module accepts: the legacy
-#: exponential split, a renewal :class:`ErrorModel`, or ``None``
-#: (silent-only at the configuration's own rate).
-ErrorsLike = CombinedErrors | ErrorModel | None
 
 __all__ = [
     "ScheduleExpectation",
@@ -106,49 +102,12 @@ class ScheduleExpectation:
         return self.attempts - 1.0
 
 
-def _resolve_errors(
-    cfg: Configuration, errors: ErrorsLike
-) -> CombinedErrors | ErrorModel:
-    """The per-attempt primitive provider for one evaluation.
-
-    ``None`` means silent-only at the configuration's own rate.  A
-    memoryless :class:`ErrorModel` collapses to its byte-identical
-    :class:`CombinedErrors` so the exponential fast path stays bit-for-
-    bit the legacy one; any other renewal model supplies the same
-    ``attempt_failure_probability`` / ``attempt_exposure`` interface
-    through its renewal CDF primitives.
-    """
-    if errors is None:
-        return CombinedErrors(total_rate=cfg.lam, failstop_fraction=0.0)
-    return collapse_memoryless(errors)
-
-
-def _attempt_primitives(
-    err: CombinedErrors | ErrorModel, w: ScalarOrArray, speed: float, V: float
-) -> tuple[ScalarOrArray, ScalarOrArray]:
-    """One attempt's ``(failure probability, capped busy time)``.
-
-    For a renewal :class:`ErrorModel` this is a single
-    ``per_window_primitives`` call — the solver's bracketing loops
-    evaluate hundreds of points, and computing p and m separately would
-    double the incomplete-gamma/ECDF work.  The legacy
-    :class:`CombinedErrors` path keeps its two byte-identical closed
-    forms.
-    """
-    if isinstance(err, ErrorModel):
-        return err.per_window_primitives((w + V) / speed, w / speed)
-    return (
-        err.attempt_failure_probability(w, speed, V),
-        err.attempt_exposure(w, speed, V),
-    )
-
-
 def evaluate_schedule(
     cfg: Configuration,
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
     max_attempts: int | None = None,
     components: tuple[str, ...] = ("time", "energy"),
 ) -> ScheduleExpectation:
@@ -164,8 +123,10 @@ def evaluate_schedule(
     work:
         Pattern size(s); broadcasts like the ``core.exact`` functions.
     errors:
-        Fail-stop/silent split; ``None`` means silent-only at the
-        configuration's own rate (the model of Sections 2-4).
+        Fail-stop/silent split: an :class:`~repro.errors.models.ErrorModel`
+        or anything :func:`~repro.errors.models.as_error_model` lifts to
+        one; ``None`` means silent-only at the configuration's own rate
+        (the model of Sections 2-4).
     max_attempts:
         ``None`` (default) evaluates *exactly* via the closed-form
         geometric tail.  An integer ``N >= len(head) `` truncates the
@@ -184,7 +145,7 @@ def evaluate_schedule(
         raise InvalidParameterError("work must be > 0")
     want_time = "time" in components
     want_energy = "energy" in components
-    err = _resolve_errors(cfg, errors)
+    err = as_error_model(errors) or ErrorModel(ExponentialArrivals(cfg.lam))
     head, tail = schedule.normalized()
     if max_attempts is not None and (max_attempts < 1 or max_attempts < len(head)):
         raise InvalidTruncationError(max_attempts, len(head))
@@ -200,7 +161,7 @@ def evaluate_schedule(
     reach = np.ones_like(w)
 
     for s in head:
-        p, m = _attempt_primitives(err, w, s, V)
+        p, m = err.per_window_primitives((w + V) / s, w / s)
         if want_time:
             t = t + reach * (m + p * R)
         if want_energy:
@@ -210,9 +171,7 @@ def evaluate_schedule(
 
     # Tail: attempts len(head)+1 .. inf all run at the tail speed, so the
     # remaining series is geometric with ratio p_t and sums exactly.
-    p_t, m_t = _attempt_primitives(err, w, tail, V)
-    p_t = np.asarray(p_t)
-    m_t = np.asarray(m_t)
+    p_t, m_t = err.per_window_primitives((w + V) / tail, w / tail)
     with np.errstate(divide="ignore", invalid="ignore"):
         # p_t == 1.0 (numerically) means re-executions never succeed: the
         # expectation diverges, matching the exp-overflow convention of
@@ -273,7 +232,7 @@ def expected_time_schedule(
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> ScalarOrArray:
     """Exact expected pattern time under ``schedule`` (Prop. 2 analogue)."""
     return evaluate_schedule(cfg, schedule, work, errors=errors, components=("time",)).time
@@ -284,7 +243,7 @@ def expected_energy_schedule(
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> ScalarOrArray:
     """Exact expected pattern energy (mJ) under ``schedule`` (Prop. 3 analogue)."""
     return evaluate_schedule(
@@ -297,7 +256,7 @@ def expected_reexecutions_schedule(
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
     max_attempts: int | None = None,
 ) -> ScalarOrArray:
     """Expected number of re-executions per pattern under ``schedule``.
@@ -318,7 +277,7 @@ def time_overhead_schedule(
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> ScalarOrArray:
     """Exact expected time per work unit under ``schedule``."""
     w = as_float_array(work)
@@ -334,7 +293,7 @@ def energy_overhead_schedule(
     schedule: SpeedSchedule,
     work: ScalarOrArray,
     *,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> ScalarOrArray:
     """Exact expected energy per work unit (mJ) under ``schedule``."""
     w = as_float_array(work)

@@ -32,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.numeric import minimize_unimodal
+from ..errors.models import ErrorModelLike, as_error_model
 from ..exceptions import ConvergenceError, InfeasibleBoundError
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
 from .base import SpeedSchedule
-from .evaluator import ErrorsLike, energy_overhead_schedule, time_overhead_schedule
+from .evaluator import energy_overhead_schedule, time_overhead_schedule
 
 __all__ = ["ScheduleSolution", "solve_schedule", "schedule_min_bound"]
 
@@ -78,8 +79,10 @@ class ScheduleSolution:
 
 
 def _overhead_fns(
-    cfg: Configuration, errors: ErrorsLike, schedule: SpeedSchedule
+    cfg: Configuration, errors: ErrorModelLike, schedule: SpeedSchedule
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    errors = as_error_model(errors)
+
     def t_over(w: float) -> float:
         with np.errstate(over="ignore"):
             return float(time_overhead_schedule(cfg, schedule, w, errors=errors))
@@ -94,7 +97,7 @@ def _overhead_fns(
 def schedule_min_bound(
     cfg: Configuration,
     schedule: SpeedSchedule,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> float:
     """The smallest feasible ``rho`` for this schedule (Eq.-6 analogue).
 
@@ -111,7 +114,7 @@ def solve_schedule(
     cfg: Configuration,
     schedule: SpeedSchedule,
     rho: float,
-    errors: ErrorsLike = None,
+    errors: ErrorModelLike = None,
 ) -> ScheduleSolution:
     """Exact constrained optimum for one schedule.
 

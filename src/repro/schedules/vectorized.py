@@ -47,8 +47,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..errors.combined import CombinedErrors
-from ..errors.models import ErrorModel, as_error_model, collapse_memoryless
+from ..errors.models import ErrorModel, ErrorModelLike, as_error_model
 from ..exceptions import InvalidParameterError, InvalidTruncationError
 from ..platforms.configuration import Configuration
 from ..quantities import FloatArray, ScalarOrArray
@@ -182,16 +181,17 @@ class ScheduleGrid:
     out by ``head_len`` during evaluation, so padding never changes a
     row's value).  Build instances with :meth:`from_points`.
 
-    Rows may mix error models: exponential rows (``None``,
-    :class:`CombinedErrors`, or a memoryless :class:`ErrorModel`) live
-    entirely in the ``lam_f``/``lam_s`` columns and keep the scalar
-    fast path's arithmetic bit for bit; rows carrying a general renewal
-    :class:`ErrorModel` are listed in ``models`` and have their
-    per-attempt primitives computed through the model's renewal CDFs.
-    Every evaluation is one primitive pass over ``(H + 1, n, m)``
-    stacks — the head columns, then the tail, of every row at every
-    work point — with one call per distinct model, so a mixed grid
-    still evaluates in broadcast passes.
+    Rows may mix error models: exponential rows (``None``, or a
+    memoryless :class:`ErrorModel`) live entirely in the
+    ``lam_f``/``lam_s`` columns, filled from the model's source rates,
+    so one exponential pass serves every exponential row whatever its
+    model and keeps the scalar evaluator's arithmetic bit for bit; rows
+    carrying a general renewal :class:`ErrorModel` are listed in
+    ``models`` and have their per-attempt primitives computed through
+    the model's renewal CDFs.  Every evaluation is one primitive pass
+    over ``(H + 1, n, m)`` stacks — the head columns, then the tail, of
+    every row at every work point — with one call per distinct model,
+    so a mixed grid still evaluates in broadcast passes.
     """
 
     head: np.ndarray
@@ -260,17 +260,15 @@ class ScheduleGrid:
     @classmethod
     def from_points(
         cls,
-        points: Sequence[
-            tuple[Configuration, SpeedSchedule, CombinedErrors | ErrorModel | None]
-        ],
+        points: Sequence[tuple[Configuration, SpeedSchedule, ErrorModelLike]],
     ) -> "ScheduleGrid":
         """Stack ``(cfg, schedule, errors)`` triples into one grid.
 
         ``errors=None`` means silent-only at the configuration's own
-        rate, matching the scalar evaluator's default; entries may also
-        be :class:`CombinedErrors` or renewal :class:`ErrorModel`
-        instances (memoryless models collapse onto the exponential
-        column fast path, general models become ``models`` rows).
+        rate, matching the scalar evaluator's default; any other entry
+        is lifted by :func:`~repro.errors.models.as_error_model`
+        (memoryless models fill the exponential rate columns, general
+        models become ``models`` rows).
         """
         if not points:
             raise InvalidParameterError("a schedule grid needs at least one point")
@@ -287,26 +285,22 @@ class ScheduleGrid:
             head[i, : len(h)] = h
         lam_f, lam_s = [], []
         models: list[tuple[int, ErrorModel]] = []
-        for i, (cfg, _, errors) in enumerate(points):
-            errors = collapse_memoryless(errors)
+        for i, (cfg, _, spec) in enumerate(points):
+            errors = as_error_model(spec)
             if errors is None:
                 lam_f.append(0.0)
                 lam_s.append(cfg.lam)
-            elif isinstance(errors, CombinedErrors):
-                lam_f.append(errors.failstop_rate)
-                lam_s.append(errors.silent_rate)
-            elif isinstance(errors, ErrorModel):
+            elif errors.is_memoryless:
+                rate_f, rate_s = errors._rates()
+                lam_f.append(rate_f)
+                lam_s.append(rate_s)
+            else:
                 # General renewal row: the rate columns are placeholders
                 # (the exponential pass writes zeros there, which the
                 # model overwrite in _primitives replaces).
                 lam_f.append(0.0)
                 lam_s.append(0.0)
                 models.append((i, errors))
-            else:
-                raise InvalidParameterError(
-                    f"grid errors must be CombinedErrors, ErrorModel or None, "
-                    f"got {type(errors).__name__}"
-                )
         return cls(
             head=head,
             head_len=col([len(h) for h, _ in normalized]),
@@ -370,7 +364,7 @@ class ScheduleGrid:
         once, and each distinct renewal model is called once on its rows
         of the stacks.  The exponential column pass runs over every row
         first — its expressions (and hence the exponential rows' bits)
-        are exactly the scalar fast path's — then the general-model rows
+        are exactly a memoryless ``ErrorModel``'s — then the general-model rows
         are overwritten, so exponential rows are independent of which
         models share the batch.  One model covering every row takes the
         whole stacks, with no pass.
@@ -837,8 +831,8 @@ def solve_schedule_grid(
 def _as_points(
     cfg: "Configuration | str | Sequence[Configuration | str]",
     schedules: Sequence[SpeedSchedule | str],
-    errors: "CombinedErrors | ErrorModel | str | Sequence | None",
-) -> list[tuple[Configuration, SpeedSchedule, "CombinedErrors | ErrorModel | None"]]:
+    errors: "ErrorModelLike | Sequence[ErrorModelLike]",
+) -> list[tuple[Configuration, SpeedSchedule, ErrorModelLike]]:
     from ..platforms.catalog import get_configuration
 
     def resolve(c: "Configuration | str") -> Configuration:
@@ -857,9 +851,6 @@ def _as_points(
         if isinstance(errors, (list, tuple))
         else [errors] * len(scheds)
     )
-    # Spec strings are sugar for renewal ErrorModels; CombinedErrors and
-    # model objects pass through untouched.
-    errs = [as_error_model(e) if isinstance(e, str) else e for e in errs]
     if not len(cfgs) == len(scheds) == len(errs):
         raise InvalidParameterError(
             f"mismatched grid axes: {len(cfgs)} config(s), {len(scheds)} "
@@ -873,7 +864,7 @@ def evaluate_schedule_batch(
     schedules: Sequence[SpeedSchedule | str],
     work: ScalarOrArray,
     *,
-    errors: "CombinedErrors | ErrorModel | str | Sequence | None" = None,
+    errors: "ErrorModelLike | Sequence[ErrorModelLike]" = None,
     components: tuple[str, ...] = ("time", "energy"),
     max_attempts: int | None = None,
 ) -> ScheduleExpectation:
@@ -881,9 +872,10 @@ def evaluate_schedule_batch(
 
     ``cfg`` and ``errors`` may be single values (applied to every
     schedule — the sigma-axis case: one platform, many policies) or
-    per-schedule sequences; error entries may be legacy
-    :class:`CombinedErrors`, renewal :class:`ErrorModel` instances, or
-    spec strings (``"weibull:shape=0.7,mtbf=5e3"``).  ``work``
+    per-schedule sequences; each error entry is anything
+    :func:`~repro.errors.models.as_error_model` accepts (an
+    :class:`ErrorModel`, a ``CombinedErrors``, an arrival process, or
+    a spec string such as ``"weibull:shape=0.7,mtbf=5e3"``).  ``work``
     broadcasts as in :meth:`ScheduleGrid.evaluate`: a 1-D array of
     ``m`` pattern sizes yields ``(len(schedules), m)`` result arrays.
     """
@@ -896,7 +888,7 @@ def solve_schedule_batch(
     schedules: Sequence[SpeedSchedule | str],
     rho: ScalarOrArray,
     *,
-    errors: "CombinedErrors | ErrorModel | str | Sequence | None" = None,
+    errors: "ErrorModelLike | Sequence[ErrorModelLike]" = None,
 ) -> ScheduleGridSolution:
     """Constrained optima of many schedules in one vectorised pass.
 

@@ -34,6 +34,7 @@ interpreter exit.
 from __future__ import annotations
 
 import json
+import threading
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -187,6 +188,9 @@ class ServiceApp:
             metrics=self.metrics,
             transport=transport,
         )
+        # Capacity check, job creation and enqueue happen as one step,
+        # so a refused submission never leaves a job behind.
+        self._admission = threading.Lock()
         self._auth_refused = self.registry.counter(
             "repro_service_auth_refused_total",
             "Requests refused authentication, by reason",
@@ -357,8 +361,14 @@ class ServiceApp:
         spec = parse_experiment_spec(
             request.json(), max_points=self.config.max_points
         )
-        job = self.store.create(spec)
-        self.queue.submit(job)
+        with self._admission:
+            if self.queue.full:
+                return _error(
+                    503, "queue-full", "too many jobs are queued or running; retry later",
+                    headers=(("Retry-After", "1"),),
+                )
+            job = self.store.create(spec)
+            self.queue.submit(job)
         return ServiceResponse.json(
             job.snapshot(),
             status=202,

@@ -1,7 +1,8 @@
 """The async job queue: accepted specs become executed plans.
 
 Submissions land on a bounded in-process queue drained by a small pool
-of worker threads.  Each worker compiles the job's
+of worker threads: at most :data:`MAX_QUEUED_JOBS` accepted jobs wait
+or run at once, and the service answers 503 beyond that.  Each worker compiles the job's
 :class:`~repro.api.experiment.Experiment` into a deduplicated
 :class:`~repro.api.experiment.ExecutionPlan` and executes it over the
 configured transport — by default the process-wide warm worker pool —
@@ -49,9 +50,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import ServiceConfig
     from .jobs import JobStore
 
-__all__ = ["JobQueue", "ServiceMetrics"]
+__all__ = ["JobQueue", "ServiceMetrics", "MAX_QUEUED_JOBS"]
 
 _log = get_logger("queue")
+
+#: Accepted jobs that may be queued or running at once; a submission
+#: beyond it is refused (HTTP 503 with ``Retry-After``) instead of
+#: growing the queue without bound.
+MAX_QUEUED_JOBS = 256
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,14 @@ class JobQueue:
             for thread in self._threads:
                 thread.join(timeout=30.0)
 
+    @property
+    def full(self) -> bool:
+        """Whether :data:`MAX_QUEUED_JOBS` jobs are queued or running."""
+        with self._idle:
+            return self._inflight >= MAX_QUEUED_JOBS
+
     def submit(self, job: Job) -> None:
-        """Enqueue one accepted job."""
+        """Enqueue one accepted job (the caller checks :attr:`full`)."""
         if self._stopping:
             raise ReproError("the job queue is shutting down")
         if not self._started:

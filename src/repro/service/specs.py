@@ -53,8 +53,7 @@ from ..platforms.catalog import configuration_names, get_configuration
 from ..schedules.base import as_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..errors.combined import CombinedErrors
-    from ..errors.models import ArrivalProcess, ErrorModel
+    from ..errors.models import ErrorModel
     from ..platforms.configuration import Configuration
     from ..schedules.base import SpeedSchedule
 
@@ -304,7 +303,7 @@ def _parse_schedule(
 
 def _parse_errors(
     value: Any, path: str, issues: _Issues
-) -> "ErrorModel | ArrivalProcess | CombinedErrors | None":
+) -> "ErrorModel | None":
     if value is None:
         return None
     spec = _expect_str(value, path, issues)
@@ -422,7 +421,7 @@ def _parse_grid(
             if len(issues.rows) > before:
                 schedules = None
 
-    models: "tuple[ErrorModel | ArrivalProcess | CombinedErrors | None, ...] | None" = (
+    models: "tuple[ErrorModel | None, ...] | None" = (
         None,
     )
     if "error_models" in grid:

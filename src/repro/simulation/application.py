@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors.combined import CombinedErrors
-from ..errors.models import ErrorModel, collapse_memoryless
+from ..errors.models import ErrorModel, ErrorModelLike, ExponentialArrivals, as_error_model
 from ..exceptions import ConvergenceError
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
@@ -91,7 +90,10 @@ class ApplicationSimulator:
     The work is split into ``ceil(total_work / work)`` patterns; the last
     pattern may be smaller.  Each pattern follows the Section-2.2
     execution model (first attempt at ``sigma1``, re-executions at
-    ``sigma2``).
+    ``sigma2``).  ``errors`` is lifted as in
+    :class:`~repro.simulation.engine.PatternSimulator` (``None``:
+    silent errors at the configuration's own rate), and every attempt
+    draws fresh inter-arrivals from the model, exponential or renewal.
 
     Examples
     --------
@@ -105,16 +107,11 @@ class ApplicationSimulator:
     def __init__(
         self,
         cfg: Configuration,
-        errors: CombinedErrors | ErrorModel | None = None,
+        errors: ErrorModelLike = None,
         rng: np.random.Generator | int | None = None,
     ):
         self.cfg = cfg
-        if errors is None:
-            errors = CombinedErrors(total_rate=cfg.lam, failstop_fraction=0.0)
-        # Memoryless models collapse to the legacy split: the
-        # exponential sampling path (and its RNG stream) stays exactly
-        # the legacy one.
-        self.errors = collapse_memoryless(errors)
+        self.errors: ErrorModel = as_error_model(errors) or ErrorModel(ExponentialArrivals(cfg.lam))
         if isinstance(rng, np.random.Generator):
             self.rng = rng
         else:
@@ -143,45 +140,24 @@ class ApplicationSimulator:
         require_positive(sigma2, "sigma2")
 
         cfg = self.cfg
-        # Per-attempt samplers, chosen by model type up front.  The
-        # silent draw happens only on attempts a fail-stop error did
-        # not pre-empt — both for the model semantics and to keep the
-        # legacy exponential RNG stream (and its seeded traces) exactly
-        # as before.  A sampler returns the interruption time, or
-        # +inf when the attempt's window survives.
-        if isinstance(self.errors, ErrorModel):
-            # Renewal branch, mirroring PatternSimulator: fresh
-            # inter-arrival per attempt; <= window test to match the
-            # model CDF's P(X <= t) convention at trace atoms.
-            fs_proc = self.errors.failstop_arrivals
-            sil_proc = self.errors.silent_arrivals
+        # The silent draw happens only on attempts a fail-stop error did
+        # not pre-empt.  The fail-stop sampler returns the interruption
+        # time, or +inf when the attempt's window survives (<= window,
+        # as in PatternSimulator, to match the CDF's P(X <= t) at trace
+        # atoms).
+        fs_proc = self.errors.failstop_arrivals
+        sil_proc = self.errors.silent_arrivals
 
-            def sample_fail(window: float) -> float:
-                if fs_proc is None:
-                    return math.inf
-                t_fail = float(fs_proc.sample_interarrivals(self.rng, 1)[0])
-                return t_fail if t_fail <= window else math.inf
+        def sample_fail(window: float) -> float:
+            if fs_proc is None:
+                return math.inf
+            t_fail = float(fs_proc.sample_interarrivals(self.rng, 1)[0])
+            return t_fail if t_fail <= window else math.inf
 
-            def sample_silent(exec_span: float) -> bool:
-                return sil_proc is not None and self.rng.random() < float(
-                    sil_proc.failure_probability(exec_span)
-                )
-
-        else:
-            lam_f = self.errors.failstop_rate
-            lam_s = self.errors.silent_rate
-
-            def sample_fail(window: float) -> float:
-                t_fail = (
-                    self.rng.exponential(scale=1.0 / lam_f) if lam_f > 0 else math.inf
-                )
-                return t_fail if t_fail < window else math.inf
-
-            def sample_silent(exec_span: float) -> bool:
-                return (
-                    lam_s > 0
-                    and self.rng.random() < -np.expm1(-lam_s * exec_span)
-                )
+        def sample_silent(exec_span: float) -> bool:
+            return sil_proc is not None and self.rng.random() < float(
+                sil_proc.failure_probability(exec_span)
+            )
 
         pm = cfg.power
         p_io = pm.io_total_power()

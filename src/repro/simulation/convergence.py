@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors.combined import CombinedErrors
+from ..errors.models import ErrorModelLike
 from ..exceptions import ConvergenceError, InvalidParameterError
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
@@ -58,7 +58,7 @@ def simulate_until(
     sigma1: float,
     sigma2: float | None = None,
     *,
-    errors: CombinedErrors | None = None,
+    errors: ErrorModelLike = None,
     precision: float = 0.005,
     initial_n: int = 2_000,
     max_n: int = 2_000_000,

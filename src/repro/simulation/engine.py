@@ -4,13 +4,15 @@ The simulator replays, sample by sample, exactly the stochastic process
 the paper's expectations describe (Sections 2.2 and 5.1):
 
 * an attempt at speed ``sigma`` executes for ``tau = (W+V)/sigma``
-  seconds unless a fail-stop error interrupts it at ``t_f < tau``
-  (``t_f ~ Exp(lambda_f)``, fresh per attempt — the process is
-  memoryless);
+  seconds unless a fail-stop error interrupts it at ``t_f <= tau``
+  (``t_f`` a fresh inter-arrival of the fail-stop source per attempt:
+  recovery restarts the arrival pattern, the renewal semantics of
+  :mod:`repro.errors.models`; ``Exp(lambda_f)`` in the paper);
 * independently, a silent corruption occurs within the computation
-  window with probability ``1 - exp(-lambda_s W / sigma)``; it is
-  caught by the end-of-pattern verification, so the full ``tau`` is
-  paid before the recovery;
+  window with the silent source's CDF at ``W / sigma``
+  (``1 - exp(-lambda_s W / sigma)`` in the paper); it is caught by the
+  end-of-pattern verification, so the full ``tau`` is paid before the
+  recovery;
 * a fail-stop interruption pre-empts the attempt regardless of silent
   corruption (the paper's recursion branches on the fail-stop event
   first);
@@ -40,8 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors.combined import CombinedErrors
-from ..errors.models import ErrorModel, collapse_memoryless
+from ..errors.models import ErrorModel, ErrorModelLike, ExponentialArrivals, as_error_model
 from ..exceptions import ConvergenceError, InvalidParameterError
 from ..platforms.configuration import Configuration
 from ..quantities import require_positive
@@ -65,17 +66,15 @@ class PatternSimulator:
         Platform/processor configuration (supplies ``C``, ``V``, ``R``
         and the power model).
     errors:
-        Optional error model: a legacy
-        :class:`~repro.errors.combined.CombinedErrors` split, or a
-        renewal :class:`~repro.errors.models.ErrorModel`
-        (Weibull/Gamma/trace arrivals — each attempt draws a fresh
-        inter-arrival through the model's ``sample_interarrivals``, the
-        renewal semantics the analytical evaluator assumes).  A
-        memoryless model collapses to its byte-identical
-        ``CombinedErrors`` so the exponential sampling path — and its
-        RNG stream — is exactly the legacy one.  ``None`` (default)
-        means silent errors only at the configuration's own rate — the
-        model of Sections 2-4.
+        Optional error model: an :class:`~repro.errors.models.ErrorModel`
+        or anything :func:`~repro.errors.models.as_error_model` lifts to
+        one (a ``CombinedErrors`` split, an arrival process, a spec
+        string).  Each attempt draws a fresh inter-arrival through the
+        model's ``sample_interarrivals``, the renewal semantics the
+        analytical evaluator assumes; exponential and renewal families
+        share this one sampler.  ``None`` (default) means silent errors
+        only at the configuration's own rate — the model of Sections
+        2-4.
     rng:
         NumPy random generator or integer seed.  Defaults to a fresh
         unseeded generator; pass a seed for reproducibility.
@@ -92,13 +91,11 @@ class PatternSimulator:
     def __init__(
         self,
         cfg: Configuration,
-        errors: CombinedErrors | ErrorModel | None = None,
+        errors: ErrorModelLike = None,
         rng: np.random.Generator | int | None = None,
     ):
         self.cfg = cfg
-        if errors is None:
-            errors = CombinedErrors(total_rate=cfg.lam, failstop_fraction=0.0)
-        self.errors = collapse_memoryless(errors)
+        self.errors: ErrorModel = as_error_model(errors) or ErrorModel(ExponentialArrivals(cfg.lam))
         if isinstance(rng, np.random.Generator):
             self.rng = rng
         else:
@@ -148,58 +145,26 @@ class PatternSimulator:
         R = cfg.recovery_time
         C = cfg.checkpoint_time
 
-        # One per-round sampler, chosen by model type up front.  Both
-        # samplers draw the fail-stop arrival first, then the silent
-        # indicator, so the exponential path consumes the RNG stream
-        # exactly as the legacy engine did.
-        if isinstance(self.errors, ErrorModel):
-            fs_proc = self.errors.failstop_arrivals
-            sil_proc = self.errors.silent_arrivals
+        # The fail-stop arrival is drawn first, then the silent indicator.
+        fs_proc = self.errors.failstop_arrivals
+        sil_proc = self.errors.silent_arrivals
 
-            def draw(
-                m: int, tau: float, omega: float
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                # Renewal semantics: recovery restarts the arrival
-                # pattern, so every attempt draws a fresh inter-arrival
-                # from the model (the assumption the analytical
-                # evaluator's per-attempt primitives encode).  The
-                # window test is <= to match the model CDF's P(X <= t)
-                # convention — immaterial for continuous families, but
-                # a trace ECDF has atoms, and an arrival exactly at the
-                # window's end must count as a failure on both sides.
-                if fs_proc is not None:
-                    t_fail = fs_proc.sample_interarrivals(self.rng, m)
-                    failstop = t_fail <= tau
-                else:
-                    t_fail = np.empty(m)
-                    failstop = np.zeros(m, dtype=bool)
-                if sil_proc is not None:
-                    p_sil = sil_proc.failure_probability(omega)
-                    silent = self.rng.random(m) < p_sil
-                else:
-                    silent = np.zeros(m, dtype=bool)
-                return t_fail, failstop, silent
-
-        else:
-            lam_f = self.errors.failstop_rate
-            lam_s = self.errors.silent_rate
-
-            def draw(
-                m: int, tau: float, omega: float
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                # Fail-stop: first arrival within the (W+V)/sigma window.
-                if lam_f > 0.0:
-                    t_fail = self.rng.exponential(scale=1.0 / lam_f, size=m)
-                    failstop = t_fail < tau
-                else:
-                    t_fail = np.empty(m)
-                    failstop = np.zeros(m, dtype=bool)
-                # Silent: strike within the computation window W/sigma.
-                if lam_s > 0.0:
-                    silent = self.rng.random(m) < -np.expm1(-lam_s * omega)
-                else:
-                    silent = np.zeros(m, dtype=bool)
-                return t_fail, failstop, silent
+        def draw(m: int, tau: float, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # The window test is <= to match the model CDF's P(X <= t)
+            # convention — immaterial for continuous families, but a
+            # trace ECDF has atoms, and an arrival exactly at the
+            # window's end must count as a failure on both sides.
+            if fs_proc is not None:
+                t_fail = fs_proc.sample_interarrivals(self.rng, m)
+                failstop = t_fail <= tau
+            else:
+                t_fail = np.empty(m)
+                failstop = np.zeros(m, dtype=bool)
+            if sil_proc is not None:
+                silent = self.rng.random(m) < sil_proc.failure_probability(omega)
+            else:
+                silent = np.zeros(m, dtype=bool)
+            return t_fail, failstop, silent
 
         times = np.zeros(n)
         energies = np.zeros(n)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import exact as silent_exact
-from ..errors.combined import CombinedErrors
-from ..errors.models import ErrorModel
+from ..errors.models import ErrorModelLike
 from ..exceptions import InvalidParameterError
 from ..failstop import exact as combined_exact
 from ..platforms.configuration import Configuration
@@ -82,7 +81,7 @@ def check_agreement(
     sigma2: float | None = None,
     *,
     schedule: SpeedSchedule | None = None,
-    errors: CombinedErrors | ErrorModel | None = None,
+    errors: ErrorModelLike = None,
     n: int = 20_000,
     rng: np.random.Generator | int | None = None,
 ) -> AgreementReport:
@@ -91,10 +90,9 @@ def check_agreement(
     Uses Propositions 2/3 when ``errors`` is ``None`` or silent-only,
     the combined closed forms otherwise, and the general schedule
     evaluator when a per-attempt ``schedule`` is given (exclusive with
-    ``sigma1``/``sigma2``).  A renewal :class:`ErrorModel`
-    (Weibull/Gamma/trace arrivals) is validated against the schedule
-    evaluator's renewal primitives — the exponential closed forms do
-    not apply to it.
+    ``sigma1``/``sigma2``).  A non-memoryless model (Weibull/Gamma/trace
+    arrivals) is validated against the schedule evaluator's renewal
+    primitives — the exponential closed forms do not apply to it.
     """
     if schedule is not None:
         if sigma1 is not None or sigma2 is not None:
@@ -103,8 +101,7 @@ def check_agreement(
             )
         sim = PatternSimulator(cfg, errors=errors, rng=rng)
         batch = sim.run(work=work, schedule=schedule, n=n)
-        eff_errors = sim.errors
-        expectation = evaluate_schedule(cfg, schedule, work, errors=eff_errors)
+        expectation = evaluate_schedule(cfg, schedule, work, errors=sim.errors)
         return AgreementReport(
             work=work,
             sigma1=schedule.speed_for_attempt(1),
@@ -122,11 +119,10 @@ def check_agreement(
     sim = PatternSimulator(cfg, errors=errors, rng=rng)
     batch = sim.run(work=work, sigma1=sigma1, sigma2=sigma2, n=n)
     eff_errors = sim.errors
-    if isinstance(eff_errors, ErrorModel):
-        # Non-memoryless model (the simulator collapses memoryless ones
-        # to CombinedErrors): the two-speed closed forms assume
-        # exponential arrivals, so the expectation comes from the
-        # schedule evaluator's renewal primitives instead.
+    if not eff_errors.is_memoryless:
+        # The two-speed closed forms assume exponential arrivals, so the
+        # expectation comes from the schedule evaluator's renewal
+        # primitives instead.
         expectation = evaluate_schedule(
             cfg, TwoSpeed(sigma1, sigma2), work, errors=eff_errors
         )
@@ -139,14 +135,15 @@ def check_agreement(
             expected_energy=float(expectation.energy),
             summary=batch.summary(),
         )
-    if eff_errors.failstop_fraction == 0.0:
+    combined = eff_errors.to_combined()
+    if combined.failstop_fraction == 0.0:
         # Silent-only: Props 2/3 with the model's silent rate.
-        cfg_eff = cfg.with_error_rate(eff_errors.silent_rate)
+        cfg_eff = cfg.with_error_rate(combined.silent_rate)
         t_exp = silent_exact.expected_time(cfg_eff, work, sigma1, sigma2)
         e_exp = silent_exact.expected_energy(cfg_eff, work, sigma1, sigma2)
     else:
-        t_exp = combined_exact.expected_time(cfg, eff_errors, work, sigma1, sigma2)
-        e_exp = combined_exact.expected_energy(cfg, eff_errors, work, sigma1, sigma2)
+        t_exp = combined_exact.expected_time(cfg, combined, work, sigma1, sigma2)
+        e_exp = combined_exact.expected_energy(cfg, combined, work, sigma1, sigma2)
     return AgreementReport(
         work=work,
         sigma1=sigma1,

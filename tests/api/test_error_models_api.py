@@ -8,7 +8,13 @@ import pytest
 from repro.api import Experiment, Scenario
 from repro.api.backends import get_backend
 from repro.api.cache import SolveCache
-from repro.errors import CombinedErrors, ErrorModel, GammaArrivals, parse_error_model
+from repro.errors import (
+    CombinedErrors,
+    ErrorModel,
+    ExponentialArrivals,
+    GammaArrivals,
+    parse_error_model,
+)
 from repro.exceptions import (
     InfeasibleBoundError,
     InvalidParameterError,
@@ -35,7 +41,8 @@ class TestScenarioField:
         assert sc.errors == ErrorModel(process=proc)
         legacy = CombinedErrors(1e-5, 0.5)
         sc2 = Scenario(config="hera-xscale", rho=3.0, errors=legacy)
-        assert sc2.resolved_errors() == legacy
+        assert sc2.resolved_errors() == ErrorModel(ExponentialArrivals(1e-5), 0.5)
+        assert sc2.resolved_errors().to_combined() == legacy
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,19 +63,28 @@ class TestScenarioField:
         assert sc.with_errors(None).errors is None
         assert sc.with_errors(WEIBULL).errors.process.kind == "weibull"
 
-    def test_resolved_errors_collapses_memoryless(self):
+    def test_resolved_errors_returns_the_model(self):
+        # Memoryless or not, an explicit model comes back as itself.
         sc = Scenario(config="hera-xscale", rho=3.0, errors="exp:rate=1e-4,failstop=0.5")
         resolved = sc.resolved_errors()
-        assert isinstance(resolved, CombinedErrors)
-        assert resolved == CombinedErrors(1e-4, 0.5)
-        # Non-memoryless models come back as themselves.
+        assert resolved is sc.errors and resolved.is_memoryless
+        assert resolved == ErrorModel(ExponentialArrivals(1e-4), 0.5)
         sc2 = Scenario(config="hera-xscale", rho=3.0, errors=WEIBULL)
-        assert isinstance(sc2.resolved_errors(), ErrorModel)
+        assert sc2.resolved_errors() is sc2.errors
 
-    def test_mode_based_scenarios_unchanged(self):
-        sc = Scenario(config="hera-xscale", rho=3.0, mode="combined", failstop_fraction=0.5)
+    @pytest.mark.parametrize(
+        "kwargs, fraction",
+        [({"mode": "combined", "failstop_fraction": 0.5}, 0.5), ({"mode": "failstop"}, 1.0)],
+        ids=["combined", "failstop"],
+    )
+    def test_mode_based_scenarios_resolve_to_exponential_models(self, kwargs, fraction):
+        sc = Scenario(config="hera-xscale", rho=3.0, **kwargs)
         assert sc.errors is None
-        assert isinstance(sc.resolved_errors(), CombinedErrors)
+        lam = sc.resolved_config().lam
+        assert sc.resolved_errors() == ErrorModel(ExponentialArrivals(lam), fraction)
+        # ... and solve bit for bit as the equivalent exp: model.
+        spec = Scenario(config="hera-xscale", rho=3.0, errors=f"exp:rate={lam!r},failstop={fraction}")
+        assert sc.solve(cache=False).best == spec.solve(cache=False).best
 
 
 class TestRouting:

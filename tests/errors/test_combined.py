@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CombinedErrors
+from repro.errors import CombinedErrors, as_error_model
 from repro.exceptions import InvalidParameterError
 
 
@@ -34,21 +34,21 @@ class TestSplit:
 
 
 class TestProcesses:
-    def test_failstop_process_rate(self):
-        m = CombinedErrors(2e-3, 0.25)
-        assert m.failstop_process().rate == pytest.approx(5e-4)
+    """The per-source processes of a split live on its lifted model."""
 
-    def test_silent_process_rate(self):
-        m = CombinedErrors(2e-3, 0.25)
-        assert m.silent_process().rate == pytest.approx(1.5e-3)
+    def test_failstop_arrivals_rate(self):
+        m = as_error_model(CombinedErrors(2e-3, 0.25))
+        assert m.failstop_arrivals.rate == pytest.approx(5e-4)
 
-    def test_failstop_process_requires_failstop_errors(self):
-        with pytest.raises(InvalidParameterError):
-            CombinedErrors(1e-3, 0.0).failstop_process()
+    def test_silent_arrivals_rate(self):
+        m = as_error_model(CombinedErrors(2e-3, 0.25))
+        assert m.silent_arrivals.rate == pytest.approx(1.5e-3)
 
-    def test_silent_process_requires_silent_errors(self):
-        with pytest.raises(InvalidParameterError):
-            CombinedErrors(1e-3, 1.0).silent_process()
+    def test_no_failstop_arrivals_without_failstop_errors(self):
+        assert as_error_model(CombinedErrors(1e-3, 0.0)).failstop_arrivals is None
+
+    def test_no_silent_arrivals_without_silent_errors(self):
+        assert as_error_model(CombinedErrors(1e-3, 1.0)).silent_arrivals is None
 
 
 class TestDerived:

@@ -1,4 +1,5 @@
-"""Unit tests for the exponential error process."""
+"""Unit tests for the exponential arrival family (the paper's Poisson
+errors) and its capped-exposure helper."""
 
 from __future__ import annotations
 
@@ -7,147 +8,153 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ExponentialErrors
+from repro.errors import ExponentialArrivals
+from repro.errors.models import ArrivalProcess
 from repro.exceptions import InvalidParameterError
 
 
 class TestConstruction:
     def test_rate_stored(self):
-        assert ExponentialErrors(rate=1e-4).rate == 1e-4
+        assert ExponentialArrivals(rate=1e-4).rate == 1e-4
 
     def test_mtbf_is_inverse_rate(self):
-        assert ExponentialErrors(rate=2e-5).mtbf == pytest.approx(5e4)
+        assert ExponentialArrivals(rate=2e-5).mtbf == pytest.approx(5e4)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_rate_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
-            ExponentialErrors(rate=bad)
+            ExponentialArrivals(rate=bad)
 
     def test_frozen(self):
-        errs = ExponentialErrors(rate=1e-4)
+        errs = ExponentialArrivals(rate=1e-4)
         with pytest.raises(AttributeError):
             errs.rate = 2e-4  # type: ignore[misc]
 
 
-class TestStrikeProbability:
+class TestFailureProbability:
     def test_zero_exposure_is_zero(self):
-        assert ExponentialErrors(1e-4).strike_probability(0.0) == 0.0
+        assert ExponentialArrivals(1e-4).failure_probability(0.0) == 0.0
 
     def test_matches_closed_form(self):
-        errs = ExponentialErrors(3e-4)
+        errs = ExponentialArrivals(3e-4)
         t = 123.0
-        assert errs.strike_probability(t) == pytest.approx(1 - math.exp(-3e-4 * t))
+        assert errs.failure_probability(t) == pytest.approx(1 - math.exp(-3e-4 * t))
 
     def test_monotone_in_exposure(self):
-        errs = ExponentialErrors(1e-3)
+        errs = ExponentialArrivals(1e-3)
         t = np.linspace(0, 1e4, 64)
-        p = errs.strike_probability(t)
+        p = errs.failure_probability(t)
         assert np.all(np.diff(p) > 0)
 
     def test_bounded_by_one(self):
-        errs = ExponentialErrors(1.0)
-        assert errs.strike_probability(1e9) <= 1.0
+        errs = ExponentialArrivals(1.0)
+        assert errs.failure_probability(1e9) <= 1.0
 
     def test_array_shape_preserved(self):
-        errs = ExponentialErrors(1e-4)
+        errs = ExponentialArrivals(1e-4)
         t = np.ones((3, 4))
-        assert errs.strike_probability(t).shape == (3, 4)
+        assert errs.failure_probability(t).shape == (3, 4)
 
     def test_scalar_returns_float(self):
-        out = ExponentialErrors(1e-4).strike_probability(10.0)
+        out = ExponentialArrivals(1e-4).failure_probability(10.0)
         assert isinstance(out, float)
 
     def test_negative_exposure_rejected(self):
         with pytest.raises(ValueError):
-            ExponentialErrors(1e-4).strike_probability(-1.0)
+            ExponentialArrivals(1e-4).failure_probability(-1.0)
 
     def test_complement_of_survival(self):
-        errs = ExponentialErrors(5e-5)
+        errs = ExponentialArrivals(5e-5)
         t = np.linspace(1, 1e5, 11)
         np.testing.assert_allclose(
-            errs.strike_probability(t) + errs.survival_probability(t), 1.0
+            errs.failure_probability(t) + errs.survival_probability(t), 1.0
         )
 
     def test_tiny_rate_numerically_stable(self):
         # expm1 keeps precision where 1 - exp(-x) would cancel.
-        errs = ExponentialErrors(1e-15)
-        p = errs.strike_probability(1.0)
+        errs = ExponentialArrivals(1e-15)
+        p = errs.failure_probability(1.0)
         assert p == pytest.approx(1e-15, rel=1e-6)
 
 
 class TestExpectedTimeLost:
     def test_half_window_limit_for_small_rate(self):
         # lambda*tau -> 0: an error strikes on average at half the window.
-        errs = ExponentialErrors(1e-9)
+        errs = ExponentialArrivals(1e-9)
         tau = 100.0
-        assert errs.expected_time_lost(tau, 1.0) == pytest.approx(tau / 2, rel=1e-5)
+        assert errs.expected_time_lost(tau) == pytest.approx(tau / 2, rel=1e-5)
 
     def test_closed_form(self):
         lam = 1e-3
-        errs = ExponentialErrors(lam)
+        errs = ExponentialArrivals(lam)
         w, s = 500.0, 0.5
         tau = w / s
         expected = 1 / lam - tau / (math.exp(lam * tau) - 1)
-        assert errs.expected_time_lost(w, s) == pytest.approx(expected, rel=1e-12)
+        assert errs.expected_time_lost(w / s) == pytest.approx(expected, rel=1e-12)
 
     def test_below_half_window(self):
         # Conditional mean of a truncated exponential is < tau/2 for lam>0.
-        errs = ExponentialErrors(1e-2)
-        assert errs.expected_time_lost(1000.0, 1.0) < 500.0
+        errs = ExponentialArrivals(1e-2)
+        assert errs.expected_time_lost(1000.0) < 500.0
 
     def test_bounded_by_mtbf(self):
-        errs = ExponentialErrors(1e-3)
-        assert errs.expected_time_lost(1e9, 1.0) <= errs.mtbf
+        errs = ExponentialArrivals(1e-3)
+        assert errs.expected_time_lost(1e9) <= errs.mtbf
 
-    def test_speed_scales_window(self):
-        errs = ExponentialErrors(1e-4)
-        # Same window: (w, s) and (2w, 2s).
-        assert errs.expected_time_lost(100.0, 0.5) == pytest.approx(
-            errs.expected_time_lost(200.0, 1.0)
+    def test_matches_the_renewal_derivation(self):
+        # The closed form is the generic E[X | X < t] of the primitives.
+        errs = ExponentialArrivals(1e-4)
+        t = np.array([10.0, 200.0, 5e3, 1e5])
+        np.testing.assert_allclose(
+            errs.expected_time_lost(t),
+            ArrivalProcess.expected_time_lost(errs, t),
+            rtol=1e-9,
         )
+
+    def test_array_shape_and_scalar_float(self):
+        errs = ExponentialArrivals(1e-4)
+        assert errs.expected_time_lost(np.ones((2, 3))).shape == (2, 3)
+        assert isinstance(errs.expected_time_lost(10.0), float)
 
     def test_series_fallback_continuous(self):
         # Just above the 1e-8 switch the exact branch is used; it must
         # agree with the series value tau/2 * (1 - x/6) at the same point.
         lam = 1e-10
-        errs = ExponentialErrors(lam)
+        errs = ExponentialArrivals(lam)
         x = 2e-8
         tau = x / lam
-        exact_branch = errs.expected_time_lost(tau, 1.0)
+        exact_branch = errs.expected_time_lost(tau)
         series = tau / 2 * (1 - x / 6)
         assert exact_branch == pytest.approx(series, rel=1e-5)
 
-    def test_invalid_inputs(self):
-        errs = ExponentialErrors(1e-4)
+    def test_invalid_window(self):
         with pytest.raises(ValueError):
-            errs.expected_time_lost(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            errs.expected_time_lost(1.0, 0.0)
+            ExponentialArrivals(1e-4).expected_time_lost(-1.0)
 
 
 class TestSampling:
     def test_arrival_mean(self, rng):
-        errs = ExponentialErrors(1e-2)
-        x = errs.sample_arrivals(rng, 200_000)
+        errs = ExponentialArrivals(1e-2)
+        x = errs.sample_interarrivals(rng, 200_000)
         assert np.mean(x) == pytest.approx(errs.mtbf, rel=0.02)
 
     def test_strike_frequency(self, rng):
-        errs = ExponentialErrors(1e-3)
-        hits = errs.sample_strikes(rng, exposure=693.0, size=200_000)
-        assert np.mean(hits) == pytest.approx(errs.strike_probability(693.0), abs=0.005)
+        errs = ExponentialArrivals(1e-3)
+        hits = errs.sample_interarrivals(rng, 200_000) <= 693.0
+        assert np.mean(hits) == pytest.approx(errs.failure_probability(693.0), abs=0.005)
 
-    def test_scaled(self):
-        errs = ExponentialErrors(1e-4).scaled(3.0)
+    def test_thinned(self):
+        errs = ExponentialArrivals(1e-4).thinned(3.0)
         assert errs.rate == pytest.approx(3e-4)
 
-    def test_scaled_invalid(self):
+    def test_thinned_invalid(self):
         with pytest.raises(InvalidParameterError):
-            ExponentialErrors(1e-4).scaled(0.0)
+            ExponentialArrivals(1e-4).thinned(0.0)
 
 
 class TestCappedExposure:
-    """The shared E[min(Tf, tau)] helper behind the combined model and
-    the per-attempt schedule evaluator."""
+    """The shared E[min(Tf, tau)] helper behind the Section-5 closed
+    forms and the exponential family's capped exposure."""
 
     def test_zero_rate_pays_full_window(self):
         from repro.errors.exponential import capped_exposure

@@ -97,39 +97,39 @@ class TestProcessPrimitives:
 
 
 class TestExponentialByteIdentity:
-    """The exp family must be bit-for-bit the legacy closed forms."""
+    """The exp family must be bit-for-bit the exponential closed forms."""
 
-    def test_primitives_match_exponential_errors(self):
-        from repro.errors import ExponentialErrors
-
-        legacy = ExponentialErrors(rate=3.38e-6)
-        proc = ExponentialArrivals(rate=3.38e-6)
+    def test_primitives_match_exponential_closed_forms(self):
+        rate = 3.38e-6
+        proc = ExponentialArrivals(rate=rate)
         t = np.geomspace(1e-3, 1e9, 300)
-        assert np.array_equal(proc.failure_probability(t), legacy.strike_probability(t))
-        assert np.array_equal(proc.survival_probability(t), legacy.survival_probability(t))
-        assert np.array_equal(
-            proc.expected_time_lost(t), legacy.expected_time_lost(t, 1.0)
-        )
+        x = rate * t
+        with np.errstate(over="ignore"):
+            lost = np.where(x < 1e-8, t / 2.0 * (1.0 - x / 6.0), 1.0 / rate - t / np.expm1(x))
+        assert np.array_equal(proc.failure_probability(t), -np.expm1(-rate * t))
+        assert np.array_equal(proc.survival_probability(t), np.exp(-rate * t))
+        assert np.array_equal(proc.expected_time_lost(t), lost)
 
-    def test_model_attempt_primitives_match_combined(self):
-        legacy = CombinedErrors(total_rate=5e-4, failstop_fraction=0.25)
-        model = legacy.to_model()
-        assert model.is_memoryless
-        combined = model.to_combined()
+    def test_model_attempt_primitives_match_section5_closed_forms(self):
+        from repro.failstop.exact import _parts
+        from repro.platforms import get_configuration
+
+        cfg = get_configuration("hera-xscale")
+        V = cfg.verification_time
         w = np.geomspace(1.0, 1e6, 100)
-        for speed in (0.4, 0.7, 1.0):
-            assert np.array_equal(
-                combined.attempt_failure_probability(w, speed, 5.0),
-                legacy.attempt_failure_probability(w, speed, 5.0),
-            )
-            assert np.array_equal(
-                combined.attempt_exposure(w, speed, 5.0),
-                legacy.attempt_exposure(w, speed, 5.0),
-            )
+        for f in (0.0, 0.25, 1.0):
+            legacy = CombinedErrors(total_rate=5e-4, failstop_fraction=f)
+            model = as_error_model(legacy)
+            assert model.is_memoryless
+            for speed in (0.4, 0.7, 1.0):
+                with np.errstate(over="ignore"):  # its 1/q2 overflows; unused here
+                    _, one_minus_q, _, capped, _ = _parts(cfg, legacy, w, speed, speed)
+                assert np.array_equal(model.attempt_failure_probability(w, speed, V), one_minus_q)
+                assert np.array_equal(model.attempt_exposure(w, speed, V), capped)
 
     def test_round_trip_combined_model_combined(self):
         legacy = CombinedErrors(total_rate=7e-5, failstop_fraction=0.3)
-        assert legacy.to_model().to_combined() == legacy
+        assert as_error_model(legacy).to_combined() == legacy
 
 
 class TestTraceArrivals:
@@ -199,10 +199,17 @@ class TestErrorModel:
         failstop = parse_error_model("gamma:shape=2,mtbf=5e3,failstop=1")
         assert failstop.silent_arrivals is None
         assert failstop.failstop_arrivals is failstop.process
+
+    def test_underflowed_exponential_source_is_absent(self):
+        # A denormal split is a valid CombinedErrors: its fail-stop rate
+        # underflows to 0, which the closed forms read as no source.
+        model = as_error_model(CombinedErrors(1e-6, 5e-324))
+        assert model.failstop_arrivals is None
+        assert model.silent_arrivals.rate == 1e-6
+        assert model.failstop_fraction == 5e-324
+        # A renewal family cannot stretch its MTBF to infinity.
         with pytest.raises(InvalidParameterError):
-            silent.failstop_process()
-        with pytest.raises(InvalidParameterError):
-            failstop.silent_process()
+            parse_error_model("weibull:shape=0.7,mtbf=5e3,failstop=5e-324")
 
     def test_attempt_primitives_mirror_combined_contract(self):
         model = parse_error_model("weibull:shape=0.7,mtbf=5e3,failstop=0.2")
@@ -292,7 +299,7 @@ class TestSpecParsing:
         legacy = CombinedErrors(1e-4, 0.5)
         assert require_memoryless(legacy, "here") is legacy
         assert require_memoryless(None, "here") is None
-        assert require_memoryless(legacy.to_model(), "here") == legacy
+        assert require_memoryless(as_error_model(legacy), "here") == legacy
         with pytest.raises(UnsupportedErrorModelError):
             require_memoryless(parse_error_model("gamma:shape=2,mtbf=5e3"), "here")
 
@@ -364,7 +371,7 @@ class TestEvaluatorIntegration:
         exp_points = [
             (hera_xscale, sched, None),
             (hera_xscale, sched, CombinedErrors(5e-4, 0.25)),
-            (hera_xscale, sched, CombinedErrors(1e-4, 0.5).to_model()),
+            (hera_xscale, sched, as_error_model(CombinedErrors(1e-4, 0.5))),
         ]
         w = np.geomspace(100.0, 3e4, 9)
         pure = ScheduleGrid.from_points(exp_points).evaluate(w)
@@ -461,15 +468,19 @@ class TestSimulatorBoundaryAndApplication:
         assert summary.time_zscore(100.0 * 1.10) == -math.inf
         assert summary.energy_zscore(1e6 * 0.85) == math.inf
 
-    def test_collapse_memoryless_helper(self):
-        from repro.errors import collapse_memoryless
+    def test_memoryless_models_stay_error_models(self, hera_xscale):
+        """Lifting is the only conversion below the API: a memoryless
+        model is an ErrorModel from the lift on, never a CombinedErrors."""
+        from repro.simulation import PatternSimulator
 
         legacy = CombinedErrors(1e-4, 0.5)
-        assert collapse_memoryless(None) is None
-        assert collapse_memoryless(legacy) is legacy
-        assert collapse_memoryless(legacy.to_model()) == legacy
+        assert as_error_model(None) is None
+        lifted = as_error_model(legacy)
+        assert isinstance(lifted, ErrorModel) and lifted.is_memoryless
+        assert as_error_model(lifted) is lifted
+        assert PatternSimulator(hera_xscale, lifted).errors is lifted
         wb = parse_error_model("weibull:shape=0.7,mtbf=5e3")
-        assert collapse_memoryless(wb) is wb
+        assert as_error_model(wb) is wb and not wb.is_memoryless
 
     def test_zero_failure_batch_reports_z_zero(self, hera_xscale):
         """A batch that observes no failures has zero sample variance;
@@ -500,15 +511,15 @@ class TestSimulatorBoundaryAndApplication:
         assert res.num_errors > 0
 
     def test_application_simulator_memoryless_model_matches_legacy(self, toy_config):
-        """A memoryless ErrorModel collapses to CombinedErrors: same
-        seed, bit-identical trace."""
+        """A CombinedErrors split and the equivalent exp: model are one
+        model to the simulator: same seed, bit-identical trace."""
         from repro.simulation.application import ApplicationSimulator
 
         legacy = CombinedErrors(1e-3, 0.5)
         a = ApplicationSimulator(toy_config, errors=legacy, rng=9).run(
             total_work=4000.0, work=1000.0, sigma1=0.5
         )
-        b = ApplicationSimulator(toy_config, errors=legacy.to_model(), rng=9).run(
+        b = ApplicationSimulator(toy_config, errors="exp:rate=1e-3,failstop=0.5", rng=9).run(
             total_work=4000.0, work=1000.0, sigma1=0.5
         )
         assert a.total_time == b.total_time

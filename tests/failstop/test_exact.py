@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import exact as silent_exact
-from repro.errors import CombinedErrors, ExponentialErrors
+from repro.errors import CombinedErrors, ExponentialArrivals
 from repro.failstop import exact as combined_exact
 
 
@@ -44,7 +44,7 @@ class TestRecursionIdentity:
         pf1 = 1 - math.exp(-lf * tau1)
         ps1 = 1 - math.exp(-ls * w / s1)
         if lf > 0:
-            tlost = ExponentialErrors(lf).expected_time_lost(w + V, s1)
+            tlost = ExponentialArrivals(lf).expected_time_lost((w + V) / s1)
         else:
             tlost = 0.0
 
@@ -69,7 +69,7 @@ class TestRecursionIdentity:
         tau1 = (w + V) / s1
         pf1 = 1 - math.exp(-lf * tau1)
         ps1 = 1 - math.exp(-ls * w / s1)
-        tlost = ExponentialErrors(lf).expected_time_lost(w + V, s1) if lf > 0 else 0.0
+        tlost = ExponentialArrivals(lf).expected_time_lost((w + V) / s1) if lf > 0 else 0.0
 
         e = combined_exact.expected_energy(cfg, errors, w, s1, s2)
         e22 = combined_exact.expected_energy(cfg, errors, w, s2, s2)
@@ -158,7 +158,7 @@ class TestPaperEq7Erratum:
         tau1 = (w + V) / s1
         pf1 = 1 - math.exp(-lf * tau1)
         ps1 = 1 - math.exp(-ls * w / s1)
-        tlost = ExponentialErrors(lf).expected_time_lost(w + V, s1)
+        tlost = ExponentialArrivals(lf).expected_time_lost((w + V) / s1)
 
         t_eq7 = combined_exact.expected_time_paper_eq7(cfg, errors, w, s1, s2)
         t22_eq7 = combined_exact.expected_time_paper_eq7(cfg, errors, w, s2, s2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import exact as silent_exact
-from repro.errors import CombinedErrors, ExponentialErrors
+from repro.errors import CombinedErrors, ExponentialArrivals
 from repro.failstop import exact as combined_exact
 from repro.platforms import Configuration, Platform, Processor
 
@@ -65,7 +65,7 @@ class TestCombinedInvariants:
         tau1 = (w + V) / s1
         pf1 = 1 - math.exp(-lf * tau1)
         ps1 = 1 - math.exp(-ls * w / s1)
-        tlost = ExponentialErrors(lf).expected_time_lost(w + V, s1) if lf > 0 else 0.0
+        tlost = ExponentialArrivals(lf).expected_time_lost((w + V) / s1) if lf > 0 else 0.0
         t = combined_exact.expected_time(cfg, errors, w, s1, s2)
         t22 = combined_exact.expected_time(cfg, errors, w, s2, s2)
         rhs = pf1 * (tlost + R + t22) + (1 - pf1) * (

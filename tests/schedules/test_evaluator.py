@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import exact as silent_exact
-from repro.errors import CombinedErrors
+from repro.errors import CombinedErrors, as_error_model
 from repro.failstop import exact as combined_exact
 from repro.schedules import (
     Constant,
@@ -204,25 +204,27 @@ class TestTruncation:
 
 
 class TestPerAttemptPrimitives:
-    """The CombinedErrors helpers the evaluator chains over."""
+    """The per-attempt primitives the evaluator chains over, on a
+    CombinedErrors split lifted to its ErrorModel."""
 
     def test_failure_probability_matches_survival(self):
-        err = CombinedErrors(1e-3, 0.5)
+        split = CombinedErrors(1e-3, 0.5)
+        err = as_error_model(split)
         w, s, V = 500.0, 0.5, 5.0
         tau = (w + V) / s
         omega = w / s
-        q = np.exp(-(err.failstop_rate * tau + err.silent_rate * omega))
+        q = np.exp(-(split.failstop_rate * tau + split.silent_rate * omega))
         assert err.attempt_failure_probability(w, s, V) == pytest.approx(1 - q)
 
     def test_exposure_caps_at_tau(self):
-        err = CombinedErrors(1e-3, 1.0)
+        err = as_error_model(CombinedErrors(1e-3, 1.0))
         w, s, V = 500.0, 0.5, 5.0
         tau = (w + V) / s
         m = err.attempt_exposure(w, s, V)
         assert 0 < m < tau
 
     def test_exposure_without_failstop_is_full_window(self):
-        err = CombinedErrors(1e-3, 0.0)
+        err = as_error_model(CombinedErrors(1e-3, 0.0))
         w, s, V = 500.0, 0.5, 5.0
         assert err.attempt_exposure(w, s, V) == pytest.approx((w + V) / s)
 

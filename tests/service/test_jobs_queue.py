@@ -242,3 +242,71 @@ class TestJobQueue:
         queue.submit(ok)
         queue.wait_idle(timeout=60.0)
         assert ok.state is JobState.SUCCEEDED
+
+
+class TestQueueBound:
+    """At most MAX_QUEUED_JOBS accepted jobs wait or run at once; the
+    service refuses more with 503 + Retry-After and creates no job."""
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """The bound patched to 2, and every job worker held on an event
+        until the test releases it."""
+        from repro.service import queue as queue_module
+
+        monkeypatch.setattr(queue_module, "MAX_QUEUED_JOBS", 2)
+        gate = threading.Event()
+        run_job = JobQueue._run_job
+
+        def held_run(self, job):
+            assert gate.wait(timeout=60.0)
+            run_job(self, job)
+
+        monkeypatch.setattr(JobQueue, "_run_job", held_run)
+        yield gate
+        gate.set()
+
+    def test_full_queue_answers_503_and_creates_no_job(self, client, inline_app, held):
+        # held is set up last, so it releases the workers before the
+        # app shuts down even when an assert fails.
+        small = {"grid": {"configs": ["hera-xscale"], "rhos": [3.0]}}
+        first = client.submit(small)
+        client.submit(small)
+        refused = client.post_json("/v1/jobs", small)
+        assert refused.status == 503
+        assert refused.json()["error"] == "queue-full"
+        assert refused.header("Retry-After") == "1"
+        assert len(inline_app.store) == 2
+        held.set()
+        assert inline_app.queue.wait_idle(timeout=60.0)
+        assert client.wait_job(first["id"], timeout=60.0)["state"] == "succeeded"
+        assert client.post_json("/v1/jobs", small).status == 202
+
+    def test_concurrent_submissions_never_pass_the_bound(self, client, inline_app, held):
+        import sys
+
+        small = {"grid": {"configs": ["hera-xscale"], "rhos": [3.0]}}
+        statuses: list[int] = []
+        lock = threading.Lock()
+        start = threading.Barrier(8)
+
+        def post_many() -> None:
+            start.wait(timeout=60.0)
+            for _ in range(4):
+                status = client.post_json("/v1/jobs", small).status
+                with lock:
+                    statuses.append(status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=post_many) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(set(statuses)) == [202, 503]
+        assert statuses.count(202) == 2 == len(inline_app.store)
